@@ -7,7 +7,6 @@ import sys
 
 from .errors import EvoKernelError
 from .experiment import ExperimentConfig, run_experiment, sweep_time_length, write_sweep_csv
-from .kernel import worker_count
 
 _HK_CHOICES = {"exact": "exact", "taylor": "taylor2", "fiedler": "fiedler", "auto": "auto"}
 
@@ -49,7 +48,6 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
         seed=args.seed,
         cumulative=args.cumulative,
         heat_method=_HK_CHOICES[args.hk],
-        workers=worker_count(),
     )
 
 

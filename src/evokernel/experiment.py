@@ -9,6 +9,7 @@ shuffling through independent substreams.
 from __future__ import annotations
 
 import json
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -48,13 +49,20 @@ class ExperimentConfig:
     seed: int = 0
     cumulative: bool = False
     heat_method: str = METHOD_EXACT
-    workers: int = 1
 
     def validate(self) -> None:
+        for name in ("time_length", "time_interval", "a", "b", "u0", "gamma_scale", "c"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name.replace('_', ' ')} must be finite, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.time_interval <= 0:
             raise ConfigError(f"time interval must be positive, got {self.time_interval}")
         if self.time_length < 0:
             raise ConfigError(f"time length must be non-negative, got {self.time_length}")
+        if not math.isfinite(self.time_length / self.time_interval):
+            raise ConfigError("time length over time interval overflows the time grid")
         if self.folds < 2:
             raise ConfigError(f"need at least 2 folds, got {self.folds}")
         if self.psd_repair not in ("none", "clip"):
@@ -169,6 +177,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: GraphDataset | None = None) -
 
     with _stage("config"):
         cfg.validate()
+        times = cfg.time_grid()
 
     tic = time.perf_counter()
     with _stage("load"):
@@ -176,7 +185,6 @@ def run_experiment(cfg: ExperimentConfig, dataset: GraphDataset | None = None) -
             dataset = load_tu_dataset(cfg.dataset_dir, cfg.dataset_name)
     timings["load"] = time.perf_counter() - tic
 
-    times = cfg.time_grid()
     boltzmann = cfg.boltzmann_config()
     tic = time.perf_counter()
     with _stage("episodes"):
@@ -197,7 +205,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: GraphDataset | None = None) -
 
     tic = time.perf_counter()
     with _stage("distances"):
-        d = distance_matrix(episodes, cfg.metric_config(), workers=cfg.workers)
+        d = distance_matrix(episodes, cfg.metric_config())
     timings["distances"] = time.perf_counter() - tic
 
     tic = time.perf_counter()

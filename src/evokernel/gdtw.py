@@ -49,8 +49,14 @@ def cross_distances(emb1: np.ndarray, emb2: np.ndarray) -> np.ndarray:
     """Euclidean distances between two stacks of embedding rows."""
     sq1 = (emb1 ** 2).sum(axis=1)
     sq2 = (emb2 ** 2).sum(axis=1)
-    d2 = sq1[:, None] + sq2[None, :] - 2.0 * (emb1 @ emb2.T)
-    return np.sqrt(np.clip(d2, 0.0, None))
+    # In place, so that at most two full-size arrays are alive at once; each
+    # step is the same floating-point operation as sq1 + sq2 - 2 * (emb1 @ emb2.T).
+    g = emb1 @ emb2.T
+    g *= 2.0
+    d2 = sq1[:, None] + sq2[None, :]
+    d2 -= g
+    np.clip(d2, 0.0, None, out=d2)
+    return np.sqrt(d2, out=d2)
 
 
 def gdtw_distance(m: np.ndarray) -> WarpingResult:
@@ -68,19 +74,7 @@ def gdtw_distance(m: np.ndarray) -> WarpingResult:
         raise ContractError("warping matrix entries must be finite and non-negative")
 
     n = m.shape[0]
-    gamma = np.full((n + 1, n + 1), np.inf)
-    gamma[0, 0] = 0.0
-    for i in range(1, n + 1):
-        row = gamma[i]
-        prev = gamma[i - 1]
-        costs = m[i - 1]
-        for j in range(1, n + 1):
-            best = prev[j - 1]
-            if prev[j] < best:
-                best = prev[j]
-            if row[j - 1] < best:
-                best = row[j - 1]
-            row[j] = costs[j - 1] + best
+    gamma = _cumulative_costs(m[:, :, None])[:, :, 0]
 
     cells = [(n - 1, n - 1)]
     i = j = n
@@ -100,23 +94,25 @@ def gdtw_distance(m: np.ndarray) -> WarpingResult:
     )
 
 
-def gdtw_distance_only(m: np.ndarray) -> float:
-    """DP cost without path recovery, for bulk pairwise assembly."""
-    n = m.shape[0]
-    prev = np.full(n + 1, np.inf)
-    prev[0] = 0.0
-    for i in range(n):
-        row = np.full(n + 1, np.inf)
-        costs = m[i]
-        for j in range(1, n + 1):
-            best = prev[j - 1]
-            if prev[j] < best:
-                best = prev[j]
-            if row[j - 1] < best:
-                best = row[j - 1]
-            row[j] = costs[j - 1] + best
-        prev = row
-    return float(prev[n])
+def _cumulative_costs(costs: np.ndarray) -> np.ndarray:
+    """Cumulative-cost tables of a (T, T, P) stack of warping matrices.
+
+    Returns the (T+1, T+1, P) tables with gamma[0, 0] = 0 and an infinite
+    border. The pair axis is last, so each cell of the table is one
+    contiguous vector and each cell update one vector op over all P pairs.
+    Cells are filled row by row; every entry is finite or inf, never NaN, so
+    np.minimum selects exactly the value that scalar comparisons would.
+    """
+    t = costs.shape[0]
+    gamma = np.full((t + 1, t + 1) + costs.shape[2:], np.inf)
+    gamma[0, 0] = 0.0
+    for i in range(1, t + 1):
+        prev, row = gamma[i - 1], gamma[i]
+        diag_or_up = np.minimum(prev[:-1], prev[1:])
+        for j in range(1, t + 1):
+            np.minimum(diag_or_up[j - 1], row[j - 1], out=row[j])
+            row[j] += costs[i - 1, j - 1]
+    return gamma
 
 
 def euclidean_episode_distance(

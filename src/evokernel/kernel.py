@@ -8,8 +8,6 @@ clipping is available (and on by default downstream) to repair it.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,13 +15,7 @@ import numpy as np
 from .augment import TemporalEpisode
 from .embedding import MetricConfig, wl_embed
 from .errors import ContractError
-from .gdtw import cross_distances, gdtw_distance_only
-
-THREADS_ENV_VAR = "EVOKERNEL_THREADS"
-
-# Shared state for fork-based workers; set before the pool spawns.
-_POOL_DISTANCES: np.ndarray | None = None
-_POOL_GRID: int = 0
+from .gdtw import _cumulative_costs, cross_distances
 
 
 @dataclass(frozen=True)
@@ -33,23 +25,14 @@ class EvolutionKernelMatrix:
     psd_repair: str
 
 
-def worker_count() -> int:
-    """Thread/process count from the environment, default 1 (serial)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def distance_matrix(
-    episodes: list[TemporalEpisode], cfg: MetricConfig = MetricConfig(), workers: int = 1
+    episodes: list[TemporalEpisode], cfg: MetricConfig = MetricConfig()
 ) -> np.ndarray:
     """Symmetric matrix of pairwise alignment distances, zero diagonal.
 
     Every snapshot is embedded exactly once; each unordered pair is aligned
-    once and mirrored, so symmetry is exact by construction. Results are
-    independent of the worker count.
+    once and mirrored, so symmetry is exact by construction. Pairs are aligned
+    one matrix row at a time, which bounds the extra memory to O(n * T^2).
     """
     n = len(episodes)
     if n == 0:
@@ -63,36 +46,13 @@ def distance_matrix(
     embeddings = np.stack(
         [wl_embed(s, cfg).vector for e in episodes for s in e.snapshots]
     )
-    all_dist = cross_distances(embeddings, embeddings)
+    blocks = cross_distances(embeddings, embeddings).reshape(n, steps, n, steps)
 
     d = np.zeros((n, n))
-    if workers <= 1 or n < 4:
-        for i in range(n):
-            for j in range(i + 1, n):
-                block = all_dist[i * steps:(i + 1) * steps, j * steps:(j + 1) * steps]
-                d[i, j] = d[j, i] = gdtw_distance_only(block)
-        return d
-
-    global _POOL_DISTANCES, _POOL_GRID
-    _POOL_DISTANCES, _POOL_GRID = all_dist, steps
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, row in zip(range(n), pool.map(_pair_row, range(n))):
-                d[i, i + 1:] = row
-    finally:
-        _POOL_DISTANCES, _POOL_GRID = None, 0
-    d = d + d.T
+    for i in range(n - 1):
+        costs = blocks[i, :, i + 1:, :].transpose(0, 2, 1)
+        d[i, i + 1:] = d[i + 1:, i] = _cumulative_costs(costs)[steps, steps]
     return d
-
-
-def _pair_row(i: int) -> np.ndarray:
-    dist, steps = _POOL_DISTANCES, _POOL_GRID
-    n = dist.shape[0] // steps
-    out = np.zeros(n - i - 1)
-    for pos, j in enumerate(range(i + 1, n)):
-        block = dist[i * steps:(i + 1) * steps, j * steps:(j + 1) * steps]
-        out[pos] = gdtw_distance_only(block)
-    return out
 
 
 def evolution_kernel(

@@ -2,7 +2,8 @@
 
 Each oracle takes a route disjoint from the library code: the matrix
 exponential comes from scipy's scaling-and-squaring Pade implementation, the
-warping distance from exhaustive path enumeration, the embedding metric from
+warping distance from exhaustive path enumeration, the warping table from a
+scalar cell-by-cell recurrence, the embedding metric from
 explicit label dictionaries instead of hashing, and the SVM from a primal
 grid search.
 """
@@ -57,6 +58,27 @@ def brute_force_gdtw(m: np.ndarray) -> float:
         if cost < best:
             best = cost
     return best
+
+
+def scalar_gdtw_table(m: np.ndarray) -> np.ndarray:
+    """Cumulative-cost table with the infinity border, one scalar cell at a time.
+
+    The minimum of diagonal, up and left is taken by strict comparisons in that
+    order, so on ties the first candidate is kept.
+    """
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    gamma = np.full((n + 1, n + 1), math.inf)
+    gamma[0, 0] = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            best = gamma[i - 1, j - 1]
+            if gamma[i - 1, j] < best:
+                best = gamma[i - 1, j]
+            if gamma[i, j - 1] < best:
+                best = gamma[i, j - 1]
+            gamma[i, j] = m[i - 1, j - 1] + best
+    return gamma
 
 
 def path_is_admissible(path, n: int) -> bool:

@@ -81,6 +81,27 @@ def test_invalid_config_fails_with_stage_tag(dataset_dir, capsys):
     assert "[config]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--time-length", "nan"],
+        ["--time-length", "inf"],
+        ["--time-interval", "nan"],
+        ["--time-length", "1e300", "--time-interval", "1e-300"],
+        ["--a", "nan"],
+        ["--b=-inf"],
+        ["--u0", "inf"],
+        ["--gamma-scale", "nan"],
+        ["--c", "inf"],
+        ["--seed", "-1"],
+    ],
+)
+def test_non_finite_or_negative_seed_fails_at_config(dataset_dir, capsys, flags):
+    code = main(["run", "--dataset", str(dataset_dir), "--name", "TRISTAR", *FAST, *flags])
+    assert code == 1
+    assert "[config]" in capsys.readouterr().err
+
+
 def test_sweep_writes_curve(dataset_dir, tmp_path, capsys):
     out = tmp_path / "curve.csv"
     code = main(

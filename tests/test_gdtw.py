@@ -10,15 +10,15 @@ from evokernel.embedding import MetricConfig, delta
 from evokernel.errors import ContractError
 from evokernel.gdtw import (
     build_warping_matrix,
+    cross_distances,
     euclidean_episode_distance,
     gdtw_distance,
-    gdtw_distance_only,
     warping_to_json,
 )
 from evokernel.graphs import build_graph
 
 from .conftest import star, triangle
-from .oracles import brute_force_gdtw, dict_wl_delta, path_is_admissible
+from .oracles import brute_force_gdtw, dict_wl_delta, path_is_admissible, scalar_gdtw_table
 
 WIDE = MetricConfig(dim=2 ** 20)
 
@@ -64,6 +64,19 @@ def test_matrix_matches_hand_oracle(fixture_episodes):
             )
 
 
+def test_cross_distances_equal_the_plain_expression():
+    rng = np.random.default_rng(80)
+    emb1 = rng.standard_normal((40, 64))
+    emb1 /= np.linalg.norm(emb1, axis=1, keepdims=True)
+    emb2 = rng.standard_normal((25, 64))
+    emb2 /= np.linalg.norm(emb2, axis=1, keepdims=True)
+    for a, b in ((emb1, emb2), (emb1, emb1)):
+        sq1 = (a ** 2).sum(axis=1)
+        sq2 = (b ** 2).sum(axis=1)
+        plain = np.sqrt(np.clip(sq1[:, None] + sq2[None, :] - 2.0 * (a @ b.T), 0.0, None))
+        assert np.array_equal(cross_distances(a, b), plain)
+
+
 def test_length_mismatch_is_contract_error(k2, p3):
     with pytest.raises(ContractError):
         build_warping_matrix(_episode([k2]), _episode([p3, p3]))
@@ -99,7 +112,27 @@ def test_dp_equals_exhaustive_enumeration(n):
         result = gdtw_distance(m)
         assert result.distance == brute_force_gdtw(m)
         assert path_is_admissible(result.path, n)
-        assert gdtw_distance_only(m) == result.distance
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_dp_with_zero_cost_ties_equals_exhaustive_enumeration(n):
+    # Small integer costs give many zero cells and many equal-cost
+    # predecessors, and their sums are exact.
+    rng = np.random.default_rng(2000 + n)
+    for _ in range(50):
+        m = rng.integers(0, 3, (n, n)).astype(float)
+        result = gdtw_distance(m)
+        assert result.distance == brute_force_gdtw(m)
+        assert path_is_admissible(result.path, n)
+        assert np.array_equal(result.cumulative, scalar_gdtw_table(m))
+
+
+def test_table_equals_scalar_recurrence():
+    rng = np.random.default_rng(79)
+    for _ in range(50):
+        m = rng.random((11, 11))
+        m[rng.random((11, 11)) < 0.3] = 0.0
+        assert np.array_equal(gdtw_distance(m).cumulative, scalar_gdtw_table(m))
 
 
 def test_recovered_path_cost_equals_distance():

@@ -8,7 +8,7 @@ import pytest
 from evokernel.augment import generate_episode
 from evokernel.embedding import MetricConfig
 from evokernel.errors import ContractError
-from evokernel.gdtw import build_warping_matrix, gdtw_distance
+from evokernel.gdtw import build_warping_matrix, cross_distances, episode_embeddings, gdtw_distance
 from evokernel.kernel import clip_psd, distance_matrix, evolution_kernel, export_matrix_csv
 
 from .conftest import star, triangle
@@ -50,13 +50,23 @@ def test_mismatched_grids_rejected(three_episodes):
         distance_matrix([three_episodes[0], other], CFG)
 
 
-def test_worker_count_does_not_change_results(three_episodes):
+def test_matrix_equals_alignment_of_each_block(three_episodes):
+    times = np.array([0.0, 0.5, 1.0])
     episodes = three_episodes + [
-        generate_episode(star(4), np.array([0.0, 0.5, 1.0]), seed=2, graph_index=7)
+        generate_episode(g, times, seed=2, graph_index=7 + i)
+        for i, g in enumerate([star(4), triangle(), star(2)])
     ]
-    serial = distance_matrix(episodes, CFG, workers=1)
-    parallel = distance_matrix(episodes, CFG, workers=2)
-    assert np.array_equal(serial, parallel)
+    n, steps = len(episodes), len(times)
+    embeddings = np.vstack([episode_embeddings(e, CFG) for e in episodes])
+    all_dist = cross_distances(embeddings, embeddings)
+    d = distance_matrix(episodes, CFG)
+    expected = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                block = all_dist[i * steps:(i + 1) * steps, j * steps:(j + 1) * steps]
+                expected[i, j] = gdtw_distance(block).distance
+    assert np.array_equal(d, expected)
 
 
 def test_zero_distances_give_all_ones_kernel():
