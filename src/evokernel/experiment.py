@@ -2,14 +2,18 @@
 
 A run generates one episode per graph on a shared time grid, builds the full
 distance and kernel matrices once, then trains and evaluates a fold-restricted
-SVM per cross-validation fold. One seed drives both augmentation and fold
-shuffling through independent substreams.
+SVM per cross-validation fold. A time-length sweep generates and embeds the
+episodes of its longest length once and aligns, builds the kernel and
+cross-validates per length.
+One seed drives both augmentation and fold shuffling through independent
+substreams.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -20,7 +24,7 @@ from .augment import BoltzmannConfig, generate_episode
 from .embedding import MetricConfig
 from .errors import ConfigError, EvoKernelError, StageError
 from .heat import METHOD_AUTO, METHOD_EXACT, METHOD_FIEDLER, METHOD_TAYLOR2
-from .kernel import distance_matrix, evolution_kernel
+from .kernel import _prefix_distance_matrices, evolution_kernel
 from .svm import svm_predict, svm_train
 from .tu_io import GraphDataset, load_tu_dataset
 
@@ -29,6 +33,10 @@ HEAT_METHODS = (METHOD_EXACT, METHOD_TAYLOR2, METHOD_FIEDLER, METHOD_AUTO)
 # Substream tag separating fold shuffling from per-snapshot augmentation
 # streams (which use 2-element spawn keys).
 _FOLD_STREAM = 0xF01D
+
+_STR_FIELDS = ("dataset_dir", "dataset_name", "psd_repair", "heat_method")
+_INT_FIELDS = ("wl_iterations", "embedding_dim", "folds", "seed")
+_REAL_FIELDS = ("time_length", "time_interval", "a", "b", "u0", "gamma_scale", "c")
 
 
 @dataclass
@@ -51,8 +59,18 @@ class ExperimentConfig:
     heat_method: str = METHOD_EXACT
 
     def validate(self) -> None:
-        for name in ("time_length", "time_interval", "a", "b", "u0", "gamma_scale", "c"):
+        for name in _STR_FIELDS:
             value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigError(f"{name.replace('_', ' ')} must be a string, got {value!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name.replace('_', ' ')} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name.replace('_', ' ')} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ConfigError(f"{name.replace('_', ' ')} must be finite, got {value}")
         if self.seed < 0:
@@ -89,7 +107,8 @@ class ExperimentConfig:
         return BoltzmannConfig(a=self.a, b=self.b)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # numpy scalars pass validate(); echo them as numbers json can write.
+        return {k: v.item() if isinstance(v, np.generic) else v for k, v in asdict(self).items()}
 
 
 @dataclass
@@ -98,7 +117,9 @@ class CvReport:
 
     The standard deviation is the population std over the fold accuracies.
     ``canonical_json`` drops the (nondeterministic) timings block, so it is
-    byte-identical across reruns of the same config and seed.
+    byte-identical across reruns of the same config and seed. In a sweep the
+    ``load``, ``episodes`` and ``distances`` timings are measured once, for
+    all lengths together, and echoed on every report.
     """
 
     fold_accuracies: list[float]
@@ -173,11 +194,46 @@ def stratified_folds(labels, folds: int, seed: int) -> list[tuple[np.ndarray, np
 
 def run_experiment(cfg: ExperimentConfig, dataset: GraphDataset | None = None) -> CvReport:
     """Full pipeline for one configuration; ``dataset`` overrides disk loading."""
+    return _run_lengths([cfg], dataset)[0]
+
+
+def sweep_time_length(
+    cfg: ExperimentConfig, lengths, dataset: GraphDataset | None = None
+) -> list[CvReport]:
+    """One report per time length, equal to a separate run at each; lengths must be ascending.
+
+    Episodes and snapshot embeddings are built once, at the longest length;
+    alignment, kernel and cross-validation run per length.
+    """
+    with _stage("config"):
+        try:
+            lengths = [float(t) for t in lengths]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sweep lengths must be numbers: {exc}") from exc
+        if not lengths:
+            raise ConfigError("sweep needs at least one time length")
+    return _run_lengths([replace(cfg, time_length=t) for t in lengths], dataset)
+
+
+def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) -> list[CvReport]:
+    """Reports of configurations that differ only in their ascending time lengths.
+
+    Every grid is k * dt, and each snapshot draws from its own substream keyed
+    by (seed, graph, k), so each shorter grid and its episodes are prefixes of
+    the longest: episodes are generated once, on the longest grid. The load,
+    episodes and distances timings are measured once and echoed on every
+    report.
+    """
     timings: dict[str, float] = {}
 
     with _stage("config"):
-        cfg.validate()
-        times = cfg.time_grid()
+        if any(b.time_length <= a.time_length for a, b in zip(configs, configs[1:])):
+            raise ConfigError("sweep lengths must be strictly ascending")
+        grids = []
+        for c in configs:
+            c.validate()
+            grids.append(c.time_grid())
+    cfg, times = configs[-1], grids[-1]
 
     tic = time.perf_counter()
     with _stage("load"):
@@ -205,9 +261,25 @@ def run_experiment(cfg: ExperimentConfig, dataset: GraphDataset | None = None) -
 
     tic = time.perf_counter()
     with _stage("distances"):
-        d = distance_matrix(episodes, cfg.metric_config())
+        distances = _prefix_distance_matrices(
+            episodes, cfg.metric_config(), {len(grid) for grid in grids}
+        )
     timings["distances"] = time.perf_counter() - tic
 
+    return [
+        _cross_validate(c, grid, distances[len(grid)], dataset, dict(timings))
+        for c, grid in zip(configs, grids)
+    ]
+
+
+def _cross_validate(
+    cfg: ExperimentConfig,
+    times: np.ndarray,
+    d: np.ndarray,
+    dataset: GraphDataset,
+    timings: dict[str, float],
+) -> CvReport:
+    """Kernel and stratified CV on one distance matrix; adds their timings."""
     tic = time.perf_counter()
     with _stage("kernel"):
         ek = evolution_kernel(d, cfg.gamma_scale, cfg.psd_repair)
@@ -246,17 +318,6 @@ def run_experiment(cfg: ExperimentConfig, dataset: GraphDataset | None = None) -
         timings=timings,
         config=config_echo,
     )
-
-
-def sweep_time_length(
-    cfg: ExperimentConfig, lengths, dataset: GraphDataset | None = None
-) -> list[CvReport]:
-    """One full run per time length; lengths must be ascending."""
-    lengths = list(lengths)
-    with _stage("config"):
-        if any(b <= a for a, b in zip(lengths, lengths[1:])):
-            raise ConfigError("sweep lengths must be strictly ascending")
-    return [run_experiment(replace(cfg, time_length=float(t)), dataset=dataset) for t in lengths]
 
 
 def write_sweep_csv(reports: list[CvReport], path) -> None:

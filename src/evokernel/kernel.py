@@ -34,20 +34,53 @@ def distance_matrix(
     once and mirrored, so symmetry is exact by construction. Pairs are aligned
     one matrix row at a time, which bounds the extra memory to O(n * T^2).
     """
+    steps = len(episodes[0].times) if episodes else 0
+    return _prefix_distance_matrices(episodes, cfg, [steps])[steps]
+
+
+def _prefix_distance_matrices(
+    episodes: list[TemporalEpisode], cfg: MetricConfig, step_counts
+) -> dict[int, np.ndarray]:
+    """``distance_matrix`` of the episodes cut to their first s snapshots, for each s.
+
+    Every snapshot is embedded once for all s. The cross distances and the
+    alignment run once per s on the prefix rows alone: BLAS may round a
+    sub-block of a larger product differently from the product of the
+    sub-block, so one product over the longest grid would not reproduce the
+    shorter ones bit for bit.
+    """
     n = len(episodes)
     if n == 0:
-        return np.zeros((0, 0))
+        return {int(s): np.zeros((0, 0)) for s in step_counts}
     grid = episodes[0].times
     for e in episodes[1:]:
         if len(e.times) != len(grid) or not np.array_equal(e.times, grid):
             raise ContractError("episodes are not on a common time grid")
     steps = len(grid)
+    if any(not 1 <= s <= steps for s in step_counts):
+        raise ContractError(f"step counts {sorted(step_counts)} are not all within 1..{steps}")
 
     embeddings = np.stack(
-        [wl_embed(s, cfg).vector for e in episodes for s in e.snapshots]
+        [wl_embed(snap, cfg).vector for e in episodes for snap in e.snapshots]
     )
-    blocks = cross_distances(embeddings, embeddings).reshape(n, steps, n, steps)
+    d = {}
+    width = steps
+    for s in sorted({int(s) for s in step_counts}, reverse=True):
+        # Move each episode's first s rows to the front of the buffer, in
+        # place, so no second stack is alive; block i lands at or before its
+        # source and before every block not yet moved.
+        if s < width:
+            for i in range(1, n):
+                embeddings[i * s:(i + 1) * s] = embeddings[i * width:i * width + s]
+            width = s
+        d[s] = _alignment_distances(embeddings[:n * s], n)
+    return d
 
+
+def _alignment_distances(embeddings: np.ndarray, n: int) -> np.ndarray:
+    """Distance matrix of n episodes whose snapshot embeddings are stacked in order."""
+    steps = len(embeddings) // n
+    blocks = cross_distances(embeddings, embeddings).reshape(n, steps, n, steps)
     d = np.zeros((n, n))
     for i in range(n - 1):
         costs = blocks[i, :, i + 1:, :].transpose(0, 2, 1)

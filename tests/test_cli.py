@@ -142,3 +142,15 @@ def test_sweep_rejects_descending_lengths(dataset_dir, tmp_path, capsys):
     )
     assert code == 1
     assert "ascending" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lengths", [",", "0.1,nan"])
+def test_sweep_rejects_empty_or_non_finite_lengths_before_loading(tmp_path, capsys, lengths):
+    out = tmp_path / "x.csv"
+    code = main(
+        ["sweep", "--dataset", str(tmp_path / "missing"), "--name", "NOPE", *FAST,
+         "--lengths", lengths, "--out", str(out)]
+    )
+    assert code == 1
+    assert "[config]" in capsys.readouterr().err
+    assert not out.exists()

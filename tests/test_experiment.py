@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -128,15 +130,17 @@ def test_report_statistics_are_consistent():
 
 def test_distances_computed_once_per_run(monkeypatch):
     calls = {"n": 0}
-    original = experiment_module.distance_matrix
+    original = experiment_module._prefix_distance_matrices
 
     def counting(*args, **kwargs):
         calls["n"] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(experiment_module, "distance_matrix", counting)
+    monkeypatch.setattr(experiment_module, "_prefix_distance_matrices", counting)
     run_experiment(fast_config(), dataset=synthetic_dataset())
     assert calls["n"] == 1
+    sweep_time_length(fast_config(), [0.2, 0.5, 1.0], dataset=synthetic_dataset())
+    assert calls["n"] == 2
 
 
 def test_invalid_configs_rejected():
@@ -190,6 +194,71 @@ def test_sweep_emits_one_report_per_length(tmp_path):
 def test_sweep_requires_ascending_lengths():
     with pytest.raises(StageError, match="ascending"):
         sweep_time_length(fast_config(), [0.4, 0.2], dataset=synthetic_dataset())
+
+
+def mixed_dataset() -> GraphDataset:
+    graphs = [triangle(), star(3), star(4), triangle(), star(2), star(5), star(3), triangle()]
+    labels = np.array([0, 1, 1, 0, 1, 1, 0, 0])
+    return GraphDataset(graphs=graphs, labels=labels, name="MIXED")
+
+
+@pytest.mark.parametrize(
+    "options", [{}, {"cumulative": True, "heat_method": "auto"}], ids=["default", "cumulative-auto"]
+)
+def test_sweep_reports_equal_separate_runs(options):
+    # 0.2 and 0.25 share a grid at interval 0.2; 0.5 and 0.9 are not multiples of it.
+    cfg = fast_config(time_interval=0.2, folds=2, **options)
+    lengths = [0.0, 0.2, 0.25, 0.5, 0.9, 1.0]
+    dataset = mixed_dataset()
+    reports = sweep_time_length(cfg, lengths, dataset=dataset)
+    assert len(reports) == len(lengths)
+    for t, report in zip(lengths, reports):
+        alone = run_experiment(replace(cfg, time_length=t), dataset=dataset)
+        assert report.canonical_json() == alone.canonical_json()
+    assert reports[1].config["times"] == reports[2].config["times"] == [0.0, 0.2]
+    assert reports[2].config["time_length"] == 0.25
+
+
+def test_sweep_shares_measured_stage_timings():
+    reports = sweep_time_length(fast_config(), [0.3, 0.6], dataset=synthetic_dataset())
+    for stage in ("load", "episodes", "distances"):
+        assert reports[0].timings[stage] == reports[1].timings[stage]
+    assert list(reports[0].timings) == ["load", "episodes", "distances", "kernel", "cv"]
+
+
+@pytest.mark.parametrize("lengths", [[], [0.1, float("nan")], [0.1, None], [0.1, -0.5]])
+def test_sweep_rejects_bad_lengths_before_loading(lengths, tmp_path):
+    cfg = fast_config(dataset_dir=str(tmp_path / "nowhere"), dataset_name="GONE")
+    with pytest.raises(StageError, match=r"\[config\]"):
+        sweep_time_length(cfg, lengths)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("time_length", "1"),
+        ("time_interval", None),
+        ("a", True),
+        ("c", [10.0]),
+        ("folds", 2.5),
+        ("seed", "42"),
+        ("wl_iterations", 3.0),
+        ("embedding_dim", False),
+        ("dataset_name", 7),
+        ("psd_repair", None),
+        ("heat_method", b"exact"),
+    ],
+)
+def test_mistyped_config_fields_fail_at_config(field, value):
+    with pytest.raises(StageError, match=r"\[config\]"):
+        run_experiment(fast_config(**{field: value}), dataset=synthetic_dataset())
+
+
+def test_numpy_scalar_fields_give_the_same_report():
+    typed = fast_config(time_length=np.float64(0.5), folds=np.int64(3), seed=np.int32(1))
+    report = run_experiment(typed, dataset=synthetic_dataset())
+    plain = run_experiment(fast_config(time_length=0.5), dataset=synthetic_dataset())
+    assert report.canonical_json() == plain.canonical_json()
 
 
 def test_report_roundtrips_through_json():

@@ -5,11 +5,17 @@ import csv
 import numpy as np
 import pytest
 
-from evokernel.augment import generate_episode
+from evokernel.augment import TemporalEpisode, generate_episode
 from evokernel.embedding import MetricConfig
 from evokernel.errors import ContractError
 from evokernel.gdtw import build_warping_matrix, cross_distances, episode_embeddings, gdtw_distance
-from evokernel.kernel import clip_psd, distance_matrix, evolution_kernel, export_matrix_csv
+from evokernel.kernel import (
+    _prefix_distance_matrices,
+    clip_psd,
+    distance_matrix,
+    evolution_kernel,
+    export_matrix_csv,
+)
 
 from .conftest import star, triangle
 
@@ -67,6 +73,30 @@ def test_matrix_equals_alignment_of_each_block(three_episodes):
                 block = all_dist[i * steps:(i + 1) * steps, j * steps:(j + 1) * steps]
                 expected[i, j] = gdtw_distance(block).distance
     assert np.array_equal(d, expected)
+
+
+def test_prefix_distances_equal_distances_of_cut_episodes():
+    times = np.linspace(0.0, 1.0, 6)
+    graphs = [triangle(), star(3), star(5), star(2), triangle()]
+    episodes = [
+        generate_episode(g, times, seed=4, graph_index=i, cumulative=i % 2 == 1)
+        for i, g in enumerate(graphs)
+    ]
+    prefixes = _prefix_distance_matrices(episodes, CFG, [1, 3, 6])
+    assert sorted(prefixes) == [1, 3, 6]
+    for s, d in prefixes.items():
+        cut = [
+            TemporalEpisode(e.source, e.times[:s], e.snapshots[:s], e.seed, e.kept_masks[:s])
+            for e in episodes
+        ]
+        assert np.array_equal(d, distance_matrix(cut, CFG))
+    assert np.array_equal(prefixes[6], distance_matrix(episodes, CFG))
+
+
+def test_prefix_step_counts_outside_the_grid_rejected(three_episodes):
+    for steps in ([0], [4]):
+        with pytest.raises(ContractError):
+            _prefix_distance_matrices(three_episodes, CFG, steps)
 
 
 def test_zero_distances_give_all_ones_kernel():
