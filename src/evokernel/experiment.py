@@ -15,6 +15,7 @@ import json
 import math
 import numbers
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
@@ -279,7 +280,11 @@ def _cross_validate(
     dataset: GraphDataset,
     timings: dict[str, float],
 ) -> CvReport:
-    """Kernel and stratified CV on one distance matrix; adds their timings."""
+    """Kernel and stratified CV on one distance matrix; adds their timings.
+
+    Issues one RuntimeWarning naming every fold and class whose SMO machine
+    stopped at its update cap before convergence.
+    """
     tic = time.perf_counter()
     with _stage("kernel"):
         ek = evolution_kernel(d, cfg.gamma_scale, cfg.psd_repair)
@@ -291,8 +296,14 @@ def _cross_validate(
         n_classes = int(labels.max()) + 1 if len(labels) else 0
         confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
         fold_accuracies = []
-        for train, test in stratified_folds(labels, cfg.folds, cfg.seed):
+        capped = []
+        for fold, (train, test) in enumerate(stratified_folds(labels, cfg.folds, cfg.seed)):
             model = svm_train(ek, labels, train, cfg.c)
+            capped += [
+                f"fold {fold} class {m.positive_class} ({m.updates} updates)"
+                for m in model.machines
+                if m.cap_hit
+            ]
             hits = 0
             for t in test:
                 pred = svm_predict(model, ek.k[t, train])
@@ -300,6 +311,12 @@ def _cross_validate(
                 hits += int(pred == labels[t])
             fold_accuracies.append(hits / len(test))
     timings["cv"] = time.perf_counter() - tic
+    if capped:
+        warnings.warn(
+            f"time length {cfg.time_length}: SMO stopped at its update cap before "
+            f"convergence in {', '.join(capped)}",
+            RuntimeWarning,
+        )
 
     config_echo = cfg.to_dict()
     config_echo.update(

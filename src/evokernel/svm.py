@@ -4,10 +4,15 @@ The solver is the max-violating-pair variant of sequential minimal
 optimization: at each update the most violating pair under the KKT conditions
 is selected deterministically (first index on ties), so training is exactly
 reproducible. Indefinite kernels are tolerated by flooring the pair curvature.
+
+A two-class problem trains one machine, for the lower class: on a symmetric
+kernel the other one-vs-rest machine is its exact mirror image (same alphas,
+negated decision values), so it would add nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +45,12 @@ class BinarySvm:
 
 @dataclass
 class SvmModel:
+    """Machines of one training set: one for two classes, else one per class.
+
+    ``decision_values`` has one entry per machine; a two-class model's single
+    value is positive (or zero) for ``classes[0]``.
+    """
+
     classes: np.ndarray
     machines: list[BinarySvm]
     c: float
@@ -53,21 +64,27 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float, max_updates: int) -
     n = len(y)
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of 1/2 a'Qa - 1'a at a = 0
+    columns = np.ascontiguousarray(k.T)  # row i is column i of k
+    positive = y > 0
     updates = 0
     converged = False
 
-    while updates < max_updates:
+    while True:
         yg = -(y * grad)
-        up = ((y > 0) & (alpha < c - _BOX_EPS)) | ((y < 0) & (alpha > _BOX_EPS))
-        low = ((y < 0) & (alpha < c - _BOX_EPS)) | ((y > 0) & (alpha > _BOX_EPS))
-        if not up.any() or not low.any():
-            converged = True
+        below = alpha < c - _BOX_EPS
+        above = alpha > _BOX_EPS
+        up = np.where(positive, below, above)
+        low = np.where(positive, above, below)
+        # Entries outside a set are masked with -inf/+inf, so argmax/argmin
+        # pick its first extreme index and, while the gradient is finite, an
+        # empty set reads as no violation.
+        yg_up = np.where(up, yg, -np.inf)
+        yg_low = np.where(low, yg, np.inf)
+        i = int(np.argmax(yg_up))
+        j = int(np.argmin(yg_low))
+        if updates >= max_updates:
             break
-        up_idx = np.flatnonzero(up)
-        low_idx = np.flatnonzero(low)
-        i = int(up_idx[np.argmax(yg[up_idx])])
-        j = int(low_idx[np.argmin(yg[low_idx])])
-        violation = yg[i] - yg[j]
+        violation = yg_up[i] - yg_low[j]
         if violation <= tol:
             converged = True
             break
@@ -81,15 +98,12 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float, max_updates: int) -
 
         alpha[i] += y[i] * step
         alpha[j] -= y[j] * step
-        grad += step * y * (k[:, i] - k[:, j])
+        grad += step * y * (columns[i] - columns[j])
         updates += 1
 
-    yg = -(y * grad)
-    up = ((y > 0) & (alpha < c - _BOX_EPS)) | ((y < 0) & (alpha > _BOX_EPS))
-    low = ((y < 0) & (alpha < c - _BOX_EPS)) | ((y > 0) & (alpha > _BOX_EPS))
     if up.any() and low.any():
-        m_up = float(np.max(yg[up]))
-        m_low = float(np.min(yg[low]))
+        m_up = float(yg_up[i])
+        m_low = float(yg_low[j])
         bias = (m_up + m_low) / 2.0
         residual = max(m_up - m_low, 0.0)
     else:
@@ -117,13 +131,14 @@ def svm_train(
     tol: float = KKT_TOL,
     max_updates: int = MAX_UPDATES,
 ) -> SvmModel:
-    """Train one binary SMO problem per class present in the training labels.
+    """Train one binary SMO problem per class, or a single one for two classes.
 
-    The kernel is restricted to train_idx x train_idx. Convergence is max KKT
-    violation <= tol or the update cap, with the cap recorded on the machine.
+    The kernel is restricted to train_idx x train_idx, which must be finite
+    and exactly symmetric. Convergence is max KKT violation <= tol or the
+    update cap, with the cap recorded on the machine.
     """
-    if c <= 0:
-        raise ValueError(f"regularization c must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"regularization c must be positive and finite, got {c}")
     k = kernel.k if isinstance(kernel, EvolutionKernelMatrix) else np.asarray(kernel, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
     train_idx = np.asarray(train_idx, dtype=np.int64)
@@ -135,8 +150,12 @@ def svm_train(
         raise TrainingError(f"training set contains a single class ({classes.tolist()})")
 
     k_train = k[np.ix_(train_idx, train_idx)]
+    if not np.isfinite(k_train).all():
+        raise ValueError("training kernel has non-finite entries")
+    if not np.array_equal(k_train, k_train.T):
+        raise ValueError("training kernel is not exactly symmetric")
     machines = []
-    for cls in classes:
+    for cls in classes[:1] if len(classes) == 2 else classes:
         y = np.where(train_labels == cls, 1.0, -1.0)
         machine = _smo(k_train, y, float(c), tol, max_updates)
         machine.positive_class = int(cls)
@@ -145,13 +164,19 @@ def svm_train(
 
 
 def svm_predict(model: SvmModel, k_row: np.ndarray) -> int:
-    """Argmax of the one-vs-rest decision values; ties go to the lowest class id."""
+    """Argmax of the one-vs-rest decision values; ties go to the lowest class id.
+
+    A two-class model predicts ``classes[0]`` unless its decision value is
+    negative, which is the argmax of the mirrored pair ``[f, -f]``.
+    """
     k_row = np.asarray(k_row, dtype=float)
     if k_row.shape != (model.train_size,):
         raise ValueError(
             f"kernel row has length {k_row.size}, expected {model.train_size}"
         )
     values = model.decision_values(k_row)
+    if len(values) == 1:
+        return int(model.classes[1] if values[0] < 0 else model.classes[0])
     return int(model.classes[int(np.argmax(values))])
 
 

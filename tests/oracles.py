@@ -5,7 +5,9 @@ exponential comes from scipy's scaling-and-squaring Pade implementation, the
 warping distance from exhaustive path enumeration, the warping table from a
 scalar cell-by-cell recurrence, the embedding metric from
 explicit label dictionaries instead of hashing, and the SVM from a primal
-grid search.
+grid search. The one-vs-rest SMO reference keeps the solver's original
+update loop and trains every class's machine, including the mirror-image
+second machine of a two-class problem that the library skips.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -180,6 +183,75 @@ def primal_margin_oracle(points: np.ndarray, labels: np.ndarray, angle_steps: in
     if margin <= 0:
         raise ValueError("points are not linearly separable")
     return w, b
+
+
+def reference_ovr_smo(k: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-3,
+                      max_updates: int = 100_000) -> SimpleNamespace:
+    """Max-violating-pair SMO on one +-1 problem, with index gathers per update.
+
+    Returns alpha, bias, support, kkt_residual, updates and cap_hit.
+    """
+    box_eps = 1e-12
+    n = len(y)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    updates = 0
+    converged = False
+
+    while updates < max_updates:
+        yg = -(y * grad)
+        up = ((y > 0) & (alpha < c - box_eps)) | ((y < 0) & (alpha > box_eps))
+        low = ((y < 0) & (alpha < c - box_eps)) | ((y > 0) & (alpha > box_eps))
+        if not up.any() or not low.any():
+            converged = True
+            break
+        up_idx = np.flatnonzero(up)
+        low_idx = np.flatnonzero(low)
+        i = int(up_idx[np.argmax(yg[up_idx])])
+        j = int(low_idx[np.argmin(yg[low_idx])])
+        violation = yg[i] - yg[j]
+        if violation <= tol:
+            converged = True
+            break
+
+        curvature = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        if curvature <= 0:
+            curvature = 1e-12
+        step = violation / curvature
+        step = min(step, c - alpha[i] if y[i] > 0 else alpha[i])
+        step = min(step, alpha[j] if y[j] > 0 else c - alpha[j])
+
+        alpha[i] += y[i] * step
+        alpha[j] -= y[j] * step
+        grad += step * y * (k[:, i] - k[:, j])
+        updates += 1
+
+    yg = -(y * grad)
+    up = ((y > 0) & (alpha < c - box_eps)) | ((y < 0) & (alpha > box_eps))
+    low = ((y < 0) & (alpha < c - box_eps)) | ((y > 0) & (alpha > box_eps))
+    if up.any() and low.any():
+        m_up = float(np.max(yg[up]))
+        m_low = float(np.min(yg[low]))
+        bias = (m_up + m_low) / 2.0
+        residual = max(m_up - m_low, 0.0)
+    else:
+        bias = float(np.mean(yg))
+        residual = 0.0
+    return SimpleNamespace(
+        y=y,
+        alpha=alpha,
+        bias=bias,
+        support=np.flatnonzero(alpha > 1e-10),
+        kkt_residual=residual,
+        updates=updates,
+        cap_hit=not converged,
+    )
+
+
+def reference_ovr_predict(classes, decision_values) -> np.ndarray:
+    """Class of the largest one-vs-rest decision value per row; ties go to the first."""
+    classes = np.asarray(classes)
+    return np.array([int(classes[int(np.argmax(row))]) for row in np.asarray(decision_values)])
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float, labels: bool = False) -> Graph:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -158,6 +159,40 @@ def test_load_failure_is_stage_tagged(tmp_path):
     cfg = fast_config(dataset_dir=str(tmp_path / "nowhere"), dataset_name="GONE")
     with pytest.raises(StageError, match=r"\[load\]"):
         run_experiment(cfg)
+
+
+def test_update_cap_hits_raise_one_warning(monkeypatch):
+    train = experiment_module.svm_train
+    monkeypatch.setattr(
+        experiment_module, "svm_train", lambda *args, **kw: train(*args, **kw, max_updates=1)
+    )
+    with pytest.warns(RuntimeWarning, match=r"time length 1\.0: .*fold 0 class 0 \(1 updates\)") as caught:
+        run_experiment(fast_config(), dataset=synthetic_dataset())
+    assert len(caught) == 1
+
+
+def test_default_mutag_run_warns_nothing(mutag):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_experiment(ExperimentConfig(dataset_name="MUTAG", seed=42), dataset=mutag)
+    assert report.mean_accuracy >= 0.80
+
+
+@pytest.mark.parametrize(
+    "cell, value, message",
+    [((0, 1), 1e-9, "not exactly symmetric"), ((2, 2), np.nan, "non-finite")],
+)
+def test_bad_training_kernel_fails_at_cv(monkeypatch, cell, value, message):
+    build = experiment_module.evolution_kernel
+
+    def damaged(*args, **kwargs):
+        ek = build(*args, **kwargs)
+        ek.k[cell] += value
+        return ek
+
+    monkeypatch.setattr(experiment_module, "evolution_kernel", damaged)
+    with pytest.raises(StageError, match=rf"\[cv\] training kernel .*{message}"):
+        run_experiment(fast_config(), dataset=synthetic_dataset())
 
 
 def test_cumulative_and_heat_method_options_run():

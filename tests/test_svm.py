@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from evokernel.errors import TrainingError
-from evokernel.svm import BinarySvm, SvmModel, svm_predict, svm_predict_many, svm_train
+from evokernel.svm import BinarySvm, SvmModel, _smo, svm_predict, svm_predict_many, svm_train
 
-from .oracles import primal_margin_oracle
+from .oracles import primal_margin_oracle, reference_ovr_predict, reference_ovr_smo
 
 BLOCK_KERNEL = np.array(
     [
@@ -94,15 +94,126 @@ def test_exact_tie_prefers_lowest_class():
         positive_class=0,
         y=np.array([1.0, -1.0]),
         alpha=np.zeros(2),
-        bias=0.25,
+        bias=0.0,
         support=np.array([], dtype=int),
         kkt_residual=0.0,
         updates=0,
         cap_hit=False,
     )
-    other = BinarySvm(**{**flat.__dict__, "positive_class": 1})
-    model = SvmModel(classes=np.array([0, 1]), machines=[flat, other], c=1.0, train_size=2)
+    model = SvmModel(classes=np.array([0, 1]), machines=[flat], c=1.0, train_size=2)
+    assert model.decision_values(np.zeros(2)).tolist() == [0.0]
     assert svm_predict(model, np.zeros(2)) == 0
+    flat.bias = -0.25
+    assert svm_predict(model, np.zeros(2)) == 1
+
+
+def test_two_classes_train_one_machine_mirroring_the_other():
+    rng = np.random.default_rng(57)
+    raw = rng.standard_normal((12, 3))
+    kernel = raw @ raw.T
+    labels = np.array([3, 5] * 6)
+    model = svm_train(kernel, labels, np.arange(12), c=2.0)
+    assert model.classes.tolist() == [3, 5]
+    assert [m.positive_class for m in model.machines] == [3]
+    assert model.decision_values(kernel[0]).shape == (1,)
+    (machine,) = model.machines
+    mirror = reference_ovr_smo(kernel, np.where(labels == 5, 1.0, -1.0), 2.0)
+    assert np.array_equal(mirror.alpha, machine.alpha)
+    assert mirror.bias == -machine.bias
+    assert mirror.updates == machine.updates
+
+
+def _random_problem(rng, n, kind):
+    if kind == "psd":
+        raw = rng.standard_normal((n, 3))
+        k = raw @ raw.T
+    elif kind == "indefinite":
+        a = rng.standard_normal((n, n))
+        k = (a + a.T) / 2.0
+    else:
+        k = rng.standard_normal((n, n))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y[:2] = [1.0, -1.0]
+    return k, y
+
+
+@pytest.mark.parametrize("kind", ["psd", "indefinite", "asymmetric"])
+def test_smo_is_bit_equal_to_the_reference_loop(kind):
+    rng = np.random.default_rng(58)
+    cap_hits = 0
+    for trial in range(60):
+        k, y = _random_problem(rng, int(rng.integers(2, 30)), kind)
+        c = float(10.0 ** rng.uniform(-3, 3))
+        cap = [1, 3, 50, 3000][trial % 4]
+        got = _smo(k, y, c, 1e-3, cap)
+        want = reference_ovr_smo(k, y, c, 1e-3, cap)
+        assert np.array_equal(got.alpha, want.alpha)
+        assert np.array_equal(got.support, want.support)
+        assert (got.bias, got.kkt_residual) == (want.bias, want.kkt_residual)
+        assert (got.updates, got.cap_hit) == (want.updates, want.cap_hit)
+        cap_hits += got.cap_hit
+    assert 0 < cap_hits < 60
+
+
+@pytest.mark.parametrize("class_count", [2, 3])
+def test_predictions_equal_the_one_vs_rest_reference(class_count):
+    rng = np.random.default_rng(59 + class_count)
+    raw = rng.standard_normal((30, 4))
+    kernel = np.exp(-np.sum((raw[:, None] - raw[None]) ** 2, axis=-1) / 4.0)
+    labels = np.arange(30) % class_count
+    train = np.arange(20)
+    model = svm_train(kernel, labels, train, c=5.0)
+    machines = [
+        reference_ovr_smo(kernel[np.ix_(train, train)], np.where(labels[train] == cls, 1.0, -1.0), 5.0)
+        for cls in range(class_count)
+    ]
+    rows = kernel[:, train]
+    values = [[(m.alpha * m.y) @ row + m.bias for m in machines] for row in rows]
+    assert np.array_equal(svm_predict_many(model, rows), reference_ovr_predict(model.classes, values))
+
+
+@pytest.mark.parametrize("class_count", [2, 3])
+def test_prediction_ties_match_the_reference(monkeypatch, class_count):
+    # Decision value of machine m on a row is row[m], so ties can be exact.
+    monkeypatch.setattr(BinarySvm, "decision", lambda self, row: float(row[self.positive_class]))
+    labels = np.arange(6) % class_count
+    model = svm_train(np.eye(6), labels, np.arange(6), c=1.0)
+    rows = np.array(
+        [
+            [0.0, -0.0, 0.0, 0, 0, 0],
+            [-0.0, 0.0, -0.0, 0, 0, 0],
+            [-0.0, -0.0, 0.0, 0, 0, 0],
+            [0.0, 0.0, -0.0, 0, 0, 0],
+            [np.nan, 1.0, -1.0, 0, 0, 0],
+            [-1e-300, -1e-300, -1e-300, 0, 0, 0],
+            [1e-300, 2e-300, 0.0, 0, 0, 0],
+            [-1.0, 0.5, 2.0, 0, 0, 0],
+        ]
+    )
+    if class_count == 2:
+        values = np.stack([rows[:, 0], -rows[:, 0]], axis=1)
+    else:
+        values = rows[:, :3]
+    assert np.array_equal(svm_predict_many(model, rows), reference_ovr_predict(model.classes, values))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_training_kernel_rejected(bad):
+    kernel = BLOCK_KERNEL.copy()
+    kernel[1, 2] = kernel[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        svm_train(kernel, BLOCK_LABELS, np.arange(4), c=1.0)
+
+
+def test_asymmetric_training_kernel_rejected():
+    kernel = BLOCK_KERNEL.copy()
+    kernel[0, 1] = np.nextafter(kernel[0, 1], 2.0)
+    with pytest.raises(ValueError, match="symmetric"):
+        svm_train(kernel, BLOCK_LABELS, np.arange(4), c=1.0)
+    # Only the training block must be symmetric.
+    kernel = BLOCK_KERNEL.copy()
+    kernel[0, 3] += 0.5
+    svm_train(kernel, BLOCK_LABELS, np.array([0, 1, 2]), c=1.0)
 
 
 def test_three_class_one_vs_rest():
@@ -130,3 +241,9 @@ def test_predict_validates_row_length():
 def test_rejects_non_positive_c():
     with pytest.raises(ValueError):
         svm_train(BLOCK_KERNEL, BLOCK_LABELS, np.arange(4), c=0.0)
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf])
+def test_rejects_non_finite_c(c):
+    with pytest.raises(ValueError, match="finite"):
+        svm_train(BLOCK_KERNEL, BLOCK_LABELS, np.arange(4), c=c)
