@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
-from .errors import EvoKernelError
+from .errors import EvoKernelError, StageError
 from .experiment import ExperimentConfig, run_experiment, sweep_time_length, write_sweep_csv
 
 _HK_CHOICES = {"exact": "exact", "taylor": "taylor2", "fiedler": "fiedler", "auto": "auto"}
@@ -62,6 +63,15 @@ def _print_report(report) -> None:
     print(f"stage timings: {stages}")
 
 
+@contextmanager
+def _output_stage():
+    """Report an output file that cannot be written as an ``[output]`` failure."""
+    try:
+        yield
+    except OSError as exc:
+        raise StageError("output", exc) from exc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="evokernel",
@@ -85,7 +95,7 @@ def main(argv=None) -> int:
             report = run_experiment(_config_from(args))
             _print_report(report)
             if args.out:
-                with open(args.out, "w") as fh:
+                with _output_stage(), open(args.out, "w") as fh:
                     fh.write(report.to_json() + "\n")
                 print(f"report written to {args.out}")
         else:
@@ -99,7 +109,8 @@ def main(argv=None) -> int:
             for report in reports:
                 print(f"T={report.config['time_length']:g}  mean {report.mean_accuracy:.4f}  "
                       f"std {report.std_accuracy:.4f}")
-            write_sweep_csv(reports, args.out)
+            with _output_stage():
+                write_sweep_csv(reports, args.out)
             print(f"sweep curve written to {args.out}")
         return 0
     except EvoKernelError as exc:

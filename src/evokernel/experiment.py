@@ -35,6 +35,12 @@ HEAT_METHODS = (METHOD_EXACT, METHOD_TAYLOR2, METHOD_FIEDLER, METHOD_AUTO)
 # streams (which use 2-element spawn keys).
 _FOLD_STREAM = 0xF01D
 
+# Longest supported time grid. The alignment is quadratic in the step count:
+# at this many steps one pair of one-node episodes already needs a 3.2 GB
+# cross-distance block, and a far longer grid would exhaust memory while
+# the grid itself is being built.
+MAX_TIME_STEPS = 10_000
+
 _STR_FIELDS = ("dataset_dir", "dataset_name", "psd_repair", "heat_method")
 _INT_FIELDS = ("wl_iterations", "embedding_dim", "folds", "seed")
 _REAL_FIELDS = ("time_length", "time_interval", "a", "b", "u0", "gamma_scale", "c")
@@ -80,8 +86,12 @@ class ExperimentConfig:
             raise ConfigError(f"time interval must be positive, got {self.time_interval}")
         if self.time_length < 0:
             raise ConfigError(f"time length must be non-negative, got {self.time_length}")
-        if not math.isfinite(self.time_length / self.time_interval):
-            raise ConfigError("time length over time interval overflows the time grid")
+        steps = self.time_length / self.time_interval
+        if not steps <= MAX_TIME_STEPS:
+            raise ConfigError(
+                f"time length over time interval gives {steps:.3g} steps; "
+                f"at most {MAX_TIME_STEPS} are supported"
+            )
         if self.folds < 2:
             raise ConfigError(f"need at least 2 folds, got {self.folds}")
         if self.psd_repair not in ("none", "clip"):

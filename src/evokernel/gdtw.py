@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import TemporalEpisode
-from .embedding import MetricConfig, wl_embed
+from .embedding import MetricConfig, wl_embed_batch
 from .errors import ContractError
 
 
@@ -31,18 +31,22 @@ class WarpingResult:
 
 def episode_embeddings(episode: TemporalEpisode, cfg: MetricConfig) -> np.ndarray:
     """Embed each snapshot once; rows align with the episode's time grid."""
-    return np.stack([wl_embed(s, cfg).vector for s in episode.snapshots])
+    return wl_embed_batch(episode.snapshots, cfg)
+
+
+def _paired_embeddings(e1: TemporalEpisode, e2: TemporalEpisode, cfg: MetricConfig):
+    """Snapshot embeddings of two equally long episodes, computed in one batch."""
+    if len(e1) != len(e2):
+        raise ContractError(f"episode lengths differ: {len(e1)} vs {len(e2)}")
+    emb = wl_embed_batch(e1.snapshots + e2.snapshots, cfg)
+    return emb[:len(e1)], emb[len(e1):]
 
 
 def build_warping_matrix(
     e1: TemporalEpisode, e2: TemporalEpisode, cfg: MetricConfig = MetricConfig()
 ) -> np.ndarray:
     """M[i, j] = metric distance between snapshot i of e1 and snapshot j of e2."""
-    if len(e1) != len(e2):
-        raise ContractError(f"episode lengths differ: {len(e1)} vs {len(e2)}")
-    emb1 = episode_embeddings(e1, cfg)
-    emb2 = episode_embeddings(e2, cfg)
-    return cross_distances(emb1, emb2)
+    return cross_distances(*_paired_embeddings(e1, e2, cfg))
 
 
 def cross_distances(emb1: np.ndarray, emb2: np.ndarray) -> np.ndarray:
@@ -119,10 +123,7 @@ def euclidean_episode_distance(
     e1: TemporalEpisode, e2: TemporalEpisode, cfg: MetricConfig = MetricConfig()
 ) -> float:
     """Root of the summed squared snapshot distances on the common grid."""
-    if len(e1) != len(e2):
-        raise ContractError(f"episode lengths differ: {len(e1)} vs {len(e2)}")
-    emb1 = episode_embeddings(e1, cfg)
-    emb2 = episode_embeddings(e2, cfg)
+    emb1, emb2 = _paired_embeddings(e1, e2, cfg)
     diffs = np.linalg.norm(emb1 - emb2, axis=1)
     return float(np.sqrt((diffs ** 2).sum()))
 

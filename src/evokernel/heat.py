@@ -124,10 +124,14 @@ def compute_heat_kernel(
     method: str = METHOD_EXACT,
     small_time: float = SMALL_TIME_DEFAULT,
 ) -> HeatKernel:
-    """Dispatch on ``method``; ``auto`` picks the regime from t and lambda_1."""
+    """Dispatch on ``method``; ``auto`` picks the regime from t and lambda_1.
+
+    The Fiedler form needs two nodes; on fewer the exact kernel stands in (on
+    one node every method gives [[1]]) and the result's ``method`` says so.
+    """
     if method == METHOD_AUTO:
         method = select_heat_method(spec, t, small_time)
-    if method == METHOD_EXACT:
+    if method == METHOD_EXACT or (method == METHOD_FIEDLER and spec.n < 2):
         return heat_kernel_exact(spec, t)
     if method == METHOD_TAYLOR2:
         return heat_kernel_taylor2(lap, t)

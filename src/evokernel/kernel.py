@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import TemporalEpisode
-from .embedding import MetricConfig, wl_embed
+from .embedding import MetricConfig, wl_embed_batch
 from .errors import ContractError
 from .gdtw import _cumulative_costs, cross_distances
 
@@ -60,9 +60,7 @@ def _prefix_distance_matrices(
     if any(not 1 <= s <= steps for s in step_counts):
         raise ContractError(f"step counts {sorted(step_counts)} are not all within 1..{steps}")
 
-    embeddings = np.stack(
-        [wl_embed(snap, cfg).vector for e in episodes for snap in e.snapshots]
-    )
+    embeddings = wl_embed_batch([snap for e in episodes for snap in e.snapshots], cfg)
     d = {}
     width = steps
     for s in sorted({int(s) for s in step_counts}, reverse=True):

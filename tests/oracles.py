@@ -5,13 +5,17 @@ exponential comes from scipy's scaling-and-squaring Pade implementation, the
 warping distance from exhaustive path enumeration, the warping table from a
 scalar cell-by-cell recurrence, the embedding metric from
 explicit label dictionaries instead of hashing, and the SVM from a primal
-grid search. The one-vs-rest SMO reference keeps the solver's original
-update loop and trains every class's machine, including the mirror-image
-second machine of a two-class problem that the library skips.
+grid search. The hashed embedding reference keeps the original per-node
+string loop: it builds and hashes every node's signature string each round
+and hashes every (round, label) occurrence. The one-vs-rest SMO reference
+keeps the solver's original update loop and trains every class's machine,
+including the mirror-image second machine of a two-class problem that the
+library skips.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 from functools import lru_cache
@@ -144,6 +148,39 @@ def dict_wl_histograms(graphs: list[Graph], iterations: int) -> list[Counter]:
             for lab in ids:
                 histograms[gi][(round_index, lab)] += 1
     return histograms
+
+
+def reference_wl_labels(g: Graph, iterations: int) -> list[list[str]]:
+    """Per-round node label strings: round 0 is the raw label (or degree), then
+    ``iterations`` rounds of hashed neighbourhood refinement."""
+    if g.node_labels is not None:
+        labels = [str(lab) for lab in g.node_labels]
+    else:
+        labels = [str(int(d)) for d in g.degrees()]
+    rounds = [labels]
+    neighbors = g.neighbors()
+    for _ in range(iterations):
+        refined = []
+        for i, own in enumerate(labels):
+            signature = own + "|" + ",".join(sorted(labels[j] for j in neighbors[i]))
+            refined.append(hashlib.blake2b(signature.encode("utf-8"), digest_size=16).hexdigest())
+        labels = refined
+        rounds.append(labels)
+    return rounds
+
+
+def reference_wl_embed(g: Graph, iterations: int = 3, dim: int = 1024) -> np.ndarray:
+    """Hash every (round, label) occurrence into a count vector, then L2-normalize."""
+    vector = np.zeros(dim)
+    for round_index, labels in enumerate(reference_wl_labels(g, iterations)):
+        for label in labels:
+            feature = f"{round_index}:{label}".encode("utf-8")
+            digest = hashlib.blake2b(feature, digest_size=8).digest()
+            vector[int.from_bytes(digest, "big") % dim] += 1.0
+    norm = np.linalg.norm(vector)
+    if norm > 0:
+        vector /= norm
+    return vector
 
 
 def dict_wl_delta(g1: Graph, g2: Graph, iterations: int) -> float:

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evokernel.cli import main
 
@@ -94,6 +99,7 @@ def test_invalid_config_fails_with_stage_tag(dataset_dir, capsys):
         ["--gamma-scale", "nan"],
         ["--c", "inf"],
         ["--seed", "-1"],
+        ["--time-length", "1e300"],
     ],
 )
 def test_non_finite_or_negative_seed_fails_at_config(dataset_dir, capsys, flags):
@@ -154,3 +160,97 @@ def test_sweep_rejects_empty_or_non_finite_lengths_before_loading(tmp_path, caps
     assert code == 1
     assert "[config]" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_mutag_cumulative_fiedler_run_completes(mutag_dir, capsys):
+    # Cumulative drops shrink some snapshots to one node, where the Fiedler
+    # form does not exist and the exact kernel stands in.
+    code = main(["run", "--dataset", str(mutag_dir), "--name", "MUTAG", "--seed", "42",
+                 "--cumulative", "--hk", "fiedler"])
+    assert code == 0
+    assert "mean accuracy" in capsys.readouterr().out
+
+
+def test_unwritable_output_fails_with_stage_tag(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = main(
+        ["run", "--dataset", str(dataset_dir), "--name", "TRISTAR", *FAST, "--out", str(out)]
+    )
+    assert code == 1
+    assert "[output]" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny_dir(tmp_path_factory):
+    graphs = [triangle(), triangle(), triangle(), star(3), star(3), star(3)]
+    directory = tmp_path_factory.mktemp("cli") / "TRISTAR"
+    return write_tu_fixture(directory, "TRISTAR", graphs, labels=[0, 0, 0, 1, 1, 1])
+
+
+_SPECIAL = st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e300])
+_STAGE_TAG = re.compile(r"\[(config|load|episodes|distances|kernel|cv|output)\]")
+
+
+def _option(valid, edge=None, omitted=4):
+    """None (flag omitted), a valid value, or, one time in ten, an edge value."""
+    kinds = [None] * omitted + [valid] * (9 - omitted) + ([edge] if edge is not None else [])
+    return st.sampled_from(kinds).flatmap(lambda values: st.none() if values is None else values)
+
+
+# Lengths and intervals keep every grid at no more than 41 steps.
+_LENGTH = st.floats(0.0, 1.0)
+_OPTIONS = {
+    "--time-length": _option(_LENGTH, st.floats(-1.0, -1e-9) | _SPECIAL),
+    "--time-interval": _option(st.floats(0.025, 1.0), st.floats(-1.0, 0.0) | _SPECIAL),
+    "--a": _option(st.floats(-5.0, 5.0), _SPECIAL),
+    "--b": _option(st.floats(-5.0, 5.0), _SPECIAL),
+    "--u0": _option(st.floats(0.01, 3.0), st.floats(-1.0, 0.0) | _SPECIAL),
+    "--gamma-scale": _option(st.floats(0.01, 3.0), st.floats(-1.0, 0.0) | _SPECIAL),
+    "--c": _option(st.floats(0.01, 20.0), st.floats(-1.0, 0.0) | _SPECIAL),
+    "--wl-iters": _option(st.integers(0, 3), st.just(-1)),
+    "--emb-dim": _option(st.integers(1, 4096), st.integers(-1, 0)),
+    "--folds": _option(st.integers(2, 3), st.sampled_from([-1, 0, 1, 4]), omitted=0),
+    "--seed": _option(st.integers(0, 2**40), st.just(-1)),
+    "--psd": _option(st.sampled_from(["none", "clip"])),
+    "--hk": _option(st.sampled_from(["exact", "taylor", "fiedler", "auto"])),
+}
+
+
+@st.composite
+def cli_argv(draw, dataset, out_dir):
+    command = draw(st.sampled_from(["run", "sweep"]))
+    if draw(st.sampled_from([True, True, True, False])):
+        argv = [command, f"--dataset={dataset}", "--name=TRISTAR"]
+    else:
+        argv = [command, f"--dataset={out_dir / 'absent'}", "--name=ABSENT"]
+    for flag, values in _OPTIONS.items():
+        value = draw(values)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    if draw(st.booleans()):
+        argv.append("--cumulative")
+    if command == "sweep":
+        lengths = st.lists(_LENGTH, min_size=1, max_size=3, unique=True).map(
+            lambda xs: ",".join(map(str, sorted(xs)))
+        )
+        edge = st.sampled_from(["", ",", "fast", "0.5,0.2"])
+        argv.append(f"--lengths={draw(_option(lengths, edge, omitted=0))}")
+    if command == "sweep" or draw(st.booleans()):
+        name = draw(st.sampled_from(["out.txt"] * 5 + ["absent/out.txt"]))
+        argv.append(f"--out={out_dir / name}")
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_parsed_argv_exits_0_or_1_with_stage_tag(tiny_dir, data):
+    """Every argv that argparse accepts either succeeds or fails with a stage
+    tag; none raises. Sizes stay small: six graphs of up to four nodes, at
+    most 41 grid steps, at most 4096 embedding buckets."""
+    argv = data.draw(cli_argv(tiny_dir, tiny_dir.parent))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert _STAGE_TAG.search(err.getvalue()), err.getvalue()

@@ -7,11 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evokernel.embedding import MetricConfig, delta, wl_embed, wl_iteration_labels
-from evokernel.errors import ConfigError
-from evokernel.graphs import build_graph
+from evokernel import embedding
+from evokernel.augment import generate_episode
+from evokernel.embedding import MetricConfig, delta, wl_embed, wl_embed_batch
+from evokernel.errors import ConfigError, ContractError
+from evokernel.experiment import ExperimentConfig
+from evokernel.graphs import Graph, build_graph
 
-from .oracles import dict_wl_delta, permute_graph, random_graph
+from .conftest import star
+from .oracles import (
+    dict_wl_delta,
+    permute_graph,
+    random_graph,
+    reference_wl_embed,
+    reference_wl_labels,
+)
 
 WIDE = MetricConfig(dim=2 ** 20)
 
@@ -81,7 +91,7 @@ def test_buckets_come_from_stable_hash(k2):
     # re-derive the expected nonzero coordinates straight from blake2b
     cfg = MetricConfig(dim=64, wl_iterations=1)
     expected = np.zeros(64)
-    for round_index, labels in enumerate(wl_iteration_labels(k2, 1)):
+    for round_index, labels in enumerate(reference_wl_labels(k2, 1)):
         for label in labels:
             digest = hashlib.blake2b(f"{round_index}:{label}".encode(), digest_size=8).digest()
             expected[int.from_bytes(digest, "big") % 64] += 1.0
@@ -110,3 +120,110 @@ def test_dimension_must_be_positive():
         wl_embed(build_graph(1, []), MetricConfig(wl_iterations=-1))
     with pytest.raises(ConfigError):
         wl_embed(build_graph(1, []), MetricConfig(kind="spectral-cosine"))
+
+
+def _reference_rows(graphs, cfg):
+    return np.stack([reference_wl_embed(g, cfg.wl_iterations, cfg.dim) for g in graphs])
+
+
+def test_batch_equals_reference_on_every_mutag_snapshot(mutag):
+    cfg = ExperimentConfig(seed=42)
+    snapshots = [
+        snap
+        for i, g in enumerate(mutag.graphs)
+        for snap in generate_episode(
+            g, cfg.time_grid(), cfg.boltzmann_config(), cfg.u0, cfg.seed, graph_index=i
+        ).snapshots
+    ]
+    assert len(snapshots) == 2068
+    metric = cfg.metric_config()
+    assert np.array_equal(wl_embed_batch(snapshots, metric), _reference_rows(snapshots, metric))
+
+
+@st.composite
+def wide_graphs(draw):
+    """Graphs of up to 24 nodes, some with labels or degrees of 10 and more,
+    whose decimal strings sort differently from their values."""
+    n = draw(st.integers(0, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    labels = draw(st.none() | st.lists(st.integers(-3, 120), min_size=n, max_size=n))
+    return build_graph(n, edges, labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graphs=st.lists(wide_graphs(), min_size=1, max_size=6),
+    iterations=st.integers(0, 3),
+    dim=st.sampled_from([1, 7, 64, 1024]),
+)
+def test_batch_equals_reference_on_random_graphs(graphs, iterations, dim):
+    cfg = MetricConfig(wl_iterations=iterations, dim=dim)
+    assert np.array_equal(wl_embed_batch(graphs, cfg), _reference_rows(graphs, cfg))
+
+
+def test_neighbour_labels_sort_as_strings():
+    # "10" < "2" and "12" < "2": both orders differ from the numeric one.
+    labelled = build_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)], node_labels=[2, 10, 2, 9, 10])
+    # Node 1 has degree 2 and neighbours of degree 12 (the hub) and 2.
+    degree_labelled = build_graph(15, [(0, leaf) for leaf in range(1, 13)] + [(1, 13), (13, 14)])
+    for g in (labelled, degree_labelled):
+        for iterations in (1, 2):
+            cfg = MetricConfig(wl_iterations=iterations, dim=2 ** 20)
+            assert np.array_equal(wl_embed_batch([g], cfg), _reference_rows([g], cfg))
+
+
+def test_batch_edge_cases_equal_reference():
+    graphs = [
+        build_graph(0, []),
+        build_graph(3, []),  # isolated nodes, degree labels
+        build_graph(3, [], node_labels=[1, 1, 12]),
+        build_graph(0, [], node_labels=[]),
+        build_graph(4, [(0, 1), (1, 2)], node_labels=[2, 10, 2, 7]),  # one isolated node
+        star(11),
+        build_graph(4, [(0, 1), (1, 2), (2, 3)], node_labels=[2 ** 70, -5, 3, 2 ** 70]),
+        build_graph(0, []),
+    ]
+    for cfg in (MetricConfig(), MetricConfig(wl_iterations=0, dim=5)):
+        assert np.array_equal(wl_embed_batch(graphs, cfg), _reference_rows(graphs, cfg))
+    assert wl_embed_batch([], MetricConfig(dim=8)).shape == (0, 8)
+    assert np.array_equal(wl_embed_batch([build_graph(0, [])] * 3), np.zeros((3, 1024)))
+
+
+def test_row_depends_only_on_its_graph():
+    rng = np.random.default_rng(11)
+    graphs = [
+        random_graph(rng, int(rng.integers(0, 12)), 0.4, labels=bool(k % 2)) for k in range(9)
+    ]
+    batch = wl_embed_batch(graphs)
+    assert np.array_equal(wl_embed_batch(graphs[::-1])[::-1], batch)
+    for k, g in enumerate(graphs):
+        assert np.array_equal(wl_embed(g).vector, batch[k])
+        assert np.array_equal(wl_embed_batch([graphs[-1], g, graphs[0]])[1], batch[k])
+
+
+def test_large_inputs_are_split_into_bounded_batches(monkeypatch):
+    rings = [
+        build_graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)])
+        for n in range(120, 240, 2)
+    ]
+    rings.append(star(20000))  # larger than one batch on its own
+    sizes = []
+    inner = embedding._embed_batch
+
+    def spy(graphs, cfg, out):
+        sizes.append((len(graphs), sum(g.node_count + 2 * g.edge_count for g in graphs)))
+        inner(graphs, cfg, out)
+
+    monkeypatch.setattr(embedding, "_embed_batch", spy)
+    batch = wl_embed_batch(rings)
+    assert len(sizes) > 2
+    assert all(total <= embedding._BATCH_ENTRIES or count == 1 for count, total in sizes)
+    assert sum(count for count, _ in sizes) == len(rings)
+    assert np.array_equal(batch, _reference_rows(rings, MetricConfig()))
+
+
+def test_edge_endpoint_outside_graph_is_rejected():
+    with pytest.raises(ContractError):
+        wl_embed_batch([build_graph(2, [(0, 1)]), Graph(2, [(0, 5)])])

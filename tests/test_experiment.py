@@ -9,6 +9,7 @@ import pytest
 import evokernel.experiment as experiment_module
 from evokernel.errors import ConfigError, StageError
 from evokernel.experiment import (
+    MAX_TIME_STEPS,
     CvReport,
     ExperimentConfig,
     run_experiment,
@@ -153,6 +154,14 @@ def test_invalid_configs_rejected():
         run_experiment(fast_config(psd_repair="maybe"), dataset=synthetic_dataset())
     with pytest.raises(StageError, match=r"\[config\]"):
         run_experiment(fast_config(heat_method="pade"), dataset=synthetic_dataset())
+
+
+def test_time_grid_length_is_bounded():
+    fast_config(time_length=float(MAX_TIME_STEPS), time_interval=1.0).validate()
+    for length, interval in ((MAX_TIME_STEPS + 1.0, 1.0), (1e300, 0.1), (1e300, 1e-300)):
+        cfg = fast_config(time_length=length, time_interval=interval)
+        with pytest.raises(StageError, match=r"\[config\].*steps"):
+            run_experiment(cfg, dataset=synthetic_dataset())
 
 
 def test_load_failure_is_stage_tagged(tmp_path):

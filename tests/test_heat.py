@@ -153,6 +153,15 @@ def test_fiedler_kernel_needs_two_nodes():
         heat_kernel_fiedler(spectral_decompose(np.zeros((1, 1))), 1.0)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_fiedler_request_below_two_nodes_falls_back_to_exact(n):
+    g = build_graph(n, [])
+    lap = normalized_laplacian(g)
+    hk = compute_heat_kernel(lap, spectral_decompose(lap), 2.0, METHOD_FIEDLER)
+    assert hk.method == METHOD_EXACT
+    assert np.array_equal(hk.matrix, np.eye(n))
+
+
 def test_fiedler_offset_corrected_error_decreases():
     # The raw gap tends to ||I - phi0 phi0^T||, so the meaningful error is the
     # deviation from that asymptotic offset; it must shrink as t grows.
