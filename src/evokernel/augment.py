@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import Graph, normalized_laplacian, subgraph
+from .graphs import Graph, _edge_array, _induced_edges, _induced_graph, _laplacian, subgraph
 from .heat import (
     METHOD_EXACT,
     HeatState,
     compute_heat_kernel,
     propagate_heat,
+    reads_spectrum,
     spectral_decompose,
 )
 
@@ -95,9 +96,12 @@ def drop_node(g: Graph, dist: HeatDistribution, rng: np.random.Generator):
         raise ValueError(
             f"distribution over {len(dist.normed)} nodes for a graph with {g.node_count}"
         )
-    draws = rng.random(g.node_count)
-    keep = draws < dist.normed
+    keep = _bernoulli_keep(dist, rng)
     return subgraph(g, keep), keep
+
+
+def _bernoulli_keep(dist: HeatDistribution, rng: np.random.Generator) -> np.ndarray:
+    return rng.random(len(dist.normed)) < dist.normed
 
 
 def snapshot_rng(seed: int, graph_index: int, time_index: int) -> np.random.Generator:
@@ -127,7 +131,15 @@ def generate_episode(
     By default every snapshot is drawn from the original graph with the heat
     kernel at absolute time t_k. With ``cumulative`` each step drops from the
     previous snapshot using the time increment t_k - t_{k-1} on that
-    snapshot's own Laplacian.
+    snapshot's own Laplacian. Either way snapshot k is the induced subgraph
+    of ``g`` on ``kept_masks[k]``, cut from one edge array of ``g``.
+
+    The method is chosen from the time before anything is decomposed, and
+    the spectrum is computed only when the method reads it: ``exact`` and
+    ``fiedler`` always, ``auto`` for a time of at least
+    ``heat.SMALL_TIME_DEFAULT`` (0.1), ``taylor2`` never. Without
+    ``cumulative`` that is at most one decomposition per graph; with it, one
+    per non-empty step that reads it.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -139,38 +151,38 @@ def generate_episode(
     if cfg is None:
         cfg = BoltzmannConfig()
 
+    def draw_probabilities(lap, spec, t):
+        if spec is None and reads_spectrum(method, t):
+            spec = spectral_decompose(lap)
+        hk = compute_heat_kernel(lap, spec, t, method)
+        return heat_distribution(propagate_heat(hk, u0), cfg), spec
+
+    source_edges = _edge_array(g)
     snapshots: list[Graph] = []
     masks: list[np.ndarray] = []
 
     if not cumulative:
-        lap = normalized_laplacian(g)
-        spec = spectral_decompose(lap)
+        lap = _laplacian(g.node_count, source_edges)
+        spec = None
         for k, t in enumerate(times):
-            hk = compute_heat_kernel(lap, spec, float(t), method)
-            dist = heat_distribution(propagate_heat(hk, u0), cfg)
-            snap, keep = drop_node(g, dist, snapshot_rng(seed, graph_index, k))
-            snapshots.append(snap)
+            dist, spec = draw_probabilities(lap, spec, float(t))
+            keep = _bernoulli_keep(dist, snapshot_rng(seed, graph_index, k))
+            edges = _induced_edges(source_edges, keep)
+            snapshots.append(_induced_graph(g, keep, edges))
             masks.append(keep)
     else:
-        current = g
-        src_ids = np.arange(g.node_count)
+        keep = np.ones(g.node_count, dtype=bool)
+        edges = source_edges
         for k, t in enumerate(times):
             dt = float(t if k == 0 else t - times[k - 1])
-            if current.node_count == 0:
-                snapshots.append(current)
-                masks.append(np.zeros(g.node_count, dtype=bool))
-                continue
-            lap = normalized_laplacian(current)
-            spec = spectral_decompose(lap)
-            hk = compute_heat_kernel(lap, spec, dt, method)
-            dist = heat_distribution(propagate_heat(hk, u0), cfg)
-            snap, keep_local = drop_node(current, dist, snapshot_rng(seed, graph_index, k))
-            src_ids = src_ids[keep_local]
-            mask = np.zeros(g.node_count, dtype=bool)
-            mask[src_ids] = True
-            snapshots.append(snap)
-            masks.append(mask)
-            current = snap
+            survivors = np.flatnonzero(keep)
+            keep = np.zeros(g.node_count, dtype=bool)
+            if survivors.size:
+                dist, _ = draw_probabilities(_laplacian(survivors.size, edges), None, dt)
+                keep[survivors[_bernoulli_keep(dist, snapshot_rng(seed, graph_index, k))]] = True
+                edges = _induced_edges(source_edges, keep)
+            snapshots.append(_induced_graph(g, keep, edges))
+            masks.append(keep)
 
     return TemporalEpisode(source=g, times=times, snapshots=snapshots, seed=int(seed), kept_masks=masks)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain, compress
 
 import numpy as np
 
@@ -49,11 +49,7 @@ class Graph:
         return self._adjacency
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.node_count, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return _degrees(self.node_count, _edge_array(self))
 
     def volume(self) -> int:
         """Sum of all node degrees, i.e. twice the edge count."""
@@ -83,14 +79,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.node_count}, m={self.edge_count})"
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Per-node degrees plus their sum (the graph volume)."""
-
-    degrees: np.ndarray
-    volume: int
 
 
 def build_graph(node_count: int, edge_list, node_labels=None, strict: bool = True) -> Graph:
@@ -124,28 +112,13 @@ def build_graph(node_count: int, edge_list, node_labels=None, strict: bool = Tru
     return Graph(node_count, edges, node_labels)
 
 
-def degree_profile(g: Graph) -> DegreeProfile:
-    deg = g.degrees()
-    return DegreeProfile(degrees=deg, volume=int(deg.sum()))
-
-
 def normalized_laplacian(g: Graph) -> np.ndarray:
     """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.
 
     Isolated nodes get all-zero rows and columns (the D^{-1/2}(i,i) = 0
     convention), so every eigenvalue lies in [0, 2].
     """
-    n = g.node_count
-    deg = g.degrees().astype(float)
-    lap = np.zeros((n, n))
-    for i in range(n):
-        if deg[i] > 0:
-            lap[i, i] = 1.0
-    for i, j in g.edges:
-        w = -1.0 / np.sqrt(deg[i] * deg[j])
-        lap[i, j] = w
-        lap[j, i] = w
-    return lap
+    return _laplacian(g.node_count, _edge_array(g))
 
 
 def subgraph(g: Graph, kept: np.ndarray) -> Graph:
@@ -159,12 +132,54 @@ def subgraph(g: Graph, kept: np.ndarray) -> Graph:
         raise GraphConstructionError(
             f"mask of length {kept.size} for graph with {g.node_count} nodes"
         )
-    old_ids = np.flatnonzero(kept)
-    remap = {int(old): new for new, old in enumerate(old_ids)}
-    edges = [
-        (remap[i], remap[j]) for i, j in g.edges if kept[i] and kept[j]
-    ]
+    return _induced_graph(g, kept, _induced_edges(_edge_array(g), kept))
+
+
+# Array forms shared by the functions above and by episode generation, which
+# cuts every snapshot from one edge array of its source graph.
+
+
+def _edge_array(g: Graph) -> np.ndarray:
+    """The ``(m, 2)`` int64 array of ``g.edges``: rows ``(i, j)``, i < j, sorted."""
+    return np.fromiter(
+        chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.edge_count
+    ).reshape(-1, 2)
+
+
+def _degrees(n: int, edges: np.ndarray) -> np.ndarray:
+    deg = np.bincount(edges.ravel(), minlength=n)
+    if deg.size != n:  # a Graph built directly, without build_graph's checks
+        raise GraphConstructionError(f"an edge endpoint lies outside [0, {n})")
+    return deg
+
+
+def _induced_edges(edges: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Rows of ``edges`` with both ends kept, renumbered to the kept nodes' ranks.
+
+    Renumbering is monotone, so sorted rows with i < j stay sorted with i < j.
+    """
+    inside = kept[edges[:, 0]] & kept[edges[:, 1]]
+    return (np.cumsum(kept) - 1)[edges[inside]]
+
+
+def _laplacian(n: int, edges: np.ndarray) -> np.ndarray:
+    """Normalized Laplacian of the graph on ``n`` nodes with edge array ``edges``.
+
+    Each entry is the one ``-1.0 / sqrt(deg_i * deg_j)`` float64 operation of
+    the textbook per-edge loop, so the matrix does not depend on the form.
+    """
+    deg = _degrees(n, edges).astype(float)
+    lap = np.diag((deg > 0).astype(float))
+    i, j = edges[:, 0], edges[:, 1]
+    w = -1.0 / np.sqrt(deg[i] * deg[j])
+    lap[i, j] = w
+    lap[j, i] = w
+    return lap
+
+
+def _induced_graph(g: Graph, kept: np.ndarray, edges: np.ndarray) -> Graph:
+    """The subgraph of ``g`` on mask ``kept``, given its edges from :func:`_induced_edges`."""
     labels = None
     if g.node_labels is not None:
-        labels = tuple(g.node_labels[int(i)] for i in old_ids)
-    return Graph(len(old_ids), edges, labels)
+        labels = tuple(compress(g.node_labels, kept.tolist()))
+    return Graph(int(np.count_nonzero(kept)), edges.tolist(), labels)

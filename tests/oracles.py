@@ -10,7 +10,10 @@ string loop: it builds and hashes every node's signature string each round
 and hashes every (round, label) occurrence. The one-vs-rest SMO reference
 keeps the solver's original update loop and trains every class's machine,
 including the mirror-image second machine of a two-class problem that the
-library skips.
+library skips. The episode reference keeps the original per-edge loops for
+degrees, Laplacian and induced subgraph, decomposes every Laplacian whatever
+the heat method, and in cumulative mode drops from the previous snapshot
+graph instead of cutting from the source.
 """
 
 from __future__ import annotations
@@ -24,7 +27,14 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.linalg
 
+from evokernel.augment import (
+    BoltzmannConfig,
+    TemporalEpisode,
+    heat_distribution,
+    snapshot_rng,
+)
 from evokernel.graphs import Graph, build_graph
+from evokernel.heat import METHOD_EXACT, compute_heat_kernel, propagate_heat, spectral_decompose
 
 
 def expm_oracle(matrix: np.ndarray) -> np.ndarray:
@@ -331,3 +341,94 @@ def permute_graph(g: Graph, perm: np.ndarray) -> Graph:
         for old, new in enumerate(perm):
             labels[int(new)] = g.node_labels[old]
     return build_graph(g.node_count, edges, labels)
+
+
+def reference_normalized_laplacian(g: Graph) -> np.ndarray:
+    """I - D^{-1/2} A D^{-1/2} with scalar degree and per-edge loops."""
+    n = g.node_count
+    deg = np.zeros(n, dtype=np.int64)
+    for i, j in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+    deg = deg.astype(float)
+    lap = np.zeros((n, n))
+    for i in range(n):
+        if deg[i] > 0:
+            lap[i, i] = 1.0
+    for i, j in g.edges:
+        w = -1.0 / np.sqrt(deg[i] * deg[j])
+        lap[i, j] = w
+        lap[j, i] = w
+    return lap
+
+
+def reference_subgraph(g: Graph, kept: np.ndarray) -> Graph:
+    """Induced subgraph through a dict from kept source ids to new ids."""
+    kept = np.asarray(kept, dtype=bool)
+    old_ids = np.flatnonzero(kept)
+    remap = {int(old): new for new, old in enumerate(old_ids)}
+    edges = [
+        (remap[i], remap[j]) for i, j in g.edges if kept[i] and kept[j]
+    ]
+    labels = None
+    if g.node_labels is not None:
+        labels = tuple(g.node_labels[int(i)] for i in old_ids)
+    return Graph(len(old_ids), edges, labels)
+
+
+def _reference_drop_node(g: Graph, dist, rng: np.random.Generator):
+    draws = rng.random(g.node_count)
+    keep = draws < dist.normed
+    return reference_subgraph(g, keep), keep
+
+
+def reference_generate_episode(
+    g: Graph,
+    times,
+    cfg: BoltzmannConfig | None = None,
+    u0: float = 1.0,
+    seed: int = 0,
+    *,
+    graph_index: int = 0,
+    method: str = METHOD_EXACT,
+    cumulative: bool = False,
+) -> TemporalEpisode:
+    """Episode with one eigendecomposition per Laplacian, read or not."""
+    times = np.asarray(times, dtype=float)
+    if cfg is None:
+        cfg = BoltzmannConfig()
+
+    snapshots: list[Graph] = []
+    masks: list[np.ndarray] = []
+
+    if not cumulative:
+        lap = reference_normalized_laplacian(g)
+        spec = spectral_decompose(lap)
+        for k, t in enumerate(times):
+            hk = compute_heat_kernel(lap, spec, float(t), method)
+            dist = heat_distribution(propagate_heat(hk, u0), cfg)
+            snap, keep = _reference_drop_node(g, dist, snapshot_rng(seed, graph_index, k))
+            snapshots.append(snap)
+            masks.append(keep)
+    else:
+        current = g
+        src_ids = np.arange(g.node_count)
+        for k, t in enumerate(times):
+            dt = float(t if k == 0 else t - times[k - 1])
+            if current.node_count == 0:
+                snapshots.append(current)
+                masks.append(np.zeros(g.node_count, dtype=bool))
+                continue
+            lap = reference_normalized_laplacian(current)
+            spec = spectral_decompose(lap)
+            hk = compute_heat_kernel(lap, spec, dt, method)
+            dist = heat_distribution(propagate_heat(hk, u0), cfg)
+            snap, keep_local = _reference_drop_node(current, dist, snapshot_rng(seed, graph_index, k))
+            src_ids = src_ids[keep_local]
+            mask = np.zeros(g.node_count, dtype=bool)
+            mask[src_ids] = True
+            snapshots.append(snap)
+            masks.append(mask)
+            current = snap
+
+    return TemporalEpisode(source=g, times=times, snapshots=snapshots, seed=int(seed), kept_masks=masks)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evokernel import augment
 from evokernel.augment import (
     BoltzmannConfig,
     HeatDistribution,
@@ -16,9 +17,11 @@ from evokernel.augment import (
     write_episode_jsonl,
 )
 from evokernel.errors import ConfigError
-from evokernel.heat import HeatState
+from evokernel.heat import SMALL_TIME_DEFAULT, HeatState
 
+from . import oracles
 from .conftest import star
+from .oracles import random_graph, reference_generate_episode
 
 DEFAULTS = BoltzmannConfig()
 
@@ -238,3 +241,118 @@ def test_episode_jsonl_is_line_based(tmp_path, p3):
     record = json.loads(lines[0])
     assert set(record) == {"t", "kept", "edges"}
     assert record["kept"] == [0, 1, 2]
+
+
+METHODS = ("exact", "taylor2", "fiedler", "auto")
+# The grid run_experiment builds: k * interval, not a cumulative sum.
+GRID = np.array([k * 0.1 for k in range(11)])
+
+
+def assert_same_episode(episode, reference):
+    assert np.array_equal(episode.times, reference.times)
+    assert episode.snapshots == reference.snapshots
+    assert len(episode.kept_masks) == len(reference.kept_masks)
+    for mask, ref in zip(episode.kept_masks, reference.kept_masks):
+        assert mask.dtype == bool
+        assert np.array_equal(mask, ref)
+    for snap, mask in zip(episode.snapshots, episode.kept_masks):
+        assert snap.node_count == int(mask.sum())
+
+
+@pytest.mark.parametrize("cumulative", [False, True])
+@pytest.mark.parametrize("method", METHODS)
+def test_every_mutag_episode_equals_the_reference(mutag, method, cumulative):
+    for i, g in enumerate(mutag.graphs):
+        kwargs = dict(graph_index=i, method=method, cumulative=cumulative)
+        assert_same_episode(
+            generate_episode(g, GRID, DEFAULTS, 1.0, 42, **kwargs),
+            reference_generate_episode(g, GRID, DEFAULTS, 1.0, 42, **kwargs),
+        )
+
+
+class _WipeOut:
+    """Stands in for a snapshot RNG: every draw is 1.0, so no node survives."""
+
+    def random(self, n):
+        return np.ones(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.sampled_from([0, 1, 2, 3, 5, 8, 13]),
+    p=st.floats(0.0, 0.6),
+    a=st.sampled_from([-2.0, 0.0, 2.0, 60.0]),
+    method=st.sampled_from(METHODS),
+    cumulative=st.booleans(),
+    wipe_at=st.sampled_from([None, 0, 1, 3]),
+)
+def test_random_episode_equals_the_reference(seed, n, p, a, method, cumulative, wipe_at):
+    """Isolated nodes, 0- and 1-node graphs, and a total wipe-out at step
+    ``wipe_at`` (every later cumulative snapshot is then empty)."""
+    g = random_graph(np.random.default_rng(seed), n, p, labels=seed % 2 == 0)
+    times = np.array([0.0, 0.05, 0.3, 0.35, 2.0])
+    cfg = BoltzmannConfig(a=a)
+
+    def rng_at(s, index, k):
+        return _WipeOut() if k == wipe_at else snapshot_rng(s, index, k)
+
+    kwargs = dict(graph_index=seed % 7, method=method, cumulative=cumulative)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(augment, "snapshot_rng", rng_at)
+        mp.setattr(oracles, "snapshot_rng", rng_at)
+        episode = generate_episode(g, times, cfg, 1.0, seed, **kwargs)
+        reference = reference_generate_episode(g, times, cfg, 1.0, seed, **kwargs)
+    assert_same_episode(episode, reference)
+    if wipe_at is not None:
+        assert episode.snapshots[wipe_at].node_count == 0
+        if cumulative:
+            assert all(s.node_count == 0 for s in episode.snapshots[wipe_at:])
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Counts the calls generate_episode makes to spectral_decompose."""
+    calls = []
+    original = augment.spectral_decompose
+
+    def spy(lap):
+        calls.append(lap.shape[0])
+        return original(lap)
+
+    monkeypatch.setattr(augment, "spectral_decompose", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cumulative", [False, True])
+def test_taylor2_never_decomposes(mutag, decompositions, cumulative):
+    for i, g in enumerate(mutag.graphs[:20]):
+        generate_episode(g, GRID, DEFAULTS, 1.0, 42, graph_index=i, method="taylor2", cumulative=cumulative)
+    assert decompositions == []
+
+
+@pytest.mark.parametrize("method", ["exact", "fiedler", "auto"])
+def test_non_cumulative_decomposes_once_per_graph(mutag, decompositions, method):
+    graphs = mutag.graphs[:20]
+    for i, g in enumerate(graphs):
+        generate_episode(g, GRID, DEFAULTS, 1.0, 42, graph_index=i, method=method)
+    assert decompositions == [g.node_count for g in graphs]
+
+
+def test_non_cumulative_auto_below_small_time_never_decomposes(mutag, decompositions):
+    generate_episode(mutag.graphs[0], [0.0, 0.05, 0.09], DEFAULTS, 1.0, 42, method="auto")
+    assert decompositions == []
+
+
+@pytest.mark.parametrize("times", [GRID, np.array([k * 0.2 for k in range(6)])])
+def test_cumulative_auto_decomposes_once_per_step_that_reads_the_spectrum(mutag, decompositions, times):
+    expected = []
+    for i, g in enumerate(mutag.graphs[:20]):
+        episode = generate_episode(g, times, DEFAULTS, 1.0, 42, graph_index=i, method="auto", cumulative=True)
+        inputs = [g] + episode.snapshots[:-1]
+        increments = np.diff(times, prepend=0.0)
+        expected += [
+            s.node_count for s, dt in zip(inputs, increments) if s.node_count and dt >= SMALL_TIME_DEFAULT
+        ]
+    assert decompositions == expected
+    assert len(expected) > 0

@@ -6,9 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evokernel.errors import GraphConstructionError
-from evokernel.graphs import build_graph, degree_profile, normalized_laplacian, subgraph
+from evokernel.graphs import Graph, build_graph, normalized_laplacian, subgraph
 
-from .oracles import permute_graph, random_graph
+from .oracles import (
+    permute_graph,
+    random_graph,
+    reference_normalized_laplacian,
+    reference_subgraph,
+)
 
 
 def test_single_edge_graph(k2):
@@ -24,9 +29,8 @@ def test_edgeless_graph():
 
 
 def test_four_cycle_degrees(c4):
-    profile = degree_profile(c4)
-    assert list(profile.degrees) == [2, 2, 2, 2]
-    assert profile.volume == 8
+    assert list(c4.degrees()) == [2, 2, 2, 2]
+    assert c4.volume() == 8
 
 
 def test_out_of_range_edge_names_offender():
@@ -123,3 +127,32 @@ def test_subgraph_repacks_and_keeps_labels():
 def test_graph_value_equality(k2):
     assert k2 == build_graph(2, [(0, 1)])
     assert k2 != build_graph(2, [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(0, 30), p=st.floats(0.0, 1.0))
+def test_array_forms_equal_scalar_references(seed, n, p):
+    """Laplacian and induced subgraph are bit-equal to the per-edge loops,
+    isolated nodes, empty graphs and empty or full masks included."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, p, labels=bool(seed % 2))
+    assert np.array_equal(normalized_laplacian(g), reference_normalized_laplacian(g))
+    for kept in (rng.random(n) < rng.random(), np.zeros(n, dtype=bool), np.ones(n, dtype=bool)):
+        sub = subgraph(g, kept)
+        assert sub == reference_subgraph(g, kept)
+        assert np.array_equal(normalized_laplacian(sub), reference_normalized_laplacian(sub))
+
+
+def test_subgraph_rejects_mask_of_wrong_shape(p3):
+    with pytest.raises(GraphConstructionError, match="mask of length 2"):
+        subgraph(p3, np.array([True, False]))
+    with pytest.raises(GraphConstructionError):
+        subgraph(p3, np.ones((3, 1), dtype=bool))
+
+
+def test_unchecked_graph_with_outside_endpoint_is_rejected():
+    g = Graph(3, [(0, 5)])
+    with pytest.raises(GraphConstructionError, match=r"outside \[0, 3\)"):
+        g.degrees()
+    with pytest.raises(GraphConstructionError):
+        normalized_laplacian(g)

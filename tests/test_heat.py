@@ -15,6 +15,7 @@ from evokernel.heat import (
     heat_kernel_taylor2,
     perturbation_gap,
     propagate_heat,
+    reads_spectrum,
     select_heat_method,
     spectral_decompose,
 )
@@ -184,6 +185,23 @@ def test_method_auto_selection(k2):
     assert select_heat_method(spec, 6.0) == METHOD_FIEDLER
     hk = compute_heat_kernel(normalized_laplacian(k2), spec, 6.0, "auto")
     assert hk.method == METHOD_FIEDLER
+
+
+def test_spectrum_is_optional_only_where_it_is_not_read(p3):
+    lap = normalized_laplacian(p3)
+    spec = _spec(p3)
+    for method, t in (("taylor2", 0.5), ("auto", 0.05)):
+        assert not reads_spectrum(method, t)
+        without = compute_heat_kernel(lap, None, t, method)
+        assert np.array_equal(without.matrix, compute_heat_kernel(lap, spec, t, method).matrix)
+        assert without.method == METHOD_TAYLOR2
+    for method, t in (("exact", 0.05), ("fiedler", 0.5), ("auto", 0.1), ("auto", 2.0)):
+        assert reads_spectrum(method, t)
+        with pytest.raises(ValueError, match="spectral decomposition"):
+            compute_heat_kernel(lap, None, t, method)
+    assert not reads_spectrum("bogus", 1.0)
+    with pytest.raises(ValueError, match="unknown heat-kernel method"):
+        compute_heat_kernel(lap, None, 1.0, "bogus")
 
 
 def test_auto_never_picks_fiedler_on_disconnected():
