@@ -32,7 +32,6 @@ from .experiment import (
 from .gdtw import (
     WarpingResult,
     build_warping_matrix,
-    euclidean_episode_distance,
     gdtw_distance,
     warping_to_json,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "delta",
     "distance_matrix",
     "drop_node",
-    "euclidean_episode_distance",
     "evolution_kernel",
     "export_matrix_csv",
     "gdtw_distance",

@@ -76,8 +76,21 @@ def wl_embed_batch(graphs, cfg: MetricConfig = MetricConfig()) -> np.ndarray:
     A row depends only on its graph, not on the rest of the batch.
     """
     cfg.validate()
+    out = _wl_counts(graphs, cfg, np.float64)
+    # Counts are integers, so their sums of squares are exact in any order and
+    # each entry equals the sequentially accumulated count over its norm.
+    norm = np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
+    return np.divide(out, norm, out=out, where=norm > 0)
+
+
+def _wl_counts(graphs, cfg: MetricConfig, dtype) -> np.ndarray:
+    """(len(graphs), dim) matrix of the graphs' WL bucket counts, as ``dtype``.
+
+    The counts are exact in ``dtype`` while no graph has 2^24 (float32) or
+    2^53 (float64) nodes times rounds; the caller picks the type.
+    """
     graphs = list(graphs)
-    out = np.zeros((len(graphs), cfg.dim))
+    out = np.zeros((len(graphs), cfg.dim), dtype=dtype)
     sizes = [g.node_count + 2 * g.edge_count for g in graphs]
     lo = 0
     while lo < len(graphs):
@@ -91,7 +104,7 @@ def wl_embed_batch(graphs, cfg: MetricConfig = MetricConfig()) -> np.ndarray:
 
 
 def _embed_batch(graphs: list[Graph], cfg: MetricConfig, out: np.ndarray) -> None:
-    """Write the embeddings of ``graphs`` into the zeroed rows of ``out``."""
+    """Write the WL bucket counts of ``graphs`` into the zeroed rows of ``out``."""
     nodes = np.array([g.node_count for g in graphs], dtype=np.int64)
     n = int(nodes.sum())
     if n == 0:
@@ -129,12 +142,8 @@ def _embed_batch(graphs: list[Graph], cfg: MetricConfig, out: np.ndarray) -> Non
         ids, names = _refine(ids, names, groups, n)
         cells.append(row_start + _buckets(round_index, names, cfg.dim)[ids])
 
-    # Counts are integers, so their sums of squares are exact in any order and
-    # each entry equals the sequentially accumulated count over its norm.
     cell, count = np.unique(np.concatenate(cells), return_counts=True)
-    row, col = np.divmod(cell, cfg.dim)
-    norm = np.sqrt(np.bincount(row, weights=count * count, minlength=len(graphs)))
-    out[row, col] = count / norm[row]
+    out.flat[cell] = count
 
 
 def _initial_ids(graphs: list[Graph], nodes: np.ndarray, degree: np.ndarray):

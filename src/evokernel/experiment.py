@@ -2,8 +2,9 @@
 
 A run generates one episode per graph on a shared time grid, builds the full
 distance and kernel matrices once, then trains and evaluates a fold-restricted
-SVM per cross-validation fold. A time-length sweep generates and embeds the
-episodes of its longest length once and aligns, builds the kernel and
+SVM per cross-validation fold. A time-length sweep generates, embeds and
+aligns the episodes of its longest length once, reads every length's
+distances from those alignment tables, and builds the kernel and
 cross-validates per length.
 One seed drives both augmentation and fold shuffling through independent
 substreams.
@@ -36,9 +37,9 @@ HEAT_METHODS = (METHOD_EXACT, METHOD_TAYLOR2, METHOD_FIEDLER, METHOD_AUTO)
 _FOLD_STREAM = 0xF01D
 
 # Longest supported time grid. The alignment is quadratic in the step count:
-# at this many steps one pair of one-node episodes already needs a 3.2 GB
-# cross-distance block, and a far longer grid would exhaust memory while
-# the grid itself is being built.
+# at this many steps one pair of one-node episodes already needs 800 MB for
+# its snapshot distances and as much for its alignment table, and a far
+# longer grid would exhaust memory while the grid itself is being built.
 MAX_TIME_STEPS = 10_000
 
 _STR_FIELDS = ("dataset_dir", "dataset_name", "psd_repair", "heat_method")
@@ -213,8 +214,8 @@ def sweep_time_length(
 ) -> list[CvReport]:
     """One report per time length, equal to a separate run at each; lengths must be ascending.
 
-    Episodes and snapshot embeddings are built once, at the longest length;
-    alignment, kernel and cross-validation run per length.
+    Episodes, snapshot embeddings and alignment tables are built once, at
+    the longest length; kernel and cross-validation run per length.
     """
     with _stage("config"):
         try:

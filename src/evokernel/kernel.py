@@ -13,9 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import TemporalEpisode
-from .embedding import MetricConfig, wl_embed_batch
+from .embedding import MetricConfig
 from .errors import ContractError
-from .gdtw import _cumulative_costs, cross_distances
+from .gdtw import _count_distances, _cumulative_costs, _snapshot_counts
+
+# Snapshot distances are computed and aligned for blocks of episode rows of
+# about this many snapshots (at least one episode) against all later
+# episodes, which bounds their working memory whatever the number of episodes.
+_BLOCK_SNAPSHOTS = 128
 
 
 @dataclass(frozen=True)
@@ -30,9 +35,13 @@ def distance_matrix(
 ) -> np.ndarray:
     """Symmetric matrix of pairwise alignment distances, zero diagonal.
 
-    Every snapshot is embedded exactly once; each unordered pair is aligned
-    once and mirrored, so symmetry is exact by construction. Pairs are aligned
-    one matrix row at a time, which bounds the extra memory to O(n * T^2).
+    Entry (i, j) equals ``gdtw_distance(build_warping_matrix(e_i, e_j, cfg))``
+    bit for bit. Every snapshot is embedded exactly once; each unordered pair
+    is aligned once and mirrored, so symmetry is exact by construction.
+    Snapshot distances and alignment tables are built for a block of about
+    ``_BLOCK_SNAPSHOTS`` snapshot rows at a time, so beyond the (n * T, dim)
+    count matrix and the result the working memory grows as O(n * T), not
+    (n * T)^2.
     """
     steps = len(episodes[0].times) if episodes else 0
     return _prefix_distance_matrices(episodes, cfg, [steps])[steps]
@@ -43,11 +52,11 @@ def _prefix_distance_matrices(
 ) -> dict[int, np.ndarray]:
     """``distance_matrix`` of the episodes cut to their first s snapshots, for each s.
 
-    Every snapshot is embedded once for all s. The cross distances and the
-    alignment run once per s on the prefix rows alone: BLAS may round a
-    sub-block of a larger product differently from the product of the
-    sub-block, so one product over the longest grid would not reproduce the
-    shorter ones bit for bit.
+    Snapshot distances come from the exact integer Gram of the WL counts, so
+    a distance does not depend on which other snapshots share its product:
+    one product over the longest grid serves every s. The alignment
+    recurrence only looks back, so gamma[s, s] of each pair's one full-length
+    table is the distance of the s-snapshot prefixes, bit for bit.
     """
     n = len(episodes)
     if n == 0:
@@ -59,30 +68,23 @@ def _prefix_distance_matrices(
     steps = len(grid)
     if any(not 1 <= s <= steps for s in step_counts):
         raise ContractError(f"step counts {sorted(step_counts)} are not all within 1..{steps}")
+    step_counts = sorted({int(s) for s in step_counts})
 
-    embeddings = wl_embed_batch([snap for e in episodes for snap in e.snapshots], cfg)
-    d = {}
-    width = steps
-    for s in sorted({int(s) for s in step_counts}, reverse=True):
-        # Move each episode's first s rows to the front of the buffer, in
-        # place, so no second stack is alive; block i lands at or before its
-        # source and before every block not yet moved.
-        if s < width:
-            for i in range(1, n):
-                embeddings[i * s:(i + 1) * s] = embeddings[i * width:i * width + s]
-            width = s
-        d[s] = _alignment_distances(embeddings[:n * s], n)
-    return d
-
-
-def _alignment_distances(embeddings: np.ndarray, n: int) -> np.ndarray:
-    """Distance matrix of n episodes whose snapshot embeddings are stacked in order."""
-    steps = len(embeddings) // n
-    blocks = cross_distances(embeddings, embeddings).reshape(n, steps, n, steps)
-    d = np.zeros((n, n))
-    for i in range(n - 1):
-        costs = blocks[i, :, i + 1:, :].transpose(0, 2, 1)
-        d[i, i + 1:] = d[i + 1:, i] = _cumulative_costs(costs)[steps, steps]
+    counts, sq = _snapshot_counts([snap for e in episodes for snap in e.snapshots], cfg)
+    d = {s: np.zeros((n, n)) for s in step_counts}
+    per_block = max(1, _BLOCK_SNAPSHOTS // steps)
+    for lo in range(0, n - 1, per_block):
+        hi = min(lo + per_block, n - 1)
+        # Rows of episodes lo..hi-1 against every episode after lo; the pairs
+        # (i, j > i) among them are aligned in one stack of tables.
+        rows, cols = slice(lo * steps, hi * steps), slice((lo + 1) * steps, None)
+        block = _count_distances(counts[rows], counts[cols], sq[rows], sq[cols])
+        block = block.reshape(hi - lo, steps, n - lo - 1, steps)
+        r, c = np.triu_indices(hi - lo, 0, n - lo - 1)
+        gamma = _cumulative_costs(block[r, :, c, :].transpose(1, 2, 0))
+        i, j = r + lo, c + lo + 1
+        for s in step_counts:
+            d[s][i, j] = d[s][j, i] = gamma[s, s]
     return d
 
 

@@ -13,7 +13,9 @@ including the mirror-image second machine of a two-class problem that the
 library skips. The episode reference keeps the original per-edge loops for
 degrees, Laplacian and induced subgraph, decomposes every Laplacian whatever
 the heat method, and in cumulative mode drops from the previous snapshot
-graph instead of cutting from the source.
+graph instead of cutting from the source. The prefix-distance reference
+keeps the per-length path: normalized embeddings and one cross-distance
+product per prefix length.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from evokernel.augment import (
     heat_distribution,
     snapshot_rng,
 )
+from evokernel.embedding import wl_embed_batch
 from evokernel.graphs import Graph, build_graph
 from evokernel.heat import METHOD_EXACT, compute_heat_kernel, propagate_heat, spectral_decompose
 
@@ -179,18 +182,53 @@ def reference_wl_labels(g: Graph, iterations: int) -> list[list[str]]:
     return rounds
 
 
-def reference_wl_embed(g: Graph, iterations: int = 3, dim: int = 1024) -> np.ndarray:
-    """Hash every (round, label) occurrence into a count vector, then L2-normalize."""
-    vector = np.zeros(dim)
+def reference_wl_counts(g: Graph, iterations: int = 3, dim: int = 1024) -> list[int]:
+    """Python-int count of every bucket over all (round, label) occurrences."""
+    counts = [0] * dim
     for round_index, labels in enumerate(reference_wl_labels(g, iterations)):
         for label in labels:
             feature = f"{round_index}:{label}".encode("utf-8")
             digest = hashlib.blake2b(feature, digest_size=8).digest()
-            vector[int.from_bytes(digest, "big") % dim] += 1.0
+            counts[int.from_bytes(digest, "big") % dim] += 1
+    return counts
+
+
+def reference_wl_embed(g: Graph, iterations: int = 3, dim: int = 1024) -> np.ndarray:
+    """Hash every (round, label) occurrence into a count vector, then L2-normalize."""
+    vector = np.array(reference_wl_counts(g, iterations, dim), dtype=float)
     norm = np.linalg.norm(vector)
     if norm > 0:
         vector /= norm
     return vector
+
+
+def reference_prefix_distances(episodes, cfg, step_counts) -> dict[int, np.ndarray]:
+    """Alignment distance matrices of the episodes' s-snapshot prefixes, one product per s.
+
+    The normalized embeddings of each prefix length get their own cross
+    distances by the expansion |a|^2 + |b|^2 - 2 a.b, and every pair's table
+    is filled cell by cell over all pairs at once.
+    """
+    n, steps = len(episodes), len(episodes[0].times)
+    embeddings = wl_embed_batch([snap for e in episodes for snap in e.snapshots], cfg)
+    embeddings = embeddings.reshape(n, steps, -1)
+    first, second = np.triu_indices(n, 1)
+    out = {}
+    for s in step_counts:
+        emb = embeddings[:, :s].reshape(n * s, -1)
+        sq = (emb ** 2).sum(axis=1)
+        cross = np.sqrt(np.clip(sq[:, None] + sq[None, :] - 2.0 * (emb @ emb.T), 0.0, None))
+        costs = cross.reshape(n, s, n, s)[first, :, second, :]
+        gamma = np.full((s + 1, s + 1, len(first)), np.inf)
+        gamma[0, 0] = 0.0
+        for i in range(1, s + 1):
+            for j in range(1, s + 1):
+                best = np.minimum(np.minimum(gamma[i - 1, j - 1], gamma[i - 1, j]), gamma[i, j - 1])
+                gamma[i, j] = costs[:, i - 1, j - 1] + best
+        d = np.zeros((n, n))
+        d[first, second] = d[second, first] = gamma[s, s]
+        out[s] = d
+    return out
 
 
 def dict_wl_delta(g1: Graph, g2: Graph, iterations: int) -> float:

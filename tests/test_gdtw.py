@@ -5,21 +5,32 @@ import json
 import numpy as np
 import pytest
 
+from evokernel import gdtw
 from evokernel.augment import TemporalEpisode
-from evokernel.embedding import MetricConfig, delta
+from evokernel.embedding import MetricConfig, _wl_counts, delta, wl_embed_batch
 from evokernel.errors import ContractError
 from evokernel.gdtw import (
+    _count_distances,
+    _snapshot_counts,
     build_warping_matrix,
     cross_distances,
-    euclidean_episode_distance,
     gdtw_distance,
     warping_to_json,
 )
-from evokernel.graphs import build_graph
+from evokernel.graphs import Graph, build_graph
+from evokernel.kernel import distance_matrix
 
 from .conftest import star, triangle
-from .oracles import brute_force_gdtw, dict_wl_delta, path_is_admissible, scalar_gdtw_table
+from .oracles import (
+    brute_force_gdtw,
+    dict_wl_delta,
+    path_is_admissible,
+    random_graph,
+    reference_wl_counts,
+    scalar_gdtw_table,
+)
 
+CFG = MetricConfig()
 WIDE = MetricConfig(dim=2 ** 20)
 
 
@@ -75,6 +86,50 @@ def test_cross_distances_equal_the_plain_expression():
         sq2 = (b ** 2).sum(axis=1)
         plain = np.sqrt(np.clip(sq1[:, None] + sq2[None, :] - 2.0 * (a @ b.T), 0.0, None))
         assert np.array_equal(cross_distances(a, b), plain)
+
+
+@pytest.mark.parametrize("isolated, dtype", [(0, np.float32), (1100, np.float64)])
+def test_count_grams_equal_python_int_grams(isolated, dtype):
+    rng = np.random.default_rng(81)
+    graphs = [
+        random_graph(rng, int(rng.integers(0, 30)), 0.3, labels=bool(k % 2)) for k in range(8)
+    ]
+    if isolated:
+        # (1,100 nodes * 4 rounds)^2 > 2^24: the bound asks for float64.
+        graphs.append(build_graph(isolated, []))
+    counts, sq = _snapshot_counts(graphs, CFG)
+    assert counts.dtype == dtype
+    rows = [reference_wl_counts(g, CFG.wl_iterations, CFG.dim) for g in graphs]
+    gram = [[sum(x * y for x, y in zip(r, s)) for s in rows] for r in rows]
+    assert (counts @ counts.T).tolist() == gram
+    assert sq.tolist() == [gram[k][k] for k in range(len(rows))]
+    wide = _wl_counts(graphs, CFG, np.float64)
+    assert np.array_equal(_count_distances(counts, counts, sq, sq), _count_distances(wide, wide, sq, sq))
+
+
+def test_count_distances_are_the_embedding_distances():
+    rng = np.random.default_rng(82)
+    graphs = [build_graph(0, [])]
+    graphs += [random_graph(rng, int(rng.integers(1, 15)), 0.4) for _ in range(12)]
+    counts, sq = _snapshot_counts(graphs, CFG)
+    d = _count_distances(counts, counts, sq, sq)
+    emb = wl_embed_batch(graphs, CFG)
+    assert np.allclose(d, cross_distances(emb, emb), rtol=0.0, atol=1e-7)
+    assert np.array_equal(d, d.T)
+    assert np.array_equal(np.diag(d), np.zeros(len(graphs)))
+
+
+def test_count_bound_is_checked_before_embedding(monkeypatch):
+    def embed(*args):
+        raise AssertionError("embedded a snapshot past the exact-count bound")
+
+    monkeypatch.setattr(gdtw, "_wl_counts", embed)
+    huge = Graph(10 ** 8, [])  # (10^8 * 4)^2 > 2^53; no per-node memory
+    episode = TemporalEpisode(source=huge, times=np.zeros(1), snapshots=[huge], seed=0)
+    with pytest.raises(ContractError, match="2\\^53"):
+        build_warping_matrix(episode, episode)
+    with pytest.raises(ContractError, match="2\\^53"):
+        distance_matrix([episode, episode])
 
 
 def test_length_mismatch_is_contract_error(k2, p3):
@@ -177,28 +232,6 @@ def test_rejects_bad_matrices():
         gdtw_distance(np.zeros((2, 3)))
     with pytest.raises(ContractError):
         gdtw_distance(np.zeros((0, 0)))
-
-
-def test_euclidean_distance_of_identical_episodes(p3, k2):
-    e = _episode([p3, k2])
-    assert euclidean_episode_distance(e, e) == 0.0
-
-
-def test_euclidean_single_point_equals_delta(k2, p3):
-    d = euclidean_episode_distance(_episode([k2]), _episode([p3]))
-    assert d == pytest.approx(delta(k2, p3), abs=1e-12)
-
-
-def test_euclidean_is_root_of_squared_diagonal(fixture_episodes):
-    left, right = fixture_episodes
-    m = build_warping_matrix(left, right)
-    expected = float(np.sqrt(np.sum(np.diag(m) ** 2)))
-    assert euclidean_episode_distance(left, right) == pytest.approx(expected, abs=1e-12)
-
-
-def test_euclidean_length_mismatch(k2, p3):
-    with pytest.raises(ContractError):
-        euclidean_episode_distance(_episode([k2]), _episode([p3, p3]))
 
 
 def test_warping_json_dump():

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from evokernel.augment import TemporalEpisode, generate_episode
-from evokernel.embedding import MetricConfig
+from evokernel.embedding import MetricConfig, wl_embed_batch
 from evokernel.errors import ContractError
-from evokernel.gdtw import build_warping_matrix, cross_distances, episode_embeddings, gdtw_distance
+from evokernel.experiment import ExperimentConfig
+from evokernel.gdtw import _count_distances, _snapshot_counts, build_warping_matrix, gdtw_distance
 from evokernel.kernel import (
     _prefix_distance_matrices,
     clip_psd,
@@ -18,6 +20,7 @@ from evokernel.kernel import (
 )
 
 from .conftest import star, triangle
+from .oracles import reference_prefix_distances
 
 CFG = MetricConfig()
 
@@ -27,6 +30,16 @@ def three_episodes():
     times = np.array([0.0, 0.5, 1.0])
     graphs = [triangle(), star(3), star(5)]
     return [generate_episode(g, times, seed=9, graph_index=i) for i, g in enumerate(graphs)]
+
+
+@pytest.fixture(scope="module")
+def mutag_episodes(mutag):
+    """The episodes of a default MUTAG run at seed 42: 188 graphs, 11 steps."""
+    cfg = ExperimentConfig(seed=42)
+    return [
+        generate_episode(g, cfg.time_grid(), cfg.boltzmann_config(), cfg.u0, cfg.seed, graph_index=i)
+        for i, g in enumerate(mutag.graphs)
+    ]
 
 
 def test_single_episode_matrix(three_episodes):
@@ -62,16 +75,14 @@ def test_matrix_equals_alignment_of_each_block(three_episodes):
         generate_episode(g, times, seed=2, graph_index=7 + i)
         for i, g in enumerate([star(4), triangle(), star(2)])
     ]
-    n, steps = len(episodes), len(times)
-    embeddings = np.vstack([episode_embeddings(e, CFG) for e in episodes])
-    all_dist = cross_distances(embeddings, embeddings)
+    n = len(episodes)
     d = distance_matrix(episodes, CFG)
     expected = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i != j:
-                block = all_dist[i * steps:(i + 1) * steps, j * steps:(j + 1) * steps]
-                expected[i, j] = gdtw_distance(block).distance
+                m = build_warping_matrix(episodes[i], episodes[j], CFG)
+                expected[i, j] = gdtw_distance(m).distance
     assert np.array_equal(d, expected)
 
 
@@ -91,6 +102,36 @@ def test_prefix_distances_equal_distances_of_cut_episodes():
         ]
         assert np.array_equal(d, distance_matrix(cut, CFG))
     assert np.array_equal(prefixes[6], distance_matrix(episodes, CFG))
+
+
+def test_mutag_distances_match_the_per_length_reference(mutag_episodes):
+    steps = range(1, len(mutag_episodes[0].times) + 1)
+    prefixes = _prefix_distance_matrices(mutag_episodes, CFG, steps)
+    reference = reference_prefix_distances(mutag_episodes, CFG, steps)
+    for s in steps:
+        assert np.max(np.abs(prefixes[s] - reference[s])) <= 1e-6
+
+
+def test_equal_mutag_snapshots_are_exactly_zero_apart(mutag_episodes):
+    snapshots = [snap for e in mutag_episodes for snap in e.snapshots]
+    _, group = np.unique(wl_embed_batch(snapshots, CFG), axis=0, return_inverse=True)
+    group = group.ravel()
+    equal = group[:, None] == group[None, :]
+    # 2,068 snapshots on the diagonal plus 394 ordered pairs of distinct ones
+    assert equal.sum() == 2462
+    counts, sq = _snapshot_counts(snapshots, CFG)
+    assert np.all(_count_distances(counts, counts, sq, sq)[equal] == 0.0)
+
+
+def test_distance_matrix_memory_stays_below_one_cross_block(mutag_episodes):
+    rows = sum(len(e) for e in mutag_episodes)
+    tracemalloc.start()
+    try:
+        distance_matrix(mutag_episodes, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * rows * 8  # 34,212,992 bytes: one float64 (n*T)^2 block
 
 
 def test_prefix_step_counts_outside_the_grid_rejected(three_episodes):
