@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .graphs import Graph, _edge_array, _induced_edges, _induced_graph, _laplacian, subgraph
 from .heat import (
     METHOD_EXACT,
@@ -140,10 +140,17 @@ def generate_episode(
     ``heat.SMALL_TIME_DEFAULT`` (0.1), ``taylor2`` never. Without
     ``cumulative`` that is at most one decomposition per graph; with it, one
     per non-empty step that reads it.
+
+    With ``cumulative`` and ``auto`` the choice reads the computed increment
+    t_k - t_{k-1}, not the nominal step: on the default grid ``k * 0.1``, 6
+    of the 10 increments come out just below 0.1 and take ``taylor2``, the
+    other 4 take ``exact`` (or ``fiedler``).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ConfigError("time grid must be a non-empty 1-d sequence")
+    if not np.isfinite(times).all():
+        raise ConfigError("time grid must be finite")
     if times[0] != 0.0:
         raise ConfigError(f"time grid must start at 0, got {times[0]}")
     if np.any(np.diff(times) <= 0):
@@ -192,9 +199,16 @@ def write_episode_jsonl(episode: TemporalEpisode, path) -> None:
 
     Edges are written in source-node ids for inspectability.
     """
+    if not len(episode.times) == len(episode.kept_masks) == len(episode.snapshots):
+        raise ContractError(
+            f"episode has {len(episode.times)} times and {len(episode.kept_masks)} masks "
+            f"for {len(episode.snapshots)} snapshots"
+        )
     lines = []
     for t, snap, mask in zip(episode.times, episode.snapshots, episode.kept_masks):
         kept = np.flatnonzero(mask)
+        if len(mask) != episode.source.node_count or len(kept) != snap.node_count:
+            raise ContractError(f"mask at t={t} does not match its snapshot")
         edges = [[int(kept[i]), int(kept[j])] for i, j in snap.edges]
         lines.append(
             json.dumps({"t": float(t), "kept": [int(i) for i in kept], "edges": edges})
@@ -206,24 +220,41 @@ def read_episode_jsonl(path, source: Graph, seed: int = 0) -> TemporalEpisode:
     """Rebuild an episode from its JSONL form and the source graph.
 
     The seed is not stored in the file; pass it when it matters for fixture
-    bookkeeping. Node labels are restored from the source graph.
+    bookkeeping. Node labels are restored from the source graph. A record
+    that is not JSON, lacks a key, keeps an id twice or outside the source,
+    lists edges the source does not induce, or whose time is not a finite
+    number above the previous record's raises :class:`ConfigError` naming
+    its line.
     """
-    times = []
+    path = Path(path)
+    times: list[float] = []
     snapshots = []
     masks = []
-    for line in Path(path).read_text().splitlines():
+    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        record = json.loads(line)
+        where = f"{path.name} line {line_no}"
+        try:
+            record = json.loads(line)
+            t, kept, edges = record["t"], record["kept"], record["edges"]
+            expected = {(min(i, j), max(i, j)) for i, j in edges}
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{where}: malformed episode record ({exc!r})") from None
+        if type(t) not in (int, float) or not np.isfinite(t) or (times and t <= times[-1]):
+            raise ConfigError(f"{where}: time {t!r} is not a finite number above the previous time")
+        if not isinstance(kept, list) or not all(
+            type(i) is int and 0 <= i < source.node_count for i in kept
+        ):
+            raise ConfigError(f"{where}: kept ids must be integers in [0, {source.node_count})")
+        if len(set(kept)) != len(kept):
+            raise ConfigError(f"{where}: kept ids repeat")
         mask = np.zeros(source.node_count, dtype=bool)
-        mask[np.asarray(record["kept"], dtype=int)] = True
+        mask[kept] = True
         snap = subgraph(source, mask)
-        expected = {(min(i, j), max(i, j)) for i, j in record["edges"]}
-        kept = np.flatnonzero(mask)
-        actual = {(int(kept[i]), int(kept[j])) for i, j in snap.edges}
-        if expected != actual:
-            raise ConfigError(f"episode record at t={record['t']} has edges outside the source graph")
-        times.append(float(record["t"]))
+        ids = np.flatnonzero(mask)
+        if expected != {(int(ids[i]), int(ids[j])) for i, j in snap.edges}:
+            raise ConfigError(f"{where}: edges at t={t} are not those the source graph induces")
+        times.append(float(t))
         snapshots.append(snap)
         masks.append(mask)
     return TemporalEpisode(

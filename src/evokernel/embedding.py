@@ -27,8 +27,6 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .graphs import Graph
 
-METRIC_WL_EUCLIDEAN = "wl-euclidean"
-
 # Refined labels are compressed to a 16-byte digest each round so signatures
 # stay short; 2^-128 collision odds are negligible against float tolerances.
 _LABEL_DIGEST_SIZE = 16
@@ -42,13 +40,10 @@ _BATCH_ENTRIES = 16384
 
 @dataclass(frozen=True)
 class MetricConfig:
-    kind: str = METRIC_WL_EUCLIDEAN
     wl_iterations: int = 3
     dim: int = 1024
 
     def validate(self) -> None:
-        if self.kind != METRIC_WL_EUCLIDEAN:
-            raise ConfigError(f"unknown metric kind {self.kind!r}")
         if self.dim < 1:
             raise ConfigError(f"embedding dimension must be >= 1, got {self.dim}")
         if self.wl_iterations < 0:
@@ -60,14 +55,11 @@ class WlEmbedding:
     """Unit-norm feature vector; the empty graph embeds to the zero vector."""
 
     vector: np.ndarray
-    iterations: int
-    dim: int
 
 
 def wl_embed(g: Graph, cfg: MetricConfig = MetricConfig()) -> WlEmbedding:
     """Hash every (round, label) occurrence into a count vector, then L2-normalize."""
-    vector = wl_embed_batch([g], cfg)[0]
-    return WlEmbedding(vector=vector, iterations=cfg.wl_iterations, dim=cfg.dim)
+    return WlEmbedding(vector=wl_embed_batch([g], cfg)[0])
 
 
 def wl_embed_batch(graphs, cfg: MetricConfig = MetricConfig()) -> np.ndarray:

@@ -13,9 +13,8 @@ class Graph:
     """Immutable undirected simple graph with optional discrete node labels.
 
     Edges are stored as a sorted tuple of (i, j) pairs with i < j so iteration
-    order never depends on hashing. Adjacency, degrees and neighbor lists are
-    derived views computed on demand and cached; instances must not be mutated
-    after construction.
+    order never depends on hashing; instances must not be mutated after
+    construction.
     """
 
     def __init__(self, node_count: int, edges, node_labels=None):
@@ -31,39 +30,13 @@ class Graph:
                 raise GraphConstructionError(
                     f"{len(self.node_labels)} node labels for {self.node_count} nodes"
                 )
-        self._adjacency = None
-        self._neighbors = None
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix."""
-        if self._adjacency is None:
-            a = np.zeros((self.node_count, self.node_count))
-            for i, j in self.edges:
-                a[i, j] = 1.0
-                a[j, i] = 1.0
-            self._adjacency = a
-        return self._adjacency
-
     def degrees(self) -> np.ndarray:
         return _degrees(self.node_count, _edge_array(self))
-
-    def volume(self) -> int:
-        """Sum of all node degrees, i.e. twice the edge count."""
-        return 2 * self.edge_count
-
-    def neighbors(self) -> list[list[int]]:
-        """Sorted adjacency lists."""
-        if self._neighbors is None:
-            nbrs: list[list[int]] = [[] for _ in range(self.node_count)]
-            for i, j in self.edges:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-            self._neighbors = [sorted(ns) for ns in nbrs]
-        return self._neighbors
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

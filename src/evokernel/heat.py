@@ -118,25 +118,21 @@ def heat_kernel_fiedler(spec: SpectralDecomposition, t: float) -> HeatKernel:
 
 
 def compute_heat_kernel(
-    lap: np.ndarray,
-    spec: SpectralDecomposition | None,
-    t: float,
-    method: str = METHOD_EXACT,
-    small_time: float = SMALL_TIME_DEFAULT,
+    lap: np.ndarray, spec: SpectralDecomposition | None, t: float, method: str = METHOD_EXACT
 ) -> HeatKernel:
     """Dispatch on ``method``; ``auto`` picks the regime from t and lambda_1.
 
     ``spec`` is read only where :func:`reads_spectrum` says so: ``taylor2``,
-    and ``auto`` below ``small_time``, need just ``lap``, so ``spec`` may be
-    None there and the caller can skip the eigendecomposition.
+    and ``auto`` below ``SMALL_TIME_DEFAULT``, need just ``lap``, so ``spec``
+    may be None there and the caller can skip the eigendecomposition.
 
     The Fiedler form needs two nodes; on fewer the exact kernel stands in (on
     one node every method gives [[1]]) and the result's ``method`` says so.
     """
-    if spec is None and reads_spectrum(method, t, small_time):
+    if spec is None and reads_spectrum(method, t):
         raise ValueError(f"the {method!r} heat kernel at t={t} needs the spectral decomposition")
     if method == METHOD_AUTO:
-        method = select_heat_method(spec, t, small_time)
+        method = select_heat_method(spec, t)
     if method == METHOD_EXACT or (method == METHOD_FIEDLER and spec.n < 2):
         return heat_kernel_exact(spec, t)
     if method == METHOD_TAYLOR2:
@@ -146,17 +142,15 @@ def compute_heat_kernel(
     raise ValueError(f"unknown heat-kernel method {method!r}")
 
 
-def reads_spectrum(method: str, t: float, small_time: float = SMALL_TIME_DEFAULT) -> bool:
+def reads_spectrum(method: str, t: float) -> bool:
     """Whether ``compute_heat_kernel`` reads the spectral decomposition for ``method`` at ``t``."""
-    return method in (METHOD_EXACT, METHOD_FIEDLER) or (method == METHOD_AUTO and t >= small_time)
+    return method in (METHOD_EXACT, METHOD_FIEDLER) or (method == METHOD_AUTO and t >= SMALL_TIME_DEFAULT)
 
 
-def select_heat_method(
-    spec: SpectralDecomposition | None, t: float, small_time: float = SMALL_TIME_DEFAULT
-) -> str:
-    """``taylor2`` below ``small_time`` (``spec`` unread, may be None), else
+def select_heat_method(spec: SpectralDecomposition | None, t: float) -> str:
+    """``taylor2`` below ``SMALL_TIME_DEFAULT`` (``spec`` unread, may be None), else
     ``fiedler`` once t is past ``FIEDLER_TIME_FACTOR / lambda_1``, else ``exact``."""
-    if t < small_time:
+    if t < SMALL_TIME_DEFAULT:
         return METHOD_TAYLOR2
     if spec.n >= 2:
         lam1 = spec.eigenvalues[1]

@@ -93,17 +93,21 @@ def evolution_kernel(
 ) -> EvolutionKernelMatrix:
     """K(i, j) = exp(-d(i, j) / sigma), sigma = gamma_scale * median off-diagonal distance.
 
-    An empty or all-zero off-diagonal falls back to sigma = 1 (the kernel of a
-    zero matrix is all ones either way). With repair="clip" the matrix is
-    eigendecomposed, negative eigenvalues zeroed, reconstructed and
-    re-symmetrized; that trades the exact unit diagonal for positive
-    semidefiniteness.
+    ``d`` must be square, finite and non-negative. An empty or all-zero
+    off-diagonal falls back to sigma = 1 (the kernel of a zero matrix is all
+    ones either way). With repair="clip" the matrix is eigendecomposed,
+    negative eigenvalues zeroed, reconstructed and re-symmetrized; that
+    trades the exact unit diagonal for positive semidefiniteness.
     """
     if gamma_scale <= 0:
         raise ValueError(f"gamma_scale must be positive, got {gamma_scale}")
     if repair not in ("none", "clip"):
         raise ValueError(f"repair must be 'none' or 'clip', got {repair!r}")
     d = np.asarray(d, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ContractError(f"distance matrix must be square, got shape {d.shape}")
+    if not np.isfinite(d).all() or (d < 0).any():
+        raise ContractError("distance matrix must be finite and non-negative")
     n = d.shape[0]
     off = d[~np.eye(n, dtype=bool)]
     if off.size == 0:
@@ -126,10 +130,12 @@ def clip_psd(k: np.ndarray) -> np.ndarray:
 
 
 def export_matrix_csv(m: np.ndarray, path, ids=None) -> None:
-    """Row-major CSV with a header of graph ids, for external analysis."""
+    """Row-major CSV of a square matrix with a header of graph ids, for external analysis."""
     m = np.asarray(m)
-    if ids is None:
-        ids = list(range(m.shape[0]))
+    rows = m.shape[0] if m.ndim else 0
+    ids = list(range(rows)) if ids is None else ids
+    if m.shape != (len(ids), len(ids)):
+        raise ContractError(f"matrix of shape {m.shape} for {len(ids)} ids")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + [str(i) for i in ids])

@@ -174,11 +174,9 @@ def svm_predict(model: SvmModel, k_row: np.ndarray) -> int:
         raise ValueError(
             f"kernel row has length {k_row.size}, expected {model.train_size}"
         )
+    if not np.isfinite(k_row).all():
+        raise ValueError("kernel row has non-finite entries")
     values = model.decision_values(k_row)
     if len(values) == 1:
         return int(model.classes[1] if values[0] < 0 else model.classes[0])
     return int(model.classes[int(np.argmax(values))])
-
-
-def svm_predict_many(model: SvmModel, k_rows: np.ndarray) -> np.ndarray:
-    return np.array([svm_predict(model, row) for row in np.asarray(k_rows, dtype=float)])

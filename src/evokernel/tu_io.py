@@ -42,15 +42,6 @@ class GraphDataset:
     def mean_edges(self) -> float:
         return float(np.mean([g.edge_count for g in self.graphs]))
 
-    def summary(self) -> dict:
-        return {
-            "name": self.name,
-            "graphs": len(self.graphs),
-            "classes": self.class_count,
-            "mean_nodes": self.mean_nodes,
-            "mean_edges": self.mean_edges,
-        }
-
 
 def _read_lines(path: Path) -> list[str]:
     if not path.is_file():

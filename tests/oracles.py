@@ -117,6 +117,15 @@ def path_is_admissible(path, n: int) -> bool:
     return True
 
 
+def neighbour_lists(g: Graph) -> list[list[int]]:
+    """Sorted adjacency list of every node, read straight from ``g.edges``."""
+    lists: list[list[int]] = [[] for _ in range(g.node_count)]
+    for i, j in g.edges:
+        lists[i].append(j)
+        lists[j].append(i)
+    return [sorted(ns) for ns in lists]
+
+
 def dict_wl_histograms(graphs: list[Graph], iterations: int) -> list[Counter]:
     """Subtree-feature histograms via a shared explicit label dictionary.
 
@@ -148,7 +157,7 @@ def dict_wl_histograms(graphs: list[Graph], iterations: int) -> list[Counter]:
         next_labels = []
         for gi, g in enumerate(graphs):
             ids = per_graph_labels[gi]
-            nbrs = g.neighbors()
+            nbrs = neighbour_lists(g)
             refined = []
             for node in range(g.node_count):
                 signature = (ids[node], tuple(sorted(ids[x] for x in nbrs[node])))
@@ -171,7 +180,7 @@ def reference_wl_labels(g: Graph, iterations: int) -> list[list[str]]:
     else:
         labels = [str(int(d)) for d in g.degrees()]
     rounds = [labels]
-    neighbors = g.neighbors()
+    neighbors = neighbour_lists(g)
     for _ in range(iterations):
         refined = []
         for i, own in enumerate(labels):
@@ -360,7 +369,7 @@ def is_connected(g: Graph) -> bool:
         return True
     seen = {0}
     frontier = [0]
-    nbrs = g.neighbors()
+    nbrs = neighbour_lists(g)
     while frontier:
         node = frontier.pop()
         for other in nbrs[node]:

@@ -118,8 +118,6 @@ def test_dimension_must_be_positive():
         wl_embed(build_graph(1, []), MetricConfig(dim=0))
     with pytest.raises(ConfigError):
         wl_embed(build_graph(1, []), MetricConfig(wl_iterations=-1))
-    with pytest.raises(ConfigError):
-        wl_embed(build_graph(1, []), MetricConfig(kind="spectral-cosine"))
 
 
 def _reference_rows(graphs, cfg):

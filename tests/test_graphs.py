@@ -9,6 +9,7 @@ from evokernel.errors import GraphConstructionError
 from evokernel.graphs import Graph, build_graph, normalized_laplacian, subgraph
 
 from .oracles import (
+    neighbour_lists,
     permute_graph,
     random_graph,
     reference_normalized_laplacian,
@@ -19,18 +20,15 @@ from .oracles import (
 def test_single_edge_graph(k2):
     assert k2.node_count == 2
     assert list(k2.degrees()) == [1, 1]
-    assert k2.volume() == 2
 
 
 def test_edgeless_graph():
     g = build_graph(3, [])
     assert g.edge_count == 0
-    assert g.volume() == 0
 
 
 def test_four_cycle_degrees(c4):
     assert list(c4.degrees()) == [2, 2, 2, 2]
-    assert c4.volume() == 8
 
 
 def test_out_of_range_edge_names_offender():
@@ -84,11 +82,11 @@ def test_isolated_node_gives_zero_row(k2):
 def test_adjacency_and_volume_invariants(seed):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, int(rng.integers(1, 25)), 0.3)
-    a = g.adjacency()
-    assert np.array_equal(a, a.T)
-    assert set(np.unique(a)) <= {0.0, 1.0}
-    assert g.volume() == 2 * g.edge_count
-    assert np.array_equal(g.degrees(), a.sum(axis=1).astype(int))
+    lists = neighbour_lists(g)
+    assert all(i in lists[j] for i, ns in enumerate(lists) for j in ns)
+    assert all(i not in ns and len(set(ns)) == len(ns) for i, ns in enumerate(lists))
+    assert int(g.degrees().sum()) == 2 * g.edge_count
+    assert g.degrees().tolist() == [len(ns) for ns in lists]
 
 
 @pytest.mark.parametrize("seed", range(8))

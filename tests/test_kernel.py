@@ -208,6 +208,28 @@ def test_kernel_rejects_bad_options():
         evolution_kernel(np.zeros((2, 2)), repair="shift")
 
 
+@pytest.mark.parametrize(
+    "d",
+    [np.full((3, 3), np.nan), np.array([[0.0, -1.0], [-1.0, 0.0]]), np.zeros((2, 3)), np.zeros(3)],
+    ids=["nan", "negative", "non-square", "one-dimensional"],
+)
+def test_kernel_rejects_bad_distances(d):
+    with pytest.raises(ContractError):
+        evolution_kernel(d)
+
+
+@pytest.mark.parametrize(
+    "m, ids",
+    [(np.eye(3), ["a", "b"]), (np.eye(3), ["a", "b", "c", "d"]), (np.zeros((2, 3)), None), (np.float64(1.0), None)],
+    ids=["few-ids", "many-ids", "non-square", "scalar"],
+)
+def test_csv_export_rejects_ids_unlike_the_rows(tmp_path, m, ids):
+    path = tmp_path / "matrix.csv"
+    with pytest.raises(ContractError, match="ids"):
+        export_matrix_csv(m, path, ids=ids)
+    assert not path.exists()
+
+
 def test_csv_export_roundtrip(tmp_path):
     m = np.array([[0.0, 1.25], [1.25, 0.0]])
     path = tmp_path / "matrix.csv"
