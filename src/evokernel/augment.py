@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .graphs import Graph, _edge_array, _induced_edges, _induced_graph, _laplacian, subgraph
+from .graphs import Graph, normalized_laplacian, subgraph
 from .heat import (
     METHOD_EXACT,
     HeatState,
@@ -76,7 +76,7 @@ def heat_distribution(state: HeatState, cfg: BoltzmannConfig) -> HeatDistributio
     """
     heat = np.asarray(state.heat, dtype=float)
     if heat.size and not np.all(np.isfinite(heat)):
-        raise ValueError("heat vector contains non-finite entries")
+        raise ContractError("heat vector contains non-finite entries")
     if heat.size == 0:
         empty = np.zeros(0)
         return HeatDistribution(t=state.t, probs=empty, normed=empty.copy())
@@ -93,7 +93,7 @@ def drop_node(g: Graph, dist: HeatDistribution, rng: np.random.Generator):
     source nodes. A node with normed probability 1 is always kept.
     """
     if len(dist.normed) != g.node_count:
-        raise ValueError(
+        raise ContractError(
             f"distribution over {len(dist.normed)} nodes for a graph with {g.node_count}"
         )
     keep = _bernoulli_keep(dist, rng)
@@ -131,8 +131,9 @@ def generate_episode(
     By default every snapshot is drawn from the original graph with the heat
     kernel at absolute time t_k. With ``cumulative`` each step drops from the
     previous snapshot using the time increment t_k - t_{k-1} on that
-    snapshot's own Laplacian. Either way snapshot k is the induced subgraph
-    of ``g`` on ``kept_masks[k]``, cut from one edge array of ``g``.
+    snapshot's own Laplacian. Either way snapshot k is ``subgraph(g,
+    kept_masks[k])``, and a step with nothing left to draw from keeps
+    nothing.
 
     The method is chosen from the time before anything is decomposed, and
     the spectrum is computed only when the method reads it: ``exact`` and
@@ -158,38 +159,25 @@ def generate_episode(
     if cfg is None:
         cfg = BoltzmannConfig()
 
-    def draw_probabilities(lap, spec, t):
-        if spec is None and reads_spectrum(method, t):
-            spec = spectral_decompose(lap)
-        hk = compute_heat_kernel(lap, spec, t, method)
-        return heat_distribution(propagate_heat(hk, u0), cfg), spec
-
-    source_edges = _edge_array(g)
+    lap, spec = normalized_laplacian(g), None
+    ids = np.arange(g.node_count)
+    grid = times.tolist()
     snapshots: list[Graph] = []
     masks: list[np.ndarray] = []
-
-    if not cumulative:
-        lap = _laplacian(g.node_count, source_edges)
-        spec = None
-        for k, t in enumerate(times):
-            dist, spec = draw_probabilities(lap, spec, float(t))
-            keep = _bernoulli_keep(dist, snapshot_rng(seed, graph_index, k))
-            edges = _induced_edges(source_edges, keep)
-            snapshots.append(_induced_graph(g, keep, edges))
-            masks.append(keep)
-    else:
-        keep = np.ones(g.node_count, dtype=bool)
-        edges = source_edges
-        for k, t in enumerate(times):
-            dt = float(t if k == 0 else t - times[k - 1])
-            survivors = np.flatnonzero(keep)
-            keep = np.zeros(g.node_count, dtype=bool)
-            if survivors.size:
-                dist, _ = draw_probabilities(_laplacian(survivors.size, edges), None, dt)
-                keep[survivors[_bernoulli_keep(dist, snapshot_rng(seed, graph_index, k))]] = True
-                edges = _induced_edges(source_edges, keep)
-            snapshots.append(_induced_graph(g, keep, edges))
-            masks.append(keep)
+    for k, t in enumerate(grid):
+        if cumulative and k:
+            t -= grid[k - 1]
+            ids = np.flatnonzero(masks[-1])
+            lap, spec = normalized_laplacian(snapshots[-1]), None
+        keep = np.zeros(g.node_count, dtype=bool)
+        if ids.size:
+            if spec is None and reads_spectrum(method, t):
+                spec = spectral_decompose(lap)
+            hk = compute_heat_kernel(lap, spec, t, method)
+            dist = heat_distribution(propagate_heat(hk, u0), cfg)
+            keep[ids[_bernoulli_keep(dist, snapshot_rng(seed, graph_index, k))]] = True
+        snapshots.append(subgraph(g, keep))
+        masks.append(keep)
 
     return TemporalEpisode(source=g, times=times, snapshots=snapshots, seed=int(seed), kept_masks=masks)
 

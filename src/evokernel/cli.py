@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 
-from .errors import EvoKernelError, StageError
-from .experiment import ExperimentConfig, run_experiment, sweep_time_length, write_sweep_csv
+from .errors import EvoKernelError
+from .experiment import ExperimentConfig, _stage, run_experiment, sweep_time_length, write_sweep_csv
 
 _HK_CHOICES = {"exact": "exact", "taylor": "taylor2", "fiedler": "fiedler", "auto": "auto"}
 
@@ -63,15 +62,6 @@ def _print_report(report) -> None:
     print(f"stage timings: {stages}")
 
 
-@contextmanager
-def _output_stage():
-    """Report an output file that cannot be written as an ``[output]`` failure."""
-    try:
-        yield
-    except OSError as exc:
-        raise StageError("output", exc) from exc
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="evokernel",
@@ -95,21 +85,16 @@ def main(argv=None) -> int:
             report = run_experiment(_config_from(args))
             _print_report(report)
             if args.out:
-                with _output_stage(), open(args.out, "w") as fh:
+                with _stage("output"), open(args.out, "w") as fh:
                     fh.write(report.to_json() + "\n")
                 print(f"report written to {args.out}")
         else:
-            try:
-                lengths = [float(x) for x in args.lengths.split(",") if x.strip()]
-            except ValueError:
-                print("evokernel: [config] --lengths must be a comma-separated list of numbers",
-                      file=sys.stderr)
-                return 1
+            lengths = [x for x in args.lengths.split(",") if x.strip()]
             reports = sweep_time_length(_config_from(args), lengths)
             for report in reports:
                 print(f"T={report.config['time_length']:g}  mean {report.mean_accuracy:.4f}  "
                       f"std {report.std_accuracy:.4f}")
-            with _output_stage():
+            with _stage("output"):
                 write_sweep_csv(reports, args.out)
             print(f"sweep curve written to {args.out}")
         return 0

@@ -17,12 +17,16 @@ class NumericalError(EvoKernelError):
     """Numerical routine failed or violated its tolerance (message carries the residual)."""
 
 
-class ConfigError(EvoKernelError):
-    """Invalid run configuration (time grid, fold count, option values)."""
+class ConfigError(EvoKernelError, ValueError):
+    """Invalid run configuration or scalar option (time grid, fold count, method, c).
+
+    Also a ``ValueError``, the type a bad argument value raises in Python.
+    """
 
 
-class ContractError(EvoKernelError):
-    """Inputs violate an inter-module contract, e.g. episodes on different time grids."""
+class ContractError(EvoKernelError, ValueError):
+    """Inputs violate an inter-module contract, e.g. episodes on different time grids
+    or a kernel row of the wrong length. Also a ``ValueError``."""
 
 
 class TrainingError(EvoKernelError):

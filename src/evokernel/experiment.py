@@ -18,7 +18,7 @@ import numbers
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -42,9 +42,14 @@ _FOLD_STREAM = 0xF01D
 # longer grid would exhaust memory while the grid itself is being built.
 MAX_TIME_STEPS = 10_000
 
-_STR_FIELDS = ("dataset_dir", "dataset_name", "psd_repair", "heat_method")
-_INT_FIELDS = ("wl_iterations", "embedding_dim", "folds", "seed")
-_REAL_FIELDS = ("time_length", "time_interval", "a", "b", "u0", "gamma_scale", "c")
+# What each declared field type accepts (annotations are strings here), and
+# its name in messages. A Python bool is accepted only for a bool field.
+_FIELD_TYPES = {
+    "str": (str, "a string"),
+    "bool": ((bool, np.bool_), "a boolean"),
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a real number"),
+}
 
 
 @dataclass
@@ -67,20 +72,13 @@ class ExperimentConfig:
     heat_method: str = METHOD_EXACT
 
     def validate(self) -> None:
-        for name in _STR_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise ConfigError(f"{name.replace('_', ' ')} must be a string, got {value!r}")
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name.replace('_', ' ')} must be an integer, got {value!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name.replace('_', ' ')} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ConfigError(f"{name.replace('_', ' ')} must be finite, got {value}")
+        for f in fields(self):
+            name, value = f.name.replace("_", " "), getattr(self, f.name)
+            accepted, kind = _FIELD_TYPES[f.type]
+            if not isinstance(value, accepted) or (isinstance(value, bool) and f.type != "bool"):
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.time_interval <= 0:
@@ -167,7 +165,7 @@ def _stage(name: str):
         yield
     except StageError:
         raise
-    except (EvoKernelError, ValueError, OSError) as exc:
+    except (EvoKernelError, ValueError, OSError) as exc:  # ValueError: numpy's LinAlgError
         raise StageError(name, exc) from exc
 
 

@@ -89,9 +89,18 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
     """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.
 
     Isolated nodes get all-zero rows and columns (the D^{-1/2}(i,i) = 0
-    convention), so every eigenvalue lies in [0, 2].
+    convention), so every eigenvalue lies in [0, 2]. Each entry is the one
+    ``-1.0 / sqrt(deg_i * deg_j)`` float64 operation of the textbook per-edge
+    loop.
     """
-    return _laplacian(g.node_count, _edge_array(g))
+    edges = _edge_array(g)
+    deg = _degrees(g.node_count, edges).astype(float)
+    lap = np.diag((deg > 0).astype(float))
+    i, j = edges[:, 0], edges[:, 1]
+    w = -1.0 / np.sqrt(deg[i] * deg[j])
+    lap[i, j] = w
+    lap[j, i] = w
+    return lap
 
 
 def subgraph(g: Graph, kept: np.ndarray) -> Graph:
@@ -105,11 +114,13 @@ def subgraph(g: Graph, kept: np.ndarray) -> Graph:
         raise GraphConstructionError(
             f"mask of length {kept.size} for graph with {g.node_count} nodes"
         )
-    return _induced_graph(g, kept, _induced_edges(_edge_array(g), kept))
-
-
-# Array forms shared by the functions above and by episode generation, which
-# cuts every snapshot from one edge array of its source graph.
+    edges = _edge_array(g)
+    # Edges with both ends kept, renumbered to the kept nodes' ranks.
+    edges = (np.cumsum(kept) - 1)[edges[kept[edges[:, 0]] & kept[edges[:, 1]]]]
+    labels = None
+    if g.node_labels is not None:
+        labels = tuple(compress(g.node_labels, kept.tolist()))
+    return Graph(int(np.count_nonzero(kept)), edges.tolist(), labels)
 
 
 def _edge_array(g: Graph) -> np.ndarray:
@@ -124,35 +135,3 @@ def _degrees(n: int, edges: np.ndarray) -> np.ndarray:
     if deg.size != n:  # a Graph built directly, without build_graph's checks
         raise GraphConstructionError(f"an edge endpoint lies outside [0, {n})")
     return deg
-
-
-def _induced_edges(edges: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Rows of ``edges`` with both ends kept, renumbered to the kept nodes' ranks.
-
-    Renumbering is monotone, so sorted rows with i < j stay sorted with i < j.
-    """
-    inside = kept[edges[:, 0]] & kept[edges[:, 1]]
-    return (np.cumsum(kept) - 1)[edges[inside]]
-
-
-def _laplacian(n: int, edges: np.ndarray) -> np.ndarray:
-    """Normalized Laplacian of the graph on ``n`` nodes with edge array ``edges``.
-
-    Each entry is the one ``-1.0 / sqrt(deg_i * deg_j)`` float64 operation of
-    the textbook per-edge loop, so the matrix does not depend on the form.
-    """
-    deg = _degrees(n, edges).astype(float)
-    lap = np.diag((deg > 0).astype(float))
-    i, j = edges[:, 0], edges[:, 1]
-    w = -1.0 / np.sqrt(deg[i] * deg[j])
-    lap[i, j] = w
-    lap[j, i] = w
-    return lap
-
-
-def _induced_graph(g: Graph, kept: np.ndarray, edges: np.ndarray) -> Graph:
-    """The subgraph of ``g`` on mask ``kept``, given its edges from :func:`_induced_edges`."""
-    labels = None
-    if g.node_labels is not None:
-        labels = tuple(compress(g.node_labels, kept.tolist()))
-    return Graph(int(np.count_nonzero(kept)), edges.tolist(), labels)

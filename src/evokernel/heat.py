@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, ContractError, NumericalError
 
 EIGENVALUE_CLAMP = 1e-9
 RECONSTRUCTION_TOL = 1e-8
@@ -81,7 +81,7 @@ def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:
 def heat_kernel_exact(spec: SpectralDecomposition, t: float) -> HeatKernel:
     """Closed-form kernel Phi e^{-t Lambda} Phi^T; entries are non-negative."""
     if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
+        raise ConfigError(f"time must be non-negative, got {t}")
     decay = np.exp(-t * spec.eigenvalues)
     matrix = (spec.eigenvectors * decay) @ spec.eigenvectors.T
     return HeatKernel(t=float(t), matrix=matrix, method=METHOD_EXACT)
@@ -90,7 +90,7 @@ def heat_kernel_exact(spec: SpectralDecomposition, t: float) -> HeatKernel:
 def heat_kernel_taylor2(lap: np.ndarray, t: float) -> HeatKernel:
     """Second-order truncation I - tL + (tL)^2/2, intended for small t."""
     if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
+        raise ConfigError(f"time must be non-negative, got {t}")
     lap = np.asarray(lap, dtype=float)
     n = lap.shape[0]
     tl = t * lap
@@ -105,9 +105,9 @@ def heat_kernel_fiedler(spec: SpectralDecomposition, t: float) -> HeatKernel:
     that every method agrees at the initial time.
     """
     if spec.n < 2:
-        raise ValueError("the Fiedler form needs at least 2 nodes")
+        raise ContractError("the Fiedler form needs at least 2 nodes")
     if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
+        raise ConfigError(f"time must be non-negative, got {t}")
     n = spec.n
     if t == 0:
         return HeatKernel(t=0.0, matrix=np.eye(n), method=METHOD_FIEDLER)
@@ -130,7 +130,7 @@ def compute_heat_kernel(
     one node every method gives [[1]]) and the result's ``method`` says so.
     """
     if spec is None and reads_spectrum(method, t):
-        raise ValueError(f"the {method!r} heat kernel at t={t} needs the spectral decomposition")
+        raise ContractError(f"the {method!r} heat kernel at t={t} needs the spectral decomposition")
     if method == METHOD_AUTO:
         method = select_heat_method(spec, t)
     if method == METHOD_EXACT or (method == METHOD_FIEDLER and spec.n < 2):
@@ -139,7 +139,7 @@ def compute_heat_kernel(
         return heat_kernel_taylor2(lap, t)
     if method == METHOD_FIEDLER:
         return heat_kernel_fiedler(spec, t)
-    raise ValueError(f"unknown heat-kernel method {method!r}")
+    raise ConfigError(f"unknown heat-kernel method {method!r}")
 
 
 def reads_spectrum(method: str, t: float) -> bool:
@@ -162,7 +162,7 @@ def select_heat_method(spec: SpectralDecomposition | None, t: float) -> str:
 def propagate_heat(hk: HeatKernel, u0: float) -> HeatState:
     """Evolve the uniform initial condition u0 on every node through the kernel."""
     if u0 <= 0:
-        raise ValueError(f"initial heat must be positive, got {u0}")
+        raise ConfigError(f"initial heat must be positive, got {u0}")
     n = hk.matrix.shape[0]
     heat = hk.matrix @ np.full(n, float(u0))
     return HeatState(t=hk.t, heat=heat)
@@ -173,7 +173,7 @@ def perturbation_gap(lap: np.ndarray, f: np.ndarray, t: float) -> float:
     lap = np.asarray(lap, dtype=float)
     f = np.asarray(f, dtype=float)
     if not np.all(np.isfinite(f)):
-        raise ValueError("perturbation must be finite")
+        raise ContractError("perturbation must be finite")
     exact = heat_kernel_exact(spectral_decompose(lap), t).matrix
     perturbed = _symmetric_expm(-t * (lap + f))
     return float(np.linalg.norm(exact - perturbed))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .augment import TemporalEpisode
 from .embedding import MetricConfig
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .gdtw import _count_distances, _cumulative_costs, _snapshot_counts
 
 # Snapshot distances are computed and aligned for blocks of episode rows of
@@ -100,9 +100,9 @@ def evolution_kernel(
     trades the exact unit diagonal for positive semidefiniteness.
     """
     if gamma_scale <= 0:
-        raise ValueError(f"gamma_scale must be positive, got {gamma_scale}")
+        raise ConfigError(f"gamma_scale must be positive, got {gamma_scale}")
     if repair not in ("none", "clip"):
-        raise ValueError(f"repair must be 'none' or 'clip', got {repair!r}")
+        raise ConfigError(f"repair must be 'none' or 'clip', got {repair!r}")
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ContractError(f"distance matrix must be square, got shape {d.shape}")

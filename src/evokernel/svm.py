@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrainingError
+from .errors import ConfigError, ContractError, TrainingError
 from .kernel import EvolutionKernelMatrix
 
 KKT_TOL = 1e-3
@@ -138,7 +138,7 @@ def svm_train(
     update cap, with the cap recorded on the machine.
     """
     if not 0 < c < math.inf:
-        raise ValueError(f"regularization c must be positive and finite, got {c}")
+        raise ConfigError(f"regularization c must be positive and finite, got {c}")
     k = kernel.k if isinstance(kernel, EvolutionKernelMatrix) else np.asarray(kernel, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
     train_idx = np.asarray(train_idx, dtype=np.int64)
@@ -151,9 +151,9 @@ def svm_train(
 
     k_train = k[np.ix_(train_idx, train_idx)]
     if not np.isfinite(k_train).all():
-        raise ValueError("training kernel has non-finite entries")
+        raise ContractError("training kernel has non-finite entries")
     if not np.array_equal(k_train, k_train.T):
-        raise ValueError("training kernel is not exactly symmetric")
+        raise ContractError("training kernel is not exactly symmetric")
     machines = []
     for cls in classes[:1] if len(classes) == 2 else classes:
         y = np.where(train_labels == cls, 1.0, -1.0)
@@ -171,11 +171,11 @@ def svm_predict(model: SvmModel, k_row: np.ndarray) -> int:
     """
     k_row = np.asarray(k_row, dtype=float)
     if k_row.shape != (model.train_size,):
-        raise ValueError(
+        raise ContractError(
             f"kernel row has length {k_row.size}, expected {model.train_size}"
         )
     if not np.isfinite(k_row).all():
-        raise ValueError("kernel row has non-finite entries")
+        raise ContractError("kernel row has non-finite entries")
     values = model.decision_values(k_row)
     if len(values) == 1:
         return int(model.classes[1] if values[0] < 0 else model.classes[0])

@@ -17,6 +17,7 @@ from evokernel.augment import (
     write_episode_jsonl,
 )
 from evokernel.errors import ConfigError, ContractError
+from evokernel.graphs import build_graph
 from evokernel.heat import SMALL_TIME_DEFAULT, HeatState
 
 from . import oracles
@@ -401,3 +402,26 @@ def test_cumulative_auto_decomposes_once_per_step_that_reads_the_spectrum(mutag,
         ]
     assert decompositions == expected
     assert len(expected) > 0
+
+
+def test_steps_with_no_nodes_to_draw_from_neither_decompose_nor_draw(p3, decompositions, monkeypatch):
+    """A cumulative step after a wipe-out, or any step of a 0-node source,
+    keeps nothing without a decomposition or an RNG substream."""
+    draws = []
+
+    def rng_at(seed, index, k):
+        draws.append(k)
+        return _WipeOut() if k == 1 else snapshot_rng(seed, index, k)
+
+    monkeypatch.setattr(augment, "snapshot_rng", rng_at)
+    episode = generate_episode(p3, GRID, DEFAULTS, 1.0, 42, cumulative=True)
+    assert draws == [0, 1]
+    assert decompositions == [3, episode.snapshots[0].node_count]
+    assert all(s.node_count == 0 for s in episode.snapshots[1:])
+
+    draws.clear()
+    decompositions.clear()
+    for cumulative in (False, True):
+        episode = generate_episode(build_graph(0, []), GRID, DEFAULTS, 1.0, 42, cumulative=cumulative)
+        assert [s.node_count for s in episode.snapshots] == [0] * len(GRID)
+    assert draws == [] and decompositions == []

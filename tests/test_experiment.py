@@ -291,11 +291,21 @@ def test_sweep_rejects_bad_lengths_before_loading(lengths, tmp_path):
         ("dataset_name", 7),
         ("psd_repair", None),
         ("heat_method", b"exact"),
+        ("cumulative", "false"),
+        ("cumulative", 1),
+        ("cumulative", None),
     ],
 )
 def test_mistyped_config_fields_fail_at_config(field, value):
     with pytest.raises(StageError, match=r"\[config\]"):
         run_experiment(fast_config(**{field: value}), dataset=synthetic_dataset())
+
+
+def test_numpy_bool_cumulative_runs_and_echoes_true():
+    report = run_experiment(fast_config(cumulative=np.True_), dataset=synthetic_dataset())
+    assert '"cumulative": true' in report.canonical_json()
+    plain = run_experiment(fast_config(cumulative=True), dataset=synthetic_dataset())
+    assert report.canonical_json() == plain.canonical_json()
 
 
 def test_numpy_scalar_fields_give_the_same_report():
