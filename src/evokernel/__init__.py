@@ -37,7 +37,6 @@ from .gdtw import (
 )
 from .graphs import (
     Graph,
-    build_graph,
     normalized_laplacian,
     subgraph,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "TrainingError",
     "WarpingResult",
     "WlEmbedding",
-    "build_graph",
     "build_warping_matrix",
     "clip_psd",
     "compute_heat_kernel",

@@ -9,6 +9,7 @@ episode of snapshots of the source graph.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,6 +75,8 @@ def heat_distribution(state: HeatState, cfg: BoltzmannConfig) -> HeatDistributio
     which guards overflow and makes the hottest node's rescaled probability
     exactly 1.
     """
+    if not math.isfinite(cfg.a):
+        raise ConfigError(f"energy weight a must be finite, got {cfg.a}")
     heat = np.asarray(state.heat, dtype=float)
     if heat.size and not np.all(np.isfinite(heat)):
         raise ContractError("heat vector contains non-finite entries")
@@ -156,6 +159,8 @@ def generate_episode(
         raise ConfigError(f"time grid must start at 0, got {times[0]}")
     if np.any(np.diff(times) <= 0):
         raise ConfigError("time grid must be strictly ascending")
+    if seed < 0 or graph_index < 0:
+        raise ConfigError(f"seed and graph index must be non-negative, got {seed} and {graph_index}")
     if cfg is None:
         cfg = BoltzmannConfig()
 

@@ -19,12 +19,13 @@ signature and each distinct (round, label) pair is hashed once per batch.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .graphs import Graph
 
 # Refined labels are compressed to a 16-byte digest each round so signatures
@@ -44,6 +45,9 @@ class MetricConfig:
     dim: int = 1024
 
     def validate(self) -> None:
+        for name, value in (("embedding dimension", self.dim), ("refinement depth", self.wl_iterations)):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.dim < 1:
             raise ConfigError(f"embedding dimension must be >= 1, got {self.dim}")
         if self.wl_iterations < 0:
@@ -110,8 +114,6 @@ def _embed_batch(graphs: list[Graph], cfg: MetricConfig, out: np.ndarray) -> Non
         dtype=np.int64,
         count=2 * int(edge_counts.sum()),
     ).reshape(-1, 2)
-    if ends.size and (ends.min() < 0 or np.any(ends >= np.repeat(nodes, edge_counts)[:, None])):
-        raise ContractError("an edge endpoint lies outside its graph")
     ends += np.repeat(np.cumsum(nodes) - nodes, edge_counts)[:, None]
     src = np.concatenate([ends[:, 0], ends[:, 1]])
     dst = np.concatenate([ends[:, 1], ends[:, 0]])

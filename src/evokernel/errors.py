@@ -6,7 +6,9 @@ class EvoKernelError(Exception):
 
 
 class GraphConstructionError(EvoKernelError):
-    """Invalid graph input: out-of-range endpoint, self-loop or duplicate edge in strict mode."""
+    """Invalid graph input: a negative node count, an edge that is not a pair, an
+    out-of-range endpoint, a self-loop, a repeated edge, or a label list or mask
+    of the wrong length."""
 
 
 class DatasetError(EvoKernelError):

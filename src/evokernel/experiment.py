@@ -176,6 +176,10 @@ def stratified_folds(labels, folds: int, seed: int) -> list[tuple[np.ndarray, np
     the starting fold rotating between classes so remainders spread evenly.
     Per-class counts across folds differ by at most one.
     """
+    if not isinstance(folds, numbers.Integral) or isinstance(folds, bool) or folds < 2:
+        raise ConfigError(f"need an integer number of at least 2 folds, got {folds!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
     classes, counts = np.unique(labels, return_counts=True)

@@ -14,14 +14,32 @@ class Graph:
 
     Edges are stored as a sorted tuple of (i, j) pairs with i < j so iteration
     order never depends on hashing; instances must not be mutated after
-    construction.
+    construction. The constructor accepts each undirected edge once, in
+    either orientation, and raises :class:`GraphConstructionError` for a
+    negative node count, an entry that is not a pair of integers, an endpoint
+    outside ``[0, node_count)``, a self-loop or a repeated edge.
     """
 
     def __init__(self, node_count: int, edges, node_labels=None):
-        self.node_count = int(node_count)
-        self.edges = tuple(
-            sorted((int(i), int(j)) if i <= j else (int(j), int(i)) for i, j in edges)
-        )
+        n = self.node_count = int(node_count)
+        if n < 0:
+            raise GraphConstructionError(f"negative node count {n}")
+        pairs = []
+        for edge in edges:
+            try:
+                i, j = edge
+                i, j = int(i), int(j)
+            except (TypeError, ValueError):
+                raise GraphConstructionError(f"edge {edge!r} is not a pair of integers") from None
+            if not (0 <= i < n and 0 <= j < n):
+                raise GraphConstructionError(f"edge ({i}, {j}) has an endpoint outside [0, {n})")
+            if i == j:
+                raise GraphConstructionError(f"self-loop ({i}, {j})")
+            pairs.append((i, j) if i < j else (j, i))
+        self.edges = tuple(sorted(pairs))
+        for kept, repeat in zip(self.edges, self.edges[1:]):
+            if kept == repeat:
+                raise GraphConstructionError(f"duplicate edge {repeat}")
         if node_labels is None:
             self.node_labels = None
         else:
@@ -36,7 +54,7 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        return _degrees(self.node_count, _edge_array(self))
+        return np.bincount(_edge_array(self).ravel(), minlength=self.node_count)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -54,37 +72,6 @@ class Graph:
         return f"Graph(n={self.node_count}, m={self.edge_count})"
 
 
-def build_graph(node_count: int, edge_list, node_labels=None, strict: bool = True) -> Graph:
-    """Validate an edge list and build a :class:`Graph`.
-
-    Endpoints outside ``[0, node_count)`` always raise. With ``strict`` a
-    self-loop or duplicate edge raises too; otherwise self-loops are dropped
-    and duplicates collapsed.
-    """
-    if node_count < 0:
-        raise GraphConstructionError(f"negative node count {node_count}")
-    seen: set[tuple[int, int]] = set()
-    edges = []
-    for raw in edge_list:
-        i, j = int(raw[0]), int(raw[1])
-        if not (0 <= i < node_count) or not (0 <= j < node_count):
-            raise GraphConstructionError(
-                f"edge ({i}, {j}) has an endpoint outside [0, {node_count})"
-            )
-        if i == j:
-            if strict:
-                raise GraphConstructionError(f"self-loop ({i}, {j})")
-            continue
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            if strict:
-                raise GraphConstructionError(f"duplicate edge ({i}, {j})")
-            continue
-        seen.add(key)
-        edges.append(key)
-    return Graph(node_count, edges, node_labels)
-
-
 def normalized_laplacian(g: Graph) -> np.ndarray:
     """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.
 
@@ -94,7 +81,7 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
     loop.
     """
     edges = _edge_array(g)
-    deg = _degrees(g.node_count, edges).astype(float)
+    deg = np.bincount(edges.ravel(), minlength=g.node_count).astype(float)
     lap = np.diag((deg > 0).astype(float))
     i, j = edges[:, 0], edges[:, 1]
     w = -1.0 / np.sqrt(deg[i] * deg[j])
@@ -129,9 +116,3 @@ def _edge_array(g: Graph) -> np.ndarray:
         chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.edge_count
     ).reshape(-1, 2)
 
-
-def _degrees(n: int, edges: np.ndarray) -> np.ndarray:
-    deg = np.bincount(edges.ravel(), minlength=n)
-    if deg.size != n:  # a Graph built directly, without build_graph's checks
-        raise GraphConstructionError(f"an edge endpoint lies outside [0, {n})")
-    return deg

@@ -7,6 +7,7 @@ covers large times. All operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,8 @@ def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:
 
 def heat_kernel_exact(spec: SpectralDecomposition, t: float) -> HeatKernel:
     """Closed-form kernel Phi e^{-t Lambda} Phi^T; entries are non-negative."""
-    if t < 0:
-        raise ConfigError(f"time must be non-negative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ConfigError(f"time must be finite and non-negative, got {t}")
     decay = np.exp(-t * spec.eigenvalues)
     matrix = (spec.eigenvectors * decay) @ spec.eigenvectors.T
     return HeatKernel(t=float(t), matrix=matrix, method=METHOD_EXACT)
@@ -89,8 +90,8 @@ def heat_kernel_exact(spec: SpectralDecomposition, t: float) -> HeatKernel:
 
 def heat_kernel_taylor2(lap: np.ndarray, t: float) -> HeatKernel:
     """Second-order truncation I - tL + (tL)^2/2, intended for small t."""
-    if t < 0:
-        raise ConfigError(f"time must be non-negative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ConfigError(f"time must be finite and non-negative, got {t}")
     lap = np.asarray(lap, dtype=float)
     n = lap.shape[0]
     tl = t * lap
@@ -106,8 +107,8 @@ def heat_kernel_fiedler(spec: SpectralDecomposition, t: float) -> HeatKernel:
     """
     if spec.n < 2:
         raise ContractError("the Fiedler form needs at least 2 nodes")
-    if t < 0:
-        raise ConfigError(f"time must be non-negative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ConfigError(f"time must be finite and non-negative, got {t}")
     n = spec.n
     if t == 0:
         return HeatKernel(t=0.0, matrix=np.eye(n), method=METHOD_FIEDLER)
@@ -161,19 +162,26 @@ def select_heat_method(spec: SpectralDecomposition | None, t: float) -> str:
 
 def propagate_heat(hk: HeatKernel, u0: float) -> HeatState:
     """Evolve the uniform initial condition u0 on every node through the kernel."""
-    if u0 <= 0:
-        raise ConfigError(f"initial heat must be positive, got {u0}")
+    if not 0 < u0 < math.inf:
+        raise ConfigError(f"initial heat must be positive and finite, got {u0}")
     n = hk.matrix.shape[0]
     heat = hk.matrix @ np.full(n, float(u0))
     return HeatState(t=hk.t, heat=heat)
 
 
 def perturbation_gap(lap: np.ndarray, f: np.ndarray, t: float) -> float:
-    """Frobenius gap between e^{-t L} and e^{-t (L + F)} for a symmetric perturbation F."""
+    """Frobenius gap between e^{-t L} and e^{-t (L + F)} for a symmetric perturbation F.
+
+    F must have the shape of L and be finite and exactly symmetric.
+    """
     lap = np.asarray(lap, dtype=float)
     f = np.asarray(f, dtype=float)
+    if f.shape != lap.shape:
+        raise ContractError(f"perturbation of shape {f.shape} for a Laplacian of shape {lap.shape}")
     if not np.all(np.isfinite(f)):
         raise ContractError("perturbation must be finite")
+    if not np.array_equal(f, f.T):
+        raise ContractError("perturbation must be exactly symmetric")
     exact = heat_kernel_exact(spectral_decompose(lap), t).matrix
     perturbed = _symmetric_expm(-t * (lap + f))
     return float(np.linalg.norm(exact - perturbed))

@@ -8,6 +8,7 @@ clipping is available (and on by default downstream) to repair it.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +100,8 @@ def evolution_kernel(
     negative eigenvalues zeroed, reconstructed and re-symmetrized; that
     trades the exact unit diagonal for positive semidefiniteness.
     """
-    if gamma_scale <= 0:
-        raise ConfigError(f"gamma_scale must be positive, got {gamma_scale}")
+    if not 0 < gamma_scale < math.inf:
+        raise ConfigError(f"gamma_scale must be positive and finite, got {gamma_scale}")
     if repair not in ("none", "clip"):
         raise ConfigError(f"repair must be 'none' or 'clip', got {repair!r}")
     d = np.asarray(d, dtype=float)
@@ -122,7 +123,12 @@ def evolution_kernel(
 
 
 def clip_psd(k: np.ndarray) -> np.ndarray:
-    """Project onto the PSD cone by zeroing negative eigenvalues."""
+    """Project a finite square matrix onto the PSD cone by zeroing negative eigenvalues."""
+    k = np.asarray(k, dtype=float)
+    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        raise ContractError(f"matrix must be square, got shape {k.shape}")
+    if not np.isfinite(k).all():
+        raise ContractError("matrix has non-finite entries")
     w, v = np.linalg.eigh(k)
     w = np.clip(w, 0.0, None)
     repaired = (v * w) @ v.T

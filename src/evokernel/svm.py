@@ -133,17 +133,23 @@ def svm_train(
 ) -> SvmModel:
     """Train one binary SMO problem per class, or a single one for two classes.
 
-    The kernel is restricted to train_idx x train_idx, which must be finite
-    and exactly symmetric. Convergence is max KKT violation <= tol or the
-    update cap, with the cap recorded on the machine.
+    The kernel is n x n for n labels and is restricted to train_idx x
+    train_idx (ids in [0, n)), which must be finite and exactly symmetric.
+    Convergence is max KKT violation <= tol or the update cap, with the cap
+    recorded on the machine.
     """
     if not 0 < c < math.inf:
         raise ConfigError(f"regularization c must be positive and finite, got {c}")
     k = kernel.k if isinstance(kernel, EvolutionKernelMatrix) else np.asarray(kernel, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
     train_idx = np.asarray(train_idx, dtype=np.int64)
+    n = len(labels)
+    if k.shape != (n, n):
+        raise ContractError(f"kernel of shape {k.shape} for {n} labels")
     if train_idx.size == 0:
         raise TrainingError("empty training set")
+    if train_idx.ndim != 1 or train_idx.min() < 0 or train_idx.max() >= n:
+        raise ContractError(f"training indices must be a list of ids in [0, {n})")
     train_labels = labels[train_idx]
     classes = np.unique(train_labels)
     if len(classes) < 2:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError
-from .graphs import Graph, build_graph
+from .graphs import Graph
 
 
 @dataclass
@@ -60,9 +60,9 @@ def load_tu_dataset(directory, name: str) -> GraphDataset:
     """Load dataset ``name`` from ``directory``.
 
     Node ids are reindexed to 0-based ids local to their graph, the doubled
-    directed edges are collapsed to one undirected edge, and graph labels are
-    remapped to contiguous 0-based class ids. Graphs without a node-label file
-    get their degree as label.
+    directed edges are collapsed to one undirected edge, self-loops are
+    dropped, and graph labels are remapped to contiguous 0-based class ids.
+    Graphs without a node-label file get their degree as label.
     """
     directory = Path(directory)
 
@@ -140,11 +140,10 @@ def load_tu_dataset(directory, name: str) -> GraphDataset:
 
     graphs = []
     for gid in range(n_graphs):
-        g = build_graph(
+        g = Graph(
             int(node_counts[gid]),
-            sorted(edge_sets[gid]),
+            edge_sets[gid],
             node_labels[gid] if node_labels is not None else None,
-            strict=False,
         )
         if g.node_labels is None:
             # Standard fallback: a node's degree stands in for its label.

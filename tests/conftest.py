@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from evokernel.graphs import Graph, build_graph
+from evokernel.graphs import Graph
 from evokernel.tu_io import load_tu_dataset
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -12,26 +12,26 @@ DATA_DIR = Path(__file__).parent / "data"
 
 @pytest.fixture
 def k2() -> Graph:
-    return build_graph(2, [(0, 1)])
+    return Graph(2, [(0, 1)])
 
 
 @pytest.fixture
 def p3() -> Graph:
-    return build_graph(3, [(0, 1), (1, 2)])
+    return Graph(3, [(0, 1), (1, 2)])
 
 
 @pytest.fixture
 def c4() -> Graph:
-    return build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    return Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
 def star(leaves: int) -> Graph:
     """Node 0 is the hub."""
-    return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def triangle() -> Graph:
-    return build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    return Graph(3, [(0, 1), (1, 2), (0, 2)])
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from evokernel.augment import (
     snapshot_rng,
 )
 from evokernel.embedding import wl_embed_batch
-from evokernel.graphs import Graph, build_graph
+from evokernel.graphs import Graph
 from evokernel.heat import METHOD_EXACT, compute_heat_kernel, propagate_heat, spectral_decompose
 
 
@@ -352,7 +352,7 @@ def random_graph(rng: np.random.Generator, n: int, p: float, labels: bool = Fals
     """Erdos-Renyi style graph; optional random small-integer node labels."""
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     node_labels = rng.integers(0, 4, size=n).tolist() if labels else None
-    return build_graph(n, edges, node_labels)
+    return Graph(n, edges, node_labels)
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -387,7 +387,21 @@ def permute_graph(g: Graph, perm: np.ndarray) -> Graph:
         labels = [0] * g.node_count
         for old, new in enumerate(perm):
             labels[int(new)] = g.node_labels[old]
-    return build_graph(g.node_count, edges, labels)
+    return Graph(g.node_count, edges, labels)
+
+
+def reference_simple_edges(n: int, edges) -> tuple[tuple[int, int], ...] | None:
+    """Canonical edge tuple of a simple graph on ``n`` nodes, through a set of
+    frozensets; None if ``n`` is negative, an endpoint lies outside [0, n), an
+    edge is a self-loop, or an undirected edge is listed twice."""
+    seen: set[frozenset[int]] = set()
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            return None
+        seen.add(frozenset((i, j)))
+    if n < 0 or len(seen) != len(edges):
+        return None
+    return tuple(sorted((min(e), max(e)) for e in seen))
 
 
 def reference_normalized_laplacian(g: Graph) -> np.ndarray:

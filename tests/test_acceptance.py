@@ -16,7 +16,7 @@ from evokernel.augment import BoltzmannConfig, HeatDistribution, drop_node, gene
 from evokernel.cli import main as cli_main
 from evokernel.experiment import ExperimentConfig, run_experiment
 from evokernel.gdtw import gdtw_distance
-from evokernel.graphs import build_graph, normalized_laplacian
+from evokernel.graphs import Graph, normalized_laplacian
 from evokernel.heat import (
     HeatState,
     heat_kernel_exact,
@@ -124,7 +124,7 @@ def test_criterion_5_augmentation_statistics(mutag):
     with criterion(5, "augmentation statistics", 60.0):
         # Bernoulli keep frequencies against the rescaled probabilities
         probs = np.array([1.0, 0.75, 0.5, 0.25, 0.1, 1.0])
-        g = build_graph(6, [(i, i + 1) for i in range(5)])
+        g = Graph(6, [(i, i + 1) for i in range(5)])
         dist = HeatDistribution(t=1.0, probs=probs / probs.sum(), normed=probs)
         rng = np.random.default_rng(90210)
         draws = 10_000

@@ -17,7 +17,7 @@ from evokernel.augment import (
     write_episode_jsonl,
 )
 from evokernel.errors import ConfigError, ContractError
-from evokernel.graphs import build_graph
+from evokernel.graphs import Graph
 from evokernel.heat import SMALL_TIME_DEFAULT, HeatState
 
 from . import oracles
@@ -422,6 +422,6 @@ def test_steps_with_no_nodes_to_draw_from_neither_decompose_nor_draw(p3, decompo
     draws.clear()
     decompositions.clear()
     for cumulative in (False, True):
-        episode = generate_episode(build_graph(0, []), GRID, DEFAULTS, 1.0, 42, cumulative=cumulative)
+        episode = generate_episode(Graph(0, []), GRID, DEFAULTS, 1.0, 42, cumulative=cumulative)
         assert [s.node_count for s in episode.snapshots] == [0] * len(GRID)
     assert draws == [] and decompositions == []

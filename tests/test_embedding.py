@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from evokernel import embedding
 from evokernel.augment import generate_episode
 from evokernel.embedding import MetricConfig, delta, wl_embed, wl_embed_batch
-from evokernel.errors import ConfigError, ContractError
+from evokernel.errors import ConfigError
 from evokernel.experiment import ExperimentConfig
-from evokernel.graphs import Graph, build_graph
+from evokernel.graphs import Graph
 
 from .conftest import star
 from .oracles import (
@@ -27,7 +27,7 @@ WIDE = MetricConfig(dim=2 ** 20)
 
 
 def test_empty_graph_embeds_to_zero():
-    emb = wl_embed(build_graph(0, []))
+    emb = wl_embed(Graph(0, []))
     assert np.array_equal(emb.vector, np.zeros(1024))
 
 
@@ -53,8 +53,8 @@ def test_delta_identity(p3):
 
 
 def test_delta_to_empty_graph_is_one(p3):
-    assert delta(p3, build_graph(0, [])) == pytest.approx(1.0, abs=1e-12)
-    assert delta(build_graph(0, []), build_graph(0, [])) == 0.0
+    assert delta(p3, Graph(0, [])) == pytest.approx(1.0, abs=1e-12)
+    assert delta(Graph(0, []), Graph(0, [])) == 0.0
 
 
 def test_delta_matches_dictionary_oracle(k2, p3):
@@ -100,24 +100,24 @@ def test_buckets_come_from_stable_hash(k2):
 
 
 def test_zero_iterations_uses_raw_labels_only():
-    g1 = build_graph(2, [(0, 1)], node_labels=[5, 5])
-    g2 = build_graph(2, [], node_labels=[5, 5])
+    g1 = Graph(2, [(0, 1)], node_labels=[5, 5])
+    g2 = Graph(2, [], node_labels=[5, 5])
     cfg = MetricConfig(wl_iterations=0)
     assert delta(g1, g2, cfg) == 0.0  # structure invisible without refinement
     assert delta(g1, g2, MetricConfig(wl_iterations=1)) > 0.0
 
 
 def test_node_labels_override_degrees():
-    labeled = build_graph(3, [(0, 1), (1, 2)], node_labels=[4, 4, 4])
-    unlabeled = build_graph(3, [(0, 1), (1, 2)])
+    labeled = Graph(3, [(0, 1), (1, 2)], node_labels=[4, 4, 4])
+    unlabeled = Graph(3, [(0, 1), (1, 2)])
     assert delta(labeled, unlabeled) > 0.0
 
 
 def test_dimension_must_be_positive():
     with pytest.raises(ConfigError):
-        wl_embed(build_graph(1, []), MetricConfig(dim=0))
+        wl_embed(Graph(1, []), MetricConfig(dim=0))
     with pytest.raises(ConfigError):
-        wl_embed(build_graph(1, []), MetricConfig(wl_iterations=-1))
+        wl_embed(Graph(1, []), MetricConfig(wl_iterations=-1))
 
 
 def _reference_rows(graphs, cfg):
@@ -147,7 +147,7 @@ def wide_graphs(draw):
     p = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     labels = draw(st.none() | st.lists(st.integers(-3, 120), min_size=n, max_size=n))
-    return build_graph(n, edges, labels)
+    return Graph(n, edges, labels)
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,9 +163,9 @@ def test_batch_equals_reference_on_random_graphs(graphs, iterations, dim):
 
 def test_neighbour_labels_sort_as_strings():
     # "10" < "2" and "12" < "2": both orders differ from the numeric one.
-    labelled = build_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)], node_labels=[2, 10, 2, 9, 10])
+    labelled = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)], node_labels=[2, 10, 2, 9, 10])
     # Node 1 has degree 2 and neighbours of degree 12 (the hub) and 2.
-    degree_labelled = build_graph(15, [(0, leaf) for leaf in range(1, 13)] + [(1, 13), (13, 14)])
+    degree_labelled = Graph(15, [(0, leaf) for leaf in range(1, 13)] + [(1, 13), (13, 14)])
     for g in (labelled, degree_labelled):
         for iterations in (1, 2):
             cfg = MetricConfig(wl_iterations=iterations, dim=2 ** 20)
@@ -174,19 +174,19 @@ def test_neighbour_labels_sort_as_strings():
 
 def test_batch_edge_cases_equal_reference():
     graphs = [
-        build_graph(0, []),
-        build_graph(3, []),  # isolated nodes, degree labels
-        build_graph(3, [], node_labels=[1, 1, 12]),
-        build_graph(0, [], node_labels=[]),
-        build_graph(4, [(0, 1), (1, 2)], node_labels=[2, 10, 2, 7]),  # one isolated node
+        Graph(0, []),
+        Graph(3, []),  # isolated nodes, degree labels
+        Graph(3, [], node_labels=[1, 1, 12]),
+        Graph(0, [], node_labels=[]),
+        Graph(4, [(0, 1), (1, 2)], node_labels=[2, 10, 2, 7]),  # one isolated node
         star(11),
-        build_graph(4, [(0, 1), (1, 2), (2, 3)], node_labels=[2 ** 70, -5, 3, 2 ** 70]),
-        build_graph(0, []),
+        Graph(4, [(0, 1), (1, 2), (2, 3)], node_labels=[2 ** 70, -5, 3, 2 ** 70]),
+        Graph(0, []),
     ]
     for cfg in (MetricConfig(), MetricConfig(wl_iterations=0, dim=5)):
         assert np.array_equal(wl_embed_batch(graphs, cfg), _reference_rows(graphs, cfg))
     assert wl_embed_batch([], MetricConfig(dim=8)).shape == (0, 8)
-    assert np.array_equal(wl_embed_batch([build_graph(0, [])] * 3), np.zeros((3, 1024)))
+    assert np.array_equal(wl_embed_batch([Graph(0, [])] * 3), np.zeros((3, 1024)))
 
 
 def test_row_depends_only_on_its_graph():
@@ -203,7 +203,7 @@ def test_row_depends_only_on_its_graph():
 
 def test_large_inputs_are_split_into_bounded_batches(monkeypatch):
     rings = [
-        build_graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)])
+        Graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)])
         for n in range(120, 240, 2)
     ]
     rings.append(star(20000))  # larger than one batch on its own
@@ -221,7 +221,3 @@ def test_large_inputs_are_split_into_bounded_batches(monkeypatch):
     assert sum(count for count, _ in sizes) == len(rings)
     assert np.array_equal(batch, _reference_rows(rings, MetricConfig()))
 
-
-def test_edge_endpoint_outside_graph_is_rejected():
-    with pytest.raises(ContractError):
-        wl_embed_batch([build_graph(2, [(0, 1)]), Graph(2, [(0, 5)])])

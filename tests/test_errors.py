@@ -9,9 +9,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from evokernel.augment import BoltzmannConfig, HeatDistribution, drop_node, heat_distribution
+from evokernel.augment import (
+    BoltzmannConfig,
+    HeatDistribution,
+    drop_node,
+    generate_episode,
+    heat_distribution,
+)
+from evokernel.embedding import MetricConfig, wl_embed_batch
 from evokernel.errors import ConfigError, ContractError, EvoKernelError
-from evokernel.graphs import build_graph, normalized_laplacian
+from evokernel.experiment import stratified_folds
+from evokernel.graphs import Graph, normalized_laplacian
 from evokernel.heat import (
     HeatState,
     compute_heat_kernel,
@@ -22,12 +30,13 @@ from evokernel.heat import (
     propagate_heat,
     spectral_decompose,
 )
-from evokernel.kernel import evolution_kernel
+from evokernel.kernel import clip_psd, evolution_kernel
 from evokernel.svm import svm_predict, svm_train
 
-PATH = build_graph(3, [(0, 1), (1, 2)])
+PATH = Graph(3, [(0, 1), (1, 2)])
 LAP = normalized_laplacian(PATH)
 SPEC = spectral_decompose(LAP)
+NAN, INF = float("nan"), float("inf")
 KERNEL = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]])
 LABELS = np.array([0, 1, 1])
 
@@ -71,6 +80,45 @@ CALLS = {
     ),
     "row-length": (ContractError, lambda: svm_predict(_model(), np.ones(2))),
     "row-non-finite": (ContractError, lambda: svm_predict(_model(), np.array([1.0, np.nan, 0.0]))),
+    # Non-finite scalar options fail their range guards.
+    "gamma-scale-nan": (ConfigError, lambda: evolution_kernel(np.zeros((2, 2)), gamma_scale=NAN)),
+    "gamma-scale-inf": (ConfigError, lambda: evolution_kernel(np.zeros((2, 2)), gamma_scale=INF)),
+    "exact-nan-time": (ConfigError, lambda: heat_kernel_exact(SPEC, NAN)),
+    "exact-infinite-time": (ConfigError, lambda: heat_kernel_exact(SPEC, INF)),
+    "taylor-nan-time": (ConfigError, lambda: heat_kernel_taylor2(LAP, NAN)),
+    "fiedler-nan-time": (ConfigError, lambda: heat_kernel_fiedler(SPEC, NAN)),
+    "u0-nan": (ConfigError, lambda: propagate_heat(heat_kernel_exact(SPEC, 1.0), NAN)),
+    "energy-weight-nan": (
+        ConfigError,
+        lambda: heat_distribution(HeatState(0.0, np.ones(3)), BoltzmannConfig(a=NAN)),
+    ),
+    "energy-weight-inf": (
+        ConfigError,
+        lambda: generate_episode(PATH, [0.0, 0.1], BoltzmannConfig(a=-INF)),
+    ),
+    # Fold counts and seeds.
+    "folds-zero": (ConfigError, lambda: stratified_folds([0, 0, 1, 1], 0, 0)),
+    "folds-negative": (ConfigError, lambda: stratified_folds([0, 0, 1, 1], -1, 0)),
+    "folds-one": (ConfigError, lambda: stratified_folds([0, 0, 1, 1], 1, 0)),
+    "folds-negative-seed": (ConfigError, lambda: stratified_folds([0, 0, 1, 1], 2, -1)),
+    "episode-negative-seed": (ConfigError, lambda: generate_episode(PATH, [0.0, 0.1], seed=-1)),
+    # Embedding sizes must be integers.
+    "dim-fraction": (ConfigError, lambda: wl_embed_batch([PATH], MetricConfig(dim=1.5))),
+    "dim-bool": (ConfigError, lambda: wl_embed_batch([PATH], MetricConfig(dim=True))),
+    "iterations-fraction": (
+        ConfigError,
+        lambda: wl_embed_batch([PATH], MetricConfig(wl_iterations=2.5)),
+    ),
+    # Array contracts.
+    "train-index-outside": (ContractError, lambda: svm_train(KERNEL, LABELS, [0, 1, 3])),
+    "train-index-negative": (ContractError, lambda: svm_train(KERNEL, LABELS, [-1, 0, 1])),
+    "perturbation-shape": (ContractError, lambda: perturbation_gap(LAP, np.zeros((2, 2)), 1.0)),
+    "perturbation-asymmetric": (
+        ContractError,
+        lambda: perturbation_gap(LAP, np.triu(np.full((3, 3), 1e-3)), 1.0),
+    ),
+    "clip-non-square": (ContractError, lambda: clip_psd(np.ones((2, 3)))),
+    "clip-non-finite": (ContractError, lambda: clip_psd(np.full((2, 2), NAN))),
 }
 
 

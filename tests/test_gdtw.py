@@ -17,7 +17,7 @@ from evokernel.gdtw import (
     gdtw_distance,
     warping_to_json,
 )
-from evokernel.graphs import Graph, build_graph
+from evokernel.graphs import Graph
 from evokernel.kernel import distance_matrix
 
 from .conftest import star, triangle
@@ -47,8 +47,8 @@ def _episode(snapshots) -> TemporalEpisode:
 
 @pytest.fixture
 def fixture_episodes():
-    left = _episode([triangle(), star(3), build_graph(2, [(0, 1)])])
-    right = _episode([star(3), star(2), build_graph(3, [(0, 1), (1, 2)])])
+    left = _episode([triangle(), star(3), Graph(2, [(0, 1)])])
+    right = _episode([star(3), star(2), Graph(3, [(0, 1), (1, 2)])])
     return left, right
 
 
@@ -96,7 +96,7 @@ def test_count_grams_equal_python_int_grams(isolated, dtype):
     ]
     if isolated:
         # (1,100 nodes * 4 rounds)^2 > 2^24: the bound asks for float64.
-        graphs.append(build_graph(isolated, []))
+        graphs.append(Graph(isolated, []))
     counts, sq = _snapshot_counts(graphs, CFG)
     assert counts.dtype == dtype
     rows = [reference_wl_counts(g, CFG.wl_iterations, CFG.dim) for g in graphs]
@@ -109,7 +109,7 @@ def test_count_grams_equal_python_int_grams(isolated, dtype):
 
 def test_count_distances_are_the_embedding_distances():
     rng = np.random.default_rng(82)
-    graphs = [build_graph(0, [])]
+    graphs = [Graph(0, [])]
     graphs += [random_graph(rng, int(rng.integers(1, 15)), 0.4) for _ in range(12)]
     counts, sq = _snapshot_counts(graphs, CFG)
     d = _count_distances(counts, counts, sq, sq)

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evokernel.embedding import MetricConfig, wl_embed_batch
 from evokernel.errors import GraphConstructionError
-from evokernel.graphs import Graph, build_graph, normalized_laplacian, subgraph
+from evokernel.graphs import Graph, normalized_laplacian, subgraph
 
 from .oracles import (
     neighbour_lists,
     permute_graph,
     random_graph,
     reference_normalized_laplacian,
+    reference_simple_edges,
     reference_subgraph,
+    reference_wl_embed,
 )
 
 
@@ -23,7 +26,7 @@ def test_single_edge_graph(k2):
 
 
 def test_edgeless_graph():
-    g = build_graph(3, [])
+    g = Graph(3, [])
     assert g.edge_count == 0
 
 
@@ -33,24 +36,19 @@ def test_four_cycle_degrees(c4):
 
 def test_out_of_range_edge_names_offender():
     with pytest.raises(GraphConstructionError, match=r"\(0, 5\)"):
-        build_graph(3, [(0, 5)])
+        Graph(3, [(0, 5)])
 
 
 def test_strict_rejects_self_loop_and_duplicate():
     with pytest.raises(GraphConstructionError, match="self-loop"):
-        build_graph(3, [(1, 1)])
+        Graph(3, [(1, 1)])
     with pytest.raises(GraphConstructionError, match="duplicate"):
-        build_graph(3, [(0, 1), (1, 0)])
-
-
-def test_lenient_mode_dedupes():
-    g = build_graph(3, [(0, 1), (1, 0), (2, 2), (1, 2)], strict=False)
-    assert g.edges == ((0, 1), (1, 2))
+        Graph(3, [(0, 1), (1, 0)])
 
 
 def test_label_length_must_match():
     with pytest.raises(GraphConstructionError):
-        build_graph(3, [], node_labels=[1, 2])
+        Graph(3, [], node_labels=[1, 2])
 
 
 def test_laplacian_single_edge(k2):
@@ -59,7 +57,7 @@ def test_laplacian_single_edge(k2):
 
 
 def test_laplacian_edgeless_is_zero():
-    lap = normalized_laplacian(build_graph(3, []))
+    lap = normalized_laplacian(Graph(3, []))
     assert np.array_equal(lap, np.zeros((3, 3)))
 
 
@@ -72,7 +70,7 @@ def test_laplacian_path_graph(p3):
 
 
 def test_isolated_node_gives_zero_row(k2):
-    g = build_graph(3, [(0, 1)])
+    g = Graph(3, [(0, 1)])
     lap = normalized_laplacian(g)
     assert np.array_equal(lap[2], np.zeros(3))
     assert np.array_equal(lap[:, 2], np.zeros(3))
@@ -115,7 +113,7 @@ def test_laplacian_permutation_equivariance(seed):
 
 
 def test_subgraph_repacks_and_keeps_labels():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)], node_labels=[5, 6, 7, 8])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)], node_labels=[5, 6, 7, 8])
     sub = subgraph(g, np.array([True, False, True, True]))
     assert sub.node_count == 3
     assert sub.edges == ((1, 2),)
@@ -123,8 +121,8 @@ def test_subgraph_repacks_and_keeps_labels():
 
 
 def test_graph_value_equality(k2):
-    assert k2 == build_graph(2, [(0, 1)])
-    assert k2 != build_graph(2, [])
+    assert k2 == Graph(2, [(0, 1)])
+    assert k2 != Graph(2, [])
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,8 +147,69 @@ def test_subgraph_rejects_mask_of_wrong_shape(p3):
 
 
 def test_unchecked_graph_with_outside_endpoint_is_rejected():
-    g = Graph(3, [(0, 5)])
     with pytest.raises(GraphConstructionError, match=r"outside \[0, 3\)"):
-        g.degrees()
-    with pytest.raises(GraphConstructionError):
-        normalized_laplacian(g)
+        Graph(3, [(0, 5)])
+
+
+@pytest.mark.parametrize(
+    "node_count, edges, message",
+    [
+        (-1, [], r"negative node count -1"),
+        (3, [(0, 1, 2)], r"edge \(0, 1, 2\) is not a pair"),
+        (3, [3], r"edge 3 is not a pair"),
+        (3, [(0, None)], r"edge \(0, None\) is not a pair"),
+        (3, [(-1, 0)], r"edge \(-1, 0\) has an endpoint outside \[0, 3\)"),
+        (3, [(2, 3)], r"edge \(2, 3\) has an endpoint outside \[0, 3\)"),
+        (3, [(1, 1)], r"self-loop \(1, 1\)"),
+        (3, [(0, 1), (1, 0)], r"duplicate edge \(0, 1\)"),
+        (3, [(1, 2), (0, 1), (1, 2)], r"duplicate edge \(1, 2\)"),
+    ],
+)
+def test_constructor_names_what_makes_an_edge_list_invalid(node_count, edges, message):
+    with pytest.raises(GraphConstructionError, match=message):
+        Graph(node_count, edges)
+
+
+@st.composite
+def _node_counts_and_edge_lists(draw):
+    """A simple graph's edges in random orientations, with up to three faults
+    inserted: a repeat in either orientation, a self-loop, a negative or a
+    too-large endpoint. The node count is sometimes negative."""
+    n = draw(st.integers(-1, 7))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [draw(st.permutations(pair)) for pair in chosen]
+    faults = ["loop", "negative", "past"] + (["repeat"] if edges else [])
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=3)):
+        if fault == "repeat":
+            edge = draw(st.sampled_from(edges))
+        elif fault == "loop":
+            edge = (draw(node),) * 2
+        elif fault == "negative":
+            edge = (draw(st.integers(-3, -1)), draw(node))
+        else:
+            edge = (draw(node), draw(st.integers(max(n, 0), n + 2)))
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.permutations(edge)))
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_node_counts_and_edge_lists(), mask_bits=st.integers(0, 2**7 - 1))
+def test_constructor_accepts_exactly_the_simple_graphs(case, mask_bits):
+    """``Graph`` raises for every list the set-based oracle rejects and otherwise
+    stores the oracle's edges; every graph it accepts works downstream."""
+    n, edges = case
+    expected = reference_simple_edges(n, edges)
+    if expected is None:
+        with pytest.raises(GraphConstructionError):
+            Graph(n, edges)
+        return
+    g = Graph(n, edges)
+    assert g.edges == expected
+    assert g.degrees().tolist() == [sum(v in e for e in expected) for v in range(n)]
+    assert np.array_equal(normalized_laplacian(g), reference_normalized_laplacian(g))
+    kept = np.array([bool(mask_bits >> v & 1) for v in range(n)], dtype=bool)
+    assert subgraph(g, kept) == reference_subgraph(g, kept)
+    cfg = MetricConfig(wl_iterations=2, dim=64)
+    assert np.array_equal(wl_embed_batch([g], cfg)[0], reference_wl_embed(g, 2, 64))

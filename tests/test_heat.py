@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evokernel.errors import NumericalError
-from evokernel.graphs import build_graph, normalized_laplacian
+from evokernel.graphs import Graph, normalized_laplacian
 from evokernel.heat import (
     METHOD_EXACT,
     METHOD_FIEDLER,
@@ -156,7 +156,7 @@ def test_fiedler_kernel_needs_two_nodes():
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_fiedler_request_below_two_nodes_falls_back_to_exact(n):
-    g = build_graph(n, [])
+    g = Graph(n, [])
     lap = normalized_laplacian(g)
     hk = compute_heat_kernel(lap, spectral_decompose(lap), 2.0, METHOD_FIEDLER)
     assert hk.method == METHOD_EXACT
@@ -205,7 +205,7 @@ def test_spectrum_is_optional_only_where_it_is_not_read(p3):
 
 
 def test_auto_never_picks_fiedler_on_disconnected():
-    g = build_graph(4, [(0, 1)])  # lambda_1 = 0 (two zero rows plus one component)
+    g = Graph(4, [(0, 1)])  # lambda_1 = 0 (two zero rows plus one component)
     spec = _spec(g)
     assert select_heat_method(spec, 1e6) == METHOD_EXACT
 

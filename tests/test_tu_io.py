@@ -3,15 +3,15 @@ from __future__ import annotations
 import pytest
 
 from evokernel.errors import DatasetError
-from evokernel.graphs import build_graph
+from evokernel.graphs import Graph
 from evokernel.tu_io import load_tu_dataset
 
 from .conftest import write_tu_fixture
 
 
 def _two_graph_dir(tmp_path, node_labels=True):
-    k2 = build_graph(2, [(0, 1)], node_labels=[3, 3] if node_labels else None)
-    p3 = build_graph(3, [(0, 1), (1, 2)], node_labels=[1, 2, 1] if node_labels else None)
+    k2 = Graph(2, [(0, 1)], node_labels=[3, 3] if node_labels else None)
+    p3 = Graph(3, [(0, 1), (1, 2)], node_labels=[1, 2, 1] if node_labels else None)
     return write_tu_fixture(tmp_path / "TINY", "TINY", [k2, p3], labels=[7, 9], node_labels=node_labels)
 
 
@@ -36,6 +36,15 @@ def test_doubled_directed_edges_collapse(tmp_path):
     ds = load_tu_dataset(_two_graph_dir(tmp_path), "TINY")
     assert ds.graphs[0].edge_count == 1
     assert ds.mean_edges == pytest.approx(1.5)
+
+
+def test_self_loop_lines_are_dropped(tmp_path):
+    directory = _two_graph_dir(tmp_path)
+    edges_file = directory / "TINY_A.txt"
+    edges_file.write_text("1, 1\n" + edges_file.read_text() + "4, 4\n")
+    ds = load_tu_dataset(directory, "TINY")
+    assert ds.graphs[0].edges == ((0, 1),)
+    assert ds.graphs[1].edges == ((0, 1), (1, 2))
 
 
 def test_missing_file_is_ingestion_error(tmp_path):
