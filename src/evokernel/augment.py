@@ -9,13 +9,12 @@ episode of snapshots of the source graph.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, integer, real
 from .graphs import Graph, normalized_laplacian, subgraph
 from .heat import (
     METHOD_EXACT,
@@ -75,16 +74,15 @@ def heat_distribution(state: HeatState, cfg: BoltzmannConfig) -> HeatDistributio
     which guards overflow and makes the hottest node's rescaled probability
     exactly 1.
     """
-    if not math.isfinite(cfg.a):
-        raise ConfigError(f"energy weight a must be finite, got {cfg.a}")
+    a = real("energy weight a", cfg.a)
+    real("energy bias b", cfg.b)
     heat = np.asarray(state.heat, dtype=float)
-    if heat.size and not np.all(np.isfinite(heat)):
+    if not np.isfinite(heat).all():
         raise ContractError("heat vector contains non-finite entries")
-    if heat.size == 0:
-        empty = np.zeros(0)
-        return HeatDistribution(t=state.t, probs=empty, normed=empty.copy())
-    logits = -cfg.a * heat
-    weights = np.exp(logits - logits.max())
+    logits = -a * heat
+    if not np.isfinite(logits).all():
+        raise ConfigError(f"energy weight a={a} overflows the heat logits")
+    weights = np.exp(logits - logits.max(initial=-np.inf))
     probs = weights / weights.sum()
     return HeatDistribution(t=state.t, probs=probs, normed=weights)
 
@@ -110,7 +108,7 @@ def _bernoulli_keep(dist: HeatDistribution, rng: np.random.Generator) -> np.ndar
 def snapshot_rng(seed: int, graph_index: int, time_index: int) -> np.random.Generator:
     """Independent counter-keyed substream for one snapshot of one graph."""
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(int(graph_index), int(time_index)))
+        np.random.SeedSequence(entropy=seed, spawn_key=(graph_index, time_index))
     )
 
 
@@ -159,8 +157,7 @@ def generate_episode(
         raise ConfigError(f"time grid must start at 0, got {times[0]}")
     if np.any(np.diff(times) <= 0):
         raise ConfigError("time grid must be strictly ascending")
-    if seed < 0 or graph_index < 0:
-        raise ConfigError(f"seed and graph index must be non-negative, got {seed} and {graph_index}")
+    seed, graph_index = integer("seed", seed), integer("graph index", graph_index)
     if cfg is None:
         cfg = BoltzmannConfig()
 
@@ -184,7 +181,7 @@ def generate_episode(
         snapshots.append(subgraph(g, keep))
         masks.append(keep)
 
-    return TemporalEpisode(source=g, times=times, snapshots=snapshots, seed=int(seed), kept_masks=masks)
+    return TemporalEpisode(source=g, times=times, snapshots=snapshots, seed=seed, kept_masks=masks)
 
 
 def write_episode_jsonl(episode: TemporalEpisode, path) -> None:
@@ -219,6 +216,7 @@ def read_episode_jsonl(path, source: Graph, seed: int = 0) -> TemporalEpisode:
     number above the previous record's raises :class:`ConfigError` naming
     its line.
     """
+    seed = integer("seed", seed)
     path = Path(path)
     times: list[float] = []
     snapshots = []
@@ -254,6 +252,6 @@ def read_episode_jsonl(path, source: Graph, seed: int = 0) -> TemporalEpisode:
         source=source,
         times=np.asarray(times),
         snapshots=snapshots,
-        seed=int(seed),
+        seed=seed,
         kept_masks=masks,
     )

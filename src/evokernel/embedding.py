@@ -19,13 +19,12 @@ signature and each distinct (round, label) pair is hashed once per batch.
 from __future__ import annotations
 
 import hashlib
-import numbers
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import integer
 from .graphs import Graph
 
 # Refined labels are compressed to a 16-byte digest each round so signatures
@@ -44,14 +43,10 @@ class MetricConfig:
     wl_iterations: int = 3
     dim: int = 1024
 
-    def validate(self) -> None:
-        for name, value in (("embedding dimension", self.dim), ("refinement depth", self.wl_iterations)):
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.dim < 1:
-            raise ConfigError(f"embedding dimension must be >= 1, got {self.dim}")
-        if self.wl_iterations < 0:
-            raise ConfigError(f"refinement depth must be >= 0, got {self.wl_iterations}")
+    def validate(self) -> MetricConfig:
+        """This config with Python-int sizes; ``ConfigError`` unless both are integers in range."""
+        dim = integer("embedding dimension", self.dim, 1)
+        return MetricConfig(integer("refinement depth", self.wl_iterations), dim)
 
 
 @dataclass(frozen=True)
@@ -71,8 +66,7 @@ def wl_embed_batch(graphs, cfg: MetricConfig = MetricConfig()) -> np.ndarray:
 
     A row depends only on its graph, not on the rest of the batch.
     """
-    cfg.validate()
-    out = _wl_counts(graphs, cfg, np.float64)
+    out = _wl_counts(graphs, cfg.validate(), np.float64)
     # Counts are integers, so their sums of squares are exact in any order and
     # each entry equals the sequentially accumulated count over its norm.
     norm = np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]

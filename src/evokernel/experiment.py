@@ -13,18 +13,16 @@ substreams.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .augment import BoltzmannConfig, generate_episode
 from .embedding import MetricConfig
-from .errors import ConfigError, EvoKernelError, StageError
+from .errors import ConfigError, EvoKernelError, StageError, integer, integers, real
 from .heat import METHOD_AUTO, METHOD_EXACT, METHOD_FIEDLER, METHOD_TAYLOR2
 from .kernel import _prefix_distance_matrices, evolution_kernel
 from .svm import svm_predict, svm_train
@@ -41,15 +39,6 @@ _FOLD_STREAM = 0xF01D
 # its snapshot distances and as much for its alignment table, and a far
 # longer grid would exhaust memory while the grid itself is being built.
 MAX_TIME_STEPS = 10_000
-
-# What each declared field type accepts (annotations are strings here), and
-# its name in messages. A Python bool is accepted only for a bool field.
-_FIELD_TYPES = {
-    "str": (str, "a string"),
-    "bool": ((bool, np.bool_), "a boolean"),
-    "int": (numbers.Integral, "an integer"),
-    "float": (numbers.Real, "a real number"),
-}
 
 
 @dataclass
@@ -72,38 +61,29 @@ class ExperimentConfig:
     heat_method: str = METHOD_EXACT
 
     def validate(self) -> None:
-        for f in fields(self):
-            name, value = f.name.replace("_", " "), getattr(self, f.name)
-            accepted, kind = _FIELD_TYPES[f.type]
-            if not isinstance(value, accepted) or (isinstance(value, bool) and f.type != "bool"):
-                raise ConfigError(f"{name} must be {kind}, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.time_interval <= 0:
-            raise ConfigError(f"time interval must be positive, got {self.time_interval}")
-        if self.time_length < 0:
-            raise ConfigError(f"time length must be non-negative, got {self.time_length}")
-        steps = self.time_length / self.time_interval
+        for name in ("dataset_dir", "dataset_name", "psd_repair", "heat_method", "cumulative"):
+            kind, what = ((bool, np.bool_), "a boolean") if name == "cumulative" else (str, "a string")
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name.replace('_', ' ')} must be {what}, got {getattr(self, name)!r}")
+        length = real("time length", self.time_length, 0)
+        steps = length / real("time interval", self.time_interval, 0, above=True)
         if not steps <= MAX_TIME_STEPS:
             raise ConfigError(
                 f"time length over time interval gives {steps:.3g} steps; "
                 f"at most {MAX_TIME_STEPS} are supported"
             )
-        if self.folds < 2:
-            raise ConfigError(f"need at least 2 folds, got {self.folds}")
+        real("a", self.a)
+        real("b", self.b)
+        real("initial heat", self.u0, 0, above=True)
+        real("gamma scale", self.gamma_scale, 0, above=True)
+        real("regularization c", self.c, 0, above=True)
+        integer("folds", self.folds, 2)
+        integer("seed", self.seed)
         if self.psd_repair not in ("none", "clip"):
             raise ConfigError(f"psd repair must be 'none' or 'clip', got {self.psd_repair!r}")
         if self.heat_method not in HEAT_METHODS:
             raise ConfigError(f"heat method must be one of {HEAT_METHODS}, got {self.heat_method!r}")
-        if self.gamma_scale <= 0:
-            raise ConfigError(f"gamma scale must be positive, got {self.gamma_scale}")
-        if self.c <= 0:
-            raise ConfigError(f"regularization c must be positive, got {self.c}")
-        if self.u0 <= 0:
-            raise ConfigError(f"initial heat must be positive, got {self.u0}")
-        MetricConfig(wl_iterations=self.wl_iterations, dim=self.embedding_dim).validate()
+        self.metric_config().validate()
 
     def time_grid(self) -> np.ndarray:
         """Grid {0, dt, 2*dt, ...} up to time_length; always contains 0."""
@@ -176,11 +156,8 @@ def stratified_folds(labels, folds: int, seed: int) -> list[tuple[np.ndarray, np
     the starting fold rotating between classes so remainders spread evenly.
     Per-class counts across folds differ by at most one.
     """
-    if not isinstance(folds, numbers.Integral) or isinstance(folds, bool) or folds < 2:
-        raise ConfigError(f"need an integer number of at least 2 folds, got {folds!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    labels = np.asarray(labels, dtype=np.int64)
+    folds, seed = integer("folds", folds, 2), integer("seed", seed)
+    labels = integers("labels", labels)
     n = len(labels)
     classes, counts = np.unique(labels, return_counts=True)
     for cls, count in zip(classes, counts):
@@ -188,7 +165,7 @@ def stratified_folds(labels, folds: int, seed: int) -> list[tuple[np.ndarray, np
             raise ConfigError(
                 f"class {cls} has only {count} members; reduce folds to at most {count}"
             )
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(_FOLD_STREAM,)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_FOLD_STREAM,)))
     fold_of = np.empty(n, dtype=np.int64)
     offset = 0
     for cls in classes:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .augment import TemporalEpisode
 from .embedding import MetricConfig, _wl_counts
-from .errors import ContractError
+from .errors import ContractError, square
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def _snapshot_counts(snapshots, cfg: MetricConfig):
     float64 below 2^53. The type is settled from the node counts alone,
     before anything is embedded.
     """
-    cfg.validate()
+    cfg = cfg.validate()
     nodes = max((g.node_count for g in snapshots), default=0)
     bound = (nodes * (cfg.wl_iterations + 1)) ** 2
     if bound < 2 ** 24:
@@ -108,11 +108,9 @@ def gdtw_distance(m: np.ndarray) -> WarpingResult:
     diagonal first, then up, then left, so the path is deterministic and the
     shortest among equal-cost alternatives.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ContractError(f"warping matrix must be square and non-empty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)) or np.any(m < 0):
-        raise ContractError("warping matrix entries must be finite and non-negative")
+    m = square("warping matrix", m, nonnegative=True)
+    if m.size == 0:
+        raise ContractError("warping matrix must be non-empty")
 
     n = m.shape[0]
     gamma = _cumulative_costs(m[:, :, None])[:, :, 0]

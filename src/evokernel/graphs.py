@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import chain, compress
+from operator import index
 
 import numpy as np
 
@@ -15,39 +16,53 @@ class Graph:
     Edges are stored as a sorted tuple of (i, j) pairs with i < j so iteration
     order never depends on hashing; instances must not be mutated after
     construction. The constructor accepts each undirected edge once, in
-    either orientation, and raises :class:`GraphConstructionError` for a
+    either orientation, and raises :class:`GraphConstructionError` for a node
+    count or label that is not an integer (a bool or a float is not), a
     negative node count, an entry that is not a pair of integers, an endpoint
     outside ``[0, node_count)``, a self-loop or a repeated edge.
     """
 
     def __init__(self, node_count: int, edges, node_labels=None):
-        n = self.node_count = int(node_count)
+        # Counts, endpoints and labels follow ``errors.integer``'s rule inline, for
+        # speed: ``operator.index`` refuses floats, a class test refuses bools.
+        try:
+            if node_count.__class__ is bool:
+                raise TypeError
+            n = self.node_count = index(node_count)
+        except TypeError:
+            raise GraphConstructionError(f"node count {node_count!r} is not an integer") from None
         if n < 0:
             raise GraphConstructionError(f"negative node count {n}")
         pairs = []
-        for edge in edges:
-            try:
+        edge = edges  # named in the message if ``edges`` is not iterable
+        try:
+            for edge in edges:
                 i, j = edge
-                i, j = int(i), int(j)
-            except (TypeError, ValueError):
-                raise GraphConstructionError(f"edge {edge!r} is not a pair of integers") from None
-            if not (0 <= i < n and 0 <= j < n):
-                raise GraphConstructionError(f"edge ({i}, {j}) has an endpoint outside [0, {n})")
-            if i == j:
-                raise GraphConstructionError(f"self-loop ({i}, {j})")
-            pairs.append((i, j) if i < j else (j, i))
+                if i.__class__ is bool or j.__class__ is bool:
+                    raise TypeError
+                i, j = index(i), index(j)
+                if not (0 <= i < n and 0 <= j < n):
+                    raise GraphConstructionError(f"edge ({i}, {j}) has an endpoint outside [0, {n})")
+                if i == j:
+                    raise GraphConstructionError(f"self-loop ({i}, {j})")
+                pairs.append((i, j) if i < j else (j, i))
+        except (TypeError, ValueError):
+            raise GraphConstructionError(f"edge {edge!r} is not a pair of integers") from None
         self.edges = tuple(sorted(pairs))
         for kept, repeat in zip(self.edges, self.edges[1:]):
             if kept == repeat:
                 raise GraphConstructionError(f"duplicate edge {repeat}")
-        if node_labels is None:
-            self.node_labels = None
-        else:
-            self.node_labels = tuple(int(x) for x in node_labels)
-            if len(self.node_labels) != self.node_count:
-                raise GraphConstructionError(
-                    f"{len(self.node_labels)} node labels for {self.node_count} nodes"
-                )
+        self.node_labels = node_labels
+        if node_labels is not None:
+            try:
+                labels = tuple(node_labels)
+                if bool in map(type, labels):
+                    raise TypeError
+                self.node_labels = tuple(map(index, labels))
+            except TypeError:
+                raise GraphConstructionError(f"node labels {node_labels!r} are not all integers") from None
+            if len(self.node_labels) != n:
+                raise GraphConstructionError(f"{len(self.node_labels)} node labels for {n} nodes")
 
     @property
     def edge_count(self) -> int:

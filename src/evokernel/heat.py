@@ -7,12 +7,11 @@ covers large times. All operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericalError
+from .errors import ConfigError, ContractError, NumericalError, real, square
 
 EIGENVALUE_CLAMP = 1e-9
 RECONSTRUCTION_TOL = 1e-8
@@ -63,7 +62,7 @@ def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:
     exponentials never exceed 1 from rounding noise. Reconstruction and
     orthonormality are verified to RECONSTRUCTION_TOL.
     """
-    lap = np.asarray(lap, dtype=float)
+    lap = square("Laplacian", lap)
     try:
         w, v = np.linalg.eigh(lap)
     except np.linalg.LinAlgError as exc:
@@ -81,22 +80,20 @@ def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:
 
 def heat_kernel_exact(spec: SpectralDecomposition, t: float) -> HeatKernel:
     """Closed-form kernel Phi e^{-t Lambda} Phi^T; entries are non-negative."""
-    if not 0 <= t < math.inf:
-        raise ConfigError(f"time must be finite and non-negative, got {t}")
+    t = real("time", t, 0)
     decay = np.exp(-t * spec.eigenvalues)
     matrix = (spec.eigenvectors * decay) @ spec.eigenvectors.T
-    return HeatKernel(t=float(t), matrix=matrix, method=METHOD_EXACT)
+    return HeatKernel(t=t, matrix=matrix, method=METHOD_EXACT)
 
 
 def heat_kernel_taylor2(lap: np.ndarray, t: float) -> HeatKernel:
     """Second-order truncation I - tL + (tL)^2/2, intended for small t."""
-    if not 0 <= t < math.inf:
-        raise ConfigError(f"time must be finite and non-negative, got {t}")
-    lap = np.asarray(lap, dtype=float)
+    t = real("time", t, 0)
+    lap = square("Laplacian", lap)
     n = lap.shape[0]
     tl = t * lap
     matrix = np.eye(n) - tl + 0.5 * (tl @ tl)
-    return HeatKernel(t=float(t), matrix=matrix, method=METHOD_TAYLOR2)
+    return HeatKernel(t=t, matrix=matrix, method=METHOD_TAYLOR2)
 
 
 def heat_kernel_fiedler(spec: SpectralDecomposition, t: float) -> HeatKernel:
@@ -107,15 +104,14 @@ def heat_kernel_fiedler(spec: SpectralDecomposition, t: float) -> HeatKernel:
     """
     if spec.n < 2:
         raise ContractError("the Fiedler form needs at least 2 nodes")
-    if not 0 <= t < math.inf:
-        raise ConfigError(f"time must be finite and non-negative, got {t}")
+    t = real("time", t, 0)
     n = spec.n
     if t == 0:
         return HeatKernel(t=0.0, matrix=np.eye(n), method=METHOD_FIEDLER)
     lam1 = spec.eigenvalues[1]
     phi1 = spec.eigenvectors[:, 1]
     matrix = np.eye(n) - np.exp(-lam1 * t) * np.outer(phi1, phi1)
-    return HeatKernel(t=float(t), matrix=matrix, method=METHOD_FIEDLER)
+    return HeatKernel(t=t, matrix=matrix, method=METHOD_FIEDLER)
 
 
 def compute_heat_kernel(
@@ -130,6 +126,7 @@ def compute_heat_kernel(
     The Fiedler form needs two nodes; on fewer the exact kernel stands in (on
     one node every method gives [[1]]) and the result's ``method`` says so.
     """
+    t = real("time", t, 0)
     if spec is None and reads_spectrum(method, t):
         raise ContractError(f"the {method!r} heat kernel at t={t} needs the spectral decomposition")
     if method == METHOD_AUTO:
@@ -162,10 +159,9 @@ def select_heat_method(spec: SpectralDecomposition | None, t: float) -> str:
 
 def propagate_heat(hk: HeatKernel, u0: float) -> HeatState:
     """Evolve the uniform initial condition u0 on every node through the kernel."""
-    if not 0 < u0 < math.inf:
-        raise ConfigError(f"initial heat must be positive and finite, got {u0}")
+    u0 = real("initial heat", u0, 0, above=True)
     n = hk.matrix.shape[0]
-    heat = hk.matrix @ np.full(n, float(u0))
+    heat = hk.matrix @ np.full(n, u0)
     return HeatState(t=hk.t, heat=heat)
 
 
@@ -174,17 +170,12 @@ def perturbation_gap(lap: np.ndarray, f: np.ndarray, t: float) -> float:
 
     F must have the shape of L and be finite and exactly symmetric.
     """
-    lap = np.asarray(lap, dtype=float)
-    f = np.asarray(f, dtype=float)
+    lap, f = square("Laplacian", lap), square("perturbation", f, symmetric=True)
     if f.shape != lap.shape:
         raise ContractError(f"perturbation of shape {f.shape} for a Laplacian of shape {lap.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ContractError("perturbation must be finite")
-    if not np.array_equal(f, f.T):
-        raise ContractError("perturbation must be exactly symmetric")
-    exact = heat_kernel_exact(spectral_decompose(lap), t).matrix
-    perturbed = _symmetric_expm(-t * (lap + f))
-    return float(np.linalg.norm(exact - perturbed))
+    exact = heat_kernel_exact(spectral_decompose(lap), t)
+    perturbed = _symmetric_expm(-exact.t * (lap + f))
+    return float(np.linalg.norm(exact.matrix - perturbed))
 
 
 def _symmetric_expm(s: np.ndarray) -> np.ndarray:

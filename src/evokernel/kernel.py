@@ -8,14 +8,13 @@ clipping is available (and on by default downstream) to repair it.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .augment import TemporalEpisode
 from .embedding import MetricConfig
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, real, square
 from .gdtw import _count_distances, _cumulative_costs, _snapshot_counts
 
 # Snapshot distances are computed and aligned for blocks of episode rows of
@@ -94,28 +93,19 @@ def evolution_kernel(
 ) -> EvolutionKernelMatrix:
     """K(i, j) = exp(-d(i, j) / sigma), sigma = gamma_scale * median off-diagonal distance.
 
-    ``d`` must be square, finite and non-negative. An empty or all-zero
+    ``d`` must be square, finite, non-negative and exactly symmetric. An empty or all-zero
     off-diagonal falls back to sigma = 1 (the kernel of a zero matrix is all
     ones either way). With repair="clip" the matrix is eigendecomposed,
     negative eigenvalues zeroed, reconstructed and re-symmetrized; that
     trades the exact unit diagonal for positive semidefiniteness.
     """
-    if not 0 < gamma_scale < math.inf:
-        raise ConfigError(f"gamma_scale must be positive and finite, got {gamma_scale}")
+    gamma_scale = real("gamma_scale", gamma_scale, 0, above=True)
     if repair not in ("none", "clip"):
         raise ConfigError(f"repair must be 'none' or 'clip', got {repair!r}")
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ContractError(f"distance matrix must be square, got shape {d.shape}")
-    if not np.isfinite(d).all() or (d < 0).any():
-        raise ContractError("distance matrix must be finite and non-negative")
-    n = d.shape[0]
-    off = d[~np.eye(n, dtype=bool)]
-    if off.size == 0:
-        sigma = 1.0
-    else:
-        median = float(np.median(off))
-        sigma = gamma_scale * median if median > 0 else 1.0
+    d = square("distance matrix", d, nonnegative=True, symmetric=True)
+    off = d[~np.eye(len(d), dtype=bool)]
+    median = float(np.median(off)) if off.size else 0.0
+    sigma = gamma_scale * median if median > 0 else 1.0
     k = np.exp(-d / sigma)
     if repair == "clip":
         k = clip_psd(k)
@@ -123,12 +113,8 @@ def evolution_kernel(
 
 
 def clip_psd(k: np.ndarray) -> np.ndarray:
-    """Project a finite square matrix onto the PSD cone by zeroing negative eigenvalues."""
-    k = np.asarray(k, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ContractError(f"matrix must be square, got shape {k.shape}")
-    if not np.isfinite(k).all():
-        raise ContractError("matrix has non-finite entries")
+    """Project a finite, exactly symmetric matrix onto the PSD cone by zeroing negative eigenvalues."""
+    k = square("matrix", k, symmetric=True)
     w, v = np.linalg.eigh(k)
     w = np.clip(w, 0.0, None)
     repaired = (v * w) @ v.T

@@ -12,12 +12,11 @@ negated decision values), so it would add nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, TrainingError
+from .errors import ContractError, TrainingError, integer, integers, real, square
 from .kernel import EvolutionKernelMatrix
 
 KKT_TOL = 1e-3
@@ -133,40 +132,37 @@ def svm_train(
 ) -> SvmModel:
     """Train one binary SMO problem per class, or a single one for two classes.
 
-    The kernel is n x n for n labels and is restricted to train_idx x
-    train_idx (ids in [0, n)), which must be finite and exactly symmetric.
-    Convergence is max KKT violation <= tol or the update cap, with the cap
-    recorded on the machine.
+    The kernel is n x n for n integer labels and is restricted to train_idx x
+    train_idx (integer ids in [0, n)), which must be finite and exactly symmetric.
+    Convergence is max KKT violation <= tol (>= 0) or ``max_updates`` updates
+    (an integer >= 0), with the cap recorded on the machine.
     """
-    if not 0 < c < math.inf:
-        raise ConfigError(f"regularization c must be positive and finite, got {c}")
+    c = real("regularization c", c, 0, above=True)
+    tol = real("tolerance", tol, 0)
+    max_updates = integer("update cap", max_updates)
     k = kernel.k if isinstance(kernel, EvolutionKernelMatrix) else np.asarray(kernel, dtype=float)
-    labels = np.asarray(labels, dtype=np.int64)
-    train_idx = np.asarray(train_idx, dtype=np.int64)
+    labels = integers("labels", labels)
+    train_idx = integers("training indices", train_idx)
     n = len(labels)
     if k.shape != (n, n):
         raise ContractError(f"kernel of shape {k.shape} for {n} labels")
     if train_idx.size == 0:
         raise TrainingError("empty training set")
-    if train_idx.ndim != 1 or train_idx.min() < 0 or train_idx.max() >= n:
-        raise ContractError(f"training indices must be a list of ids in [0, {n})")
+    if train_idx.min() < 0 or train_idx.max() >= n:
+        raise ContractError(f"training indices must be ids in [0, {n})")
     train_labels = labels[train_idx]
     classes = np.unique(train_labels)
     if len(classes) < 2:
         raise TrainingError(f"training set contains a single class ({classes.tolist()})")
 
-    k_train = k[np.ix_(train_idx, train_idx)]
-    if not np.isfinite(k_train).all():
-        raise ContractError("training kernel has non-finite entries")
-    if not np.array_equal(k_train, k_train.T):
-        raise ContractError("training kernel is not exactly symmetric")
+    k_train = square("training kernel", k[np.ix_(train_idx, train_idx)], symmetric=True)
     machines = []
     for cls in classes[:1] if len(classes) == 2 else classes:
         y = np.where(train_labels == cls, 1.0, -1.0)
-        machine = _smo(k_train, y, float(c), tol, max_updates)
+        machine = _smo(k_train, y, c, tol, max_updates)
         machine.positive_class = int(cls)
         machines.append(machine)
-    return SvmModel(classes=classes, machines=machines, c=float(c), train_size=len(train_idx))
+    return SvmModel(classes=classes, machines=machines, c=c, train_size=len(train_idx))
 
 
 def svm_predict(model: SvmModel, k_row: np.ndarray) -> int:

@@ -140,14 +140,10 @@ def load_tu_dataset(directory, name: str) -> GraphDataset:
 
     graphs = []
     for gid in range(n_graphs):
-        g = Graph(
-            int(node_counts[gid]),
-            edge_sets[gid],
-            node_labels[gid] if node_labels is not None else None,
-        )
+        g = Graph(node_counts[gid], edge_sets[gid], node_labels[gid] if node_labels is not None else None)
         if g.node_labels is None:
             # Standard fallback: a node's degree stands in for its label.
-            g = Graph(g.node_count, g.edges, tuple(int(d) for d in g.degrees()))
+            g = Graph(g.node_count, g.edges, g.degrees().tolist())
         graphs.append(g)
 
     return GraphDataset(graphs=graphs, labels=labels, name=name)

@@ -120,6 +120,12 @@ def test_dimension_must_be_positive():
         wl_embed(Graph(1, []), MetricConfig(wl_iterations=-1))
 
 
+def test_numpy_integer_sizes_give_the_rows_of_python_ints():
+    graphs = [Graph(3, [(0, 1), (1, 2)], node_labels=[4, 4, 4]), Graph(2, [(0, 1)])]
+    typed = MetricConfig(wl_iterations=np.int32(2), dim=np.int64(64))
+    assert np.array_equal(wl_embed_batch(graphs, typed), wl_embed_batch(graphs, MetricConfig(2, 64)))
+
+
 def _reference_rows(graphs, cfg):
     return np.stack([reference_wl_embed(g, cfg.wl_iterations, cfg.dim) for g in graphs])
 

@@ -15,6 +15,7 @@ from evokernel.augment import (
     drop_node,
     generate_episode,
     heat_distribution,
+    read_episode_jsonl,
 )
 from evokernel.embedding import MetricConfig, wl_embed_batch
 from evokernel.errors import ConfigError, ContractError, EvoKernelError
@@ -119,6 +120,41 @@ CALLS = {
     ),
     "clip-non-square": (ContractError, lambda: clip_psd(np.ones((2, 3)))),
     "clip-non-finite": (ContractError, lambda: clip_psd(np.full((2, 2), NAN))),
+    # Integers are never fractions or bools, reals never bools.
+    "episode-fractional-seed": (ConfigError, lambda: generate_episode(PATH, [0.0, 0.1], seed=1.7)),
+    "episode-fractional-graph-index": (
+        ConfigError,
+        lambda: generate_episode(PATH, [0.0, 0.1], graph_index=1.5),
+    ),
+    "episode-bool-u0": (ConfigError, lambda: generate_episode(PATH, [0.0, 0.1], u0=True)),
+    # The seed is checked before the file is read, so no file is needed.
+    "jsonl-fractional-seed": (ConfigError, lambda: read_episode_jsonl("absent.jsonl", PATH, seed=1.5)),
+    "svm-nan-tol": (ConfigError, lambda: svm_train(KERNEL, LABELS, np.arange(3), tol=NAN)),
+    "svm-negative-update-cap": (
+        ConfigError,
+        lambda: svm_train(KERNEL, LABELS, np.arange(3), max_updates=-1),
+    ),
+    "svm-fractional-update-cap": (
+        ConfigError,
+        lambda: svm_train(KERNEL, LABELS, np.arange(3), max_updates=2.5),
+    ),
+    "folds-fractional-seed": (ConfigError, lambda: stratified_folds([0, 0, 1, 1], 2, 1.5)),
+    "folds-bool-seed": (ConfigError, lambda: stratified_folds([0, 0, 1, 1], 2, True)),
+    # Label and id arrays must have an integer dtype.
+    "train-fractional-labels": (ContractError, lambda: svm_train(KERNEL, [0.5, 1.2, 1.7], [0, 1, 2])),
+    "train-bool-labels": (ContractError, lambda: svm_train(KERNEL, [True, False, True], [0, 1, 2])),
+    "train-fractional-ids": (ContractError, lambda: svm_train(KERNEL, LABELS, [0.2, 1.9, 2.5])),
+    "folds-fractional-labels": (
+        ContractError,
+        lambda: stratified_folds([0.2, 0.7, 1.1, 1.9], 2, 0),
+    ),
+    "folds-2d-labels": (ContractError, lambda: stratified_folds([[0, 0], [1, 1]], 2, 0)),
+    "train-2d-labels": (ContractError, lambda: svm_train(KERNEL, [[0], [1], [1]], [0, 1, 2])),
+    # A distance matrix must be exactly symmetric.
+    "kernel-asymmetric-distances": (
+        ContractError,
+        lambda: evolution_kernel(np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])),
+    ),
 }
 
 

@@ -315,6 +315,13 @@ def test_numpy_scalar_fields_give_the_same_report():
     assert report.canonical_json() == plain.canonical_json()
 
 
+def test_numpy_integer_embedding_size_gives_the_same_report():
+    typed = fast_config(embedding_dim=np.int64(64), wl_iterations=np.int64(2))
+    report = run_experiment(typed, dataset=synthetic_dataset())
+    plain = run_experiment(fast_config(embedding_dim=64, wl_iterations=2), dataset=synthetic_dataset())
+    assert report.canonical_json() == plain.canonical_json()
+
+
 def test_report_roundtrips_through_json():
     import json
 

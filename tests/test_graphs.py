@@ -163,11 +163,27 @@ def test_unchecked_graph_with_outside_endpoint_is_rejected():
         (3, [(1, 1)], r"self-loop \(1, 1\)"),
         (3, [(0, 1), (1, 0)], r"duplicate edge \(0, 1\)"),
         (3, [(1, 2), (0, 1), (1, 2)], r"duplicate edge \(1, 2\)"),
+        (2.9, [], r"node count 2\.9 is not an integer"),
+        (True, [], r"node count True is not an integer"),
+        (3, [(0.5, 1.7)], r"edge \(0\.5, 1\.7\) is not a pair of integers"),
+        (3, [(True, 2)], r"edge \(True, 2\) is not a pair of integers"),
     ],
 )
 def test_constructor_names_what_makes_an_edge_list_invalid(node_count, edges, message):
     with pytest.raises(GraphConstructionError, match=message):
         Graph(node_count, edges)
+
+
+@pytest.mark.parametrize("labels", [[0.7, 1.2, 2.9], [True, 0, 1], np.array([1.0, 2.0, 3.0]), 5])
+def test_constructor_refuses_labels_that_are_not_integers(labels):
+    with pytest.raises(GraphConstructionError, match="node labels .* are not all integers"):
+        Graph(3, [(0, 1)], node_labels=labels)
+
+
+def test_constructor_takes_numpy_integers_as_python_ints():
+    g = Graph(np.int64(3), np.array([[1, 0], [1, 2]]), node_labels=np.array([4, 5, 6], dtype=np.uint8))
+    assert g == Graph(3, [(0, 1), (1, 2)], node_labels=[4, 5, 6])
+    assert {type(x) for x in (g.node_count, *g.edges[0], *g.node_labels)} == {int}
 
 
 @st.composite
