@@ -10,7 +10,7 @@ from .augment import (
     read_episode_jsonl,
     write_episode_jsonl,
 )
-from .embedding import MetricConfig, WlEmbedding, delta, wl_embed, wl_embed_batch
+from .embedding import MetricConfig, WlEmbedding, delta, wl_embed
 from .errors import (
     ConfigError,
     ContractError,
@@ -116,7 +116,6 @@ __all__ = [
     "sweep_time_length",
     "warping_to_json",
     "wl_embed",
-    "wl_embed_batch",
     "write_episode_jsonl",
     "write_sweep_csv",
 ]

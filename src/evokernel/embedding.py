@@ -3,7 +3,9 @@
 Graphs are embedded as L2-normalized histograms of Weisfeiler-Lehman subtree
 features hashed into a fixed number of buckets with BLAKE2b, which is stable
 across processes and platforms (unlike Python's salted str hash). The metric
-between two graphs is the Euclidean distance of their embeddings.
+between two graphs is the Euclidean distance of their embeddings, computed
+from the exact integer Gram of their count rows (``_count_distances``); the
+public ``delta`` and every snapshot distance of the pipeline use it.
 
 Labels are strings. Round 0 is a node's decimal label, or its degree when the
 graph has no labels; each later round's label is the hex BLAKE2b digest of the
@@ -24,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import integer
+from .errors import ContractError, integer
 from .graphs import Graph
 
 # Refined labels are compressed to a 16-byte digest each round so signatures
@@ -57,30 +59,46 @@ class WlEmbedding:
 
 
 def wl_embed(g: Graph, cfg: MetricConfig = MetricConfig()) -> WlEmbedding:
-    """Hash every (round, label) occurrence into a count vector, then L2-normalize."""
-    return WlEmbedding(vector=wl_embed_batch([g], cfg)[0])
+    """The graph's WL count row over its L2 norm."""
+    counts, sq = _wl_counts([g], cfg)
+    return WlEmbedding(vector=counts[0] / np.sqrt(np.maximum(sq[0], 1.0)))
 
 
-def wl_embed_batch(graphs, cfg: MetricConfig = MetricConfig()) -> np.ndarray:
-    """(len(graphs), dim) matrix whose row i is ``wl_embed(graphs[i], cfg).vector``.
+def delta(g1: Graph, g2: Graph, cfg: MetricConfig = MetricConfig()) -> float:
+    """Euclidean distance between the two embeddings by the pipeline's formula; 0 if isomorphic."""
+    counts, sq = _wl_counts([g1, g2], cfg)
+    return float(_count_distances(counts[:1], counts[1:], sq[:1], sq[1:])[0, 0])
 
-    A row depends only on its graph, not on the rest of the batch.
+
+def _wl_counts(graphs, cfg: MetricConfig):
+    """(len(graphs), dim) matrix of the graphs' WL bucket counts and the rows' squared norms.
+
+    A row depends only on its graph. It sums to nodes * (wl_iterations + 1),
+    so every entry of a Gram of such rows, and every partial sum of one, is
+    an integer of at most (max nodes * (wl_iterations + 1))^2: the counts are
+    float32 below 2^24 and float64 below 2^53, where their Grams and squared
+    norms are exact. The type is settled from the node counts alone, before
+    anything is allocated or embedded.
     """
-    out = _wl_counts(graphs, cfg.validate(), np.float64)
-    # Counts are integers, so their sums of squares are exact in any order and
-    # each entry equals the sequentially accumulated count over its norm.
-    norm = np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
-    return np.divide(out, norm, out=out, where=norm > 0)
-
-
-def _wl_counts(graphs, cfg: MetricConfig, dtype) -> np.ndarray:
-    """(len(graphs), dim) matrix of the graphs' WL bucket counts, as ``dtype``.
-
-    The counts are exact in ``dtype`` while no graph has 2^24 (float32) or
-    2^53 (float64) nodes times rounds; the caller picks the type.
-    """
+    cfg = cfg.validate()
     graphs = list(graphs)
-    out = np.zeros((len(graphs), cfg.dim), dtype=dtype)
+    nodes = max((g.node_count for g in graphs), default=0)
+    bound = (nodes * (cfg.wl_iterations + 1)) ** 2
+    if bound < 2 ** 24:
+        dtype = np.float32
+    elif bound < 2 ** 53:
+        dtype = np.float64
+    else:
+        raise ContractError(
+            f"WL counts of a {nodes}-node graph at {cfg.wl_iterations} iterations "
+            f"reach Gram entries of up to {bound}, beyond exact float64 (2^53)"
+        )
+    try:
+        out = np.zeros((len(graphs), cfg.dim), dtype=dtype)
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an array can hold
+        raise ContractError(
+            f"cannot allocate WL counts of {len(graphs)} rows x {cfg.dim} buckets: {exc}"
+        ) from None
     sizes = [g.node_count + 2 * g.edge_count for g in graphs]
     lo = 0
     while lo < len(graphs):
@@ -90,7 +108,27 @@ def _wl_counts(graphs, cfg: MetricConfig, dtype) -> np.ndarray:
             hi += 1
         _embed_batch(graphs[lo:hi], cfg, out[lo:hi])
         lo = hi
-    return out
+    return out, np.einsum("ij,ij->i", out, out).astype(np.float64)
+
+
+def _count_distances(
+    a: np.ndarray, b: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray
+) -> np.ndarray:
+    """Euclidean distances between the L2-normalized rows of two WL count stacks.
+
+    With ``sq`` the rows' squared norms and u = 1 for a non-empty row (0 for
+    the all-zero row of an empty snapshot, which embeds to the zero vector),
+    d^2 = u_a + u_b - 2 * G / sqrt(sq_a * sq_b) for the integer Gram G. G is
+    exact in any blocking and summation order, so a distance depends on its
+    two rows alone and is exactly symmetric; equal rows are exactly 0 apart.
+    """
+    g = (a @ b.T).astype(np.float64, copy=False)
+    g *= 2.0
+    g /= np.sqrt(np.maximum(sq_a, 1.0)[:, None] * np.maximum(sq_b, 1.0))
+    d2 = (sq_a > 0)[:, None] + (sq_b > 0).astype(np.float64)
+    d2 -= g
+    np.clip(d2, 0.0, None, out=d2)
+    return np.sqrt(d2, out=d2)
 
 
 def _embed_batch(graphs: list[Graph], cfg: MetricConfig, out: np.ndarray) -> None:
@@ -201,9 +239,3 @@ def _buckets(round_index: int, names: list[str], dim: int) -> np.ndarray:
         ],
         dtype=np.int64,
     )
-
-
-def delta(g1: Graph, g2: Graph, cfg: MetricConfig = MetricConfig()) -> float:
-    """Euclidean distance between the two embeddings; 0 for isomorphic inputs."""
-    v1, v2 = wl_embed_batch([g1, g2], cfg)
-    return float(np.linalg.norm(v1 - v2))

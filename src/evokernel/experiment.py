@@ -198,6 +198,9 @@ def sweep_time_length(
     """
     with _stage("config"):
         try:
+            lengths = list(lengths)
+            if any(isinstance(t, (bool, np.bool_)) for t in lengths):
+                raise TypeError(f"{lengths!r} holds a bool")
             lengths = [float(t) for t in lengths]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sweep lengths must be numbers: {exc}") from exc

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import TemporalEpisode
-from .embedding import MetricConfig, _wl_counts
+from .embedding import MetricConfig, _count_distances, _wl_counts
 from .errors import ContractError, square
 
 
@@ -32,62 +32,17 @@ class WarpingResult:
 def build_warping_matrix(
     e1: TemporalEpisode, e2: TemporalEpisode, cfg: MetricConfig = MetricConfig()
 ) -> np.ndarray:
-    """M[i, j] = metric distance between snapshot i of e1 and snapshot j of e2."""
+    """M[i, j] = ``delta`` between snapshot i of e1 and snapshot j of e2."""
     if len(e1) != len(e2):
         raise ContractError(f"episode lengths differ: {len(e1)} vs {len(e2)}")
-    counts, sq = _snapshot_counts(e1.snapshots + e2.snapshots, cfg)
+    counts, sq = _wl_counts(e1.snapshots + e2.snapshots, cfg)
     t = len(e1)
     return _count_distances(counts[:t], counts[t:], sq[:t], sq[t:])
 
 
-def _snapshot_counts(snapshots, cfg: MetricConfig):
-    """WL count rows of the snapshots, in a dtype whose Grams are exact, and their squared norms.
-
-    A row sums to nodes * (wl_iterations + 1), so every entry of a Gram of
-    such rows, and every partial sum of one, is an integer of at most
-    (max nodes * (wl_iterations + 1))^2: float32 is exact below 2^24 and
-    float64 below 2^53. The type is settled from the node counts alone,
-    before anything is embedded.
-    """
-    cfg = cfg.validate()
-    nodes = max((g.node_count for g in snapshots), default=0)
-    bound = (nodes * (cfg.wl_iterations + 1)) ** 2
-    if bound < 2 ** 24:
-        dtype = np.float32
-    elif bound < 2 ** 53:
-        dtype = np.float64
-    else:
-        raise ContractError(
-            f"WL counts of a {nodes}-node snapshot at {cfg.wl_iterations} iterations "
-            f"reach Gram entries of up to {bound}, beyond exact float64 (2^53)"
-        )
-    counts = _wl_counts(snapshots, cfg, dtype)
-    return counts, np.einsum("ij,ij->i", counts, counts).astype(np.float64)
-
-
-def _count_distances(
-    a: np.ndarray, b: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray
-) -> np.ndarray:
-    """Euclidean distances between the L2-normalized rows of two WL count stacks.
-
-    With ``sq`` the rows' squared norms and u = 1 for a non-empty row (0 for
-    the all-zero row of an empty snapshot, which embeds to the zero vector),
-    d^2 = u_a + u_b - 2 * G / sqrt(sq_a * sq_b) for the integer Gram G. G is
-    exact in any blocking and summation order, so a distance depends on its
-    two rows alone and is exactly symmetric; equal rows are exactly 0 apart.
-    """
-    g = (a @ b.T).astype(np.float64, copy=False)
-    g *= 2.0
-    g /= np.sqrt(np.maximum(sq_a, 1.0)[:, None] * np.maximum(sq_b, 1.0))
-    d2 = (sq_a > 0)[:, None] + (sq_b > 0).astype(np.float64)
-    d2 -= g
-    np.clip(d2, 0.0, None, out=d2)
-    return np.sqrt(d2, out=d2)
-
-
 def cross_distances(emb1: np.ndarray, emb2: np.ndarray) -> np.ndarray:
     """Euclidean distances between two stacks of embedding rows, by the expansion
-    |a|^2 + |b|^2 - 2 a.b; the pipeline's snapshot distances use ``_count_distances``."""
+    |a|^2 + |b|^2 - 2 a.b; ``delta`` and the pipeline use ``embedding._count_distances``."""
     sq1 = (emb1 ** 2).sum(axis=1)
     sq2 = (emb2 ** 2).sum(axis=1)
     # In place, so that at most two full-size arrays are alive at once; each
@@ -155,10 +110,13 @@ def _cumulative_costs(costs: np.ndarray) -> np.ndarray:
 
 
 def warping_to_json(m: np.ndarray, result: WarpingResult) -> str:
-    """Diagnostic dump of one aligned pair: cost matrix, path, distance."""
+    """Diagnostic dump of one aligned pair: cost matrix, path, distance; all finite."""
+    m = square("warping matrix", m)
+    if not np.isfinite(result.distance):
+        raise ContractError(f"alignment distance {result.distance} is not finite")
     return json.dumps(
         {
-            "matrix": np.asarray(m, dtype=float).tolist(),
+            "matrix": m.tolist(),
             "path": [list(cell) for cell in result.path],
             "distance": result.distance,
         }

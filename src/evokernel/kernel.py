@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import TemporalEpisode
-from .embedding import MetricConfig
+from .embedding import MetricConfig, _count_distances, _wl_counts
 from .errors import ConfigError, ContractError, real, square
-from .gdtw import _count_distances, _cumulative_costs, _snapshot_counts
+from .gdtw import _cumulative_costs
 
 # Snapshot distances are computed and aligned for blocks of episode rows of
 # about this many snapshots (at least one episode) against all later
@@ -70,7 +70,7 @@ def _prefix_distance_matrices(
         raise ContractError(f"step counts {sorted(step_counts)} are not all within 1..{steps}")
     step_counts = sorted({int(s) for s in step_counts})
 
-    counts, sq = _snapshot_counts([snap for e in episodes for snap in e.snapshots], cfg)
+    counts, sq = _wl_counts([snap for e in episodes for snap in e.snapshots], cfg)
     d = {s: np.zeros((n, n)) for s in step_counts}
     per_block = max(1, _BLOCK_SNAPSHOTS // steps)
     for lo in range(0, n - 1, per_block):
@@ -122,12 +122,13 @@ def clip_psd(k: np.ndarray) -> np.ndarray:
 
 
 def export_matrix_csv(m: np.ndarray, path, ids=None) -> None:
-    """Row-major CSV of a square matrix with a header of graph ids, for external analysis."""
+    """Row-major CSV of a finite square matrix with a header of graph ids, for external analysis."""
     m = np.asarray(m)
     rows = m.shape[0] if m.ndim else 0
     ids = list(range(rows)) if ids is None else ids
     if m.shape != (len(ids), len(ids)):
         raise ContractError(f"matrix of shape {m.shape} for {len(ids)} ids")
+    m = square("matrix", m)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + [str(i) for i in ids])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, TrainingError, integer, integers, real, square
+from .errors import ContractError, TrainingError, integers, real, square
 from .kernel import EvolutionKernelMatrix
 
 KKT_TOL = 1e-3
@@ -59,7 +59,7 @@ class SvmModel:
         return np.array([m.decision(k_row) for m in self.machines])
 
 
-def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float, max_updates: int) -> BinarySvm:
+def _smo(k: np.ndarray, y: np.ndarray, c: float) -> BinarySvm:
     n = len(y)
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of 1/2 a'Qa - 1'a at a = 0
@@ -81,10 +81,10 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float, max_updates: int) -
         yg_low = np.where(low, yg, np.inf)
         i = int(np.argmax(yg_up))
         j = int(np.argmin(yg_low))
-        if updates >= max_updates:
+        if updates >= MAX_UPDATES:
             break
         violation = yg_up[i] - yg_low[j]
-        if violation <= tol:
+        if violation <= KKT_TOL:
             converged = True
             break
 
@@ -127,19 +127,15 @@ def svm_train(
     labels,
     train_idx,
     c: float = 10.0,
-    tol: float = KKT_TOL,
-    max_updates: int = MAX_UPDATES,
 ) -> SvmModel:
     """Train one binary SMO problem per class, or a single one for two classes.
 
     The kernel is n x n for n integer labels and is restricted to train_idx x
     train_idx (integer ids in [0, n)), which must be finite and exactly symmetric.
-    Convergence is max KKT violation <= tol (>= 0) or ``max_updates`` updates
-    (an integer >= 0), with the cap recorded on the machine.
+    Convergence is max KKT violation <= ``KKT_TOL`` or ``MAX_UPDATES``
+    updates, with the cap recorded on the machine.
     """
     c = real("regularization c", c, 0, above=True)
-    tol = real("tolerance", tol, 0)
-    max_updates = integer("update cap", max_updates)
     k = kernel.k if isinstance(kernel, EvolutionKernelMatrix) else np.asarray(kernel, dtype=float)
     labels = integers("labels", labels)
     train_idx = integers("training indices", train_idx)
@@ -159,7 +155,7 @@ def svm_train(
     machines = []
     for cls in classes[:1] if len(classes) == 2 else classes:
         y = np.where(train_labels == cls, 1.0, -1.0)
-        machine = _smo(k_train, y, c, tol, max_updates)
+        machine = _smo(k_train, y, c)
         machine.positive_class = int(cls)
         machines.append(machine)
     return SvmModel(classes=classes, machines=machines, c=c, train_size=len(train_idx))

@@ -66,6 +66,14 @@ def load_tu_dataset(directory, name: str) -> GraphDataset:
     """
     directory = Path(directory)
 
+    # The number of graph labels bounds the graph ids, and so every per-graph array.
+    labels_path = directory / f"{name}_graph_labels.txt"
+    raw_labels = []
+    for ln, text in enumerate(_read_lines(labels_path), start=1):
+        if not text.strip():
+            continue
+        raw_labels.append(_parse_int(text, labels_path, ln))
+
     indicator_path = directory / f"{name}_graph_indicator.txt"
     indicator_lines = _read_lines(indicator_path)
     graph_of_node: list[int] = []
@@ -75,6 +83,11 @@ def load_tu_dataset(directory, name: str) -> GraphDataset:
         gid = _parse_int(text, indicator_path, ln)
         if gid < 1:
             raise DatasetError(f"{indicator_path.name} line {ln}: graph id {gid} is not 1-based")
+        if gid > len(raw_labels):
+            raise DatasetError(
+                f"{indicator_path.name} line {ln}: graph id {gid} exceeds the "
+                f"{len(raw_labels)} graph labels of {labels_path.name}"
+            )
         graph_of_node.append(gid - 1)
     if not graph_of_node:
         raise DatasetError(f"{indicator_path.name}: no nodes listed")
@@ -108,12 +121,6 @@ def load_tu_dataset(directory, name: str) -> GraphDataset:
         if a != b:
             edge_sets[gu].add((min(a, b), max(a, b)))
 
-    labels_path = directory / f"{name}_graph_labels.txt"
-    raw_labels = []
-    for ln, text in enumerate(_read_lines(labels_path), start=1):
-        if not text.strip():
-            continue
-        raw_labels.append(_parse_int(text, labels_path, ln))
     if len(raw_labels) != n_graphs:
         raise DatasetError(
             f"{labels_path.name}: {len(raw_labels)} labels for {n_graphs} graphs"

@@ -14,8 +14,8 @@ library skips. The episode reference keeps the original per-edge loops for
 degrees, Laplacian and induced subgraph, decomposes every Laplacian whatever
 the heat method, and in cumulative mode drops from the previous snapshot
 graph instead of cutting from the source. The prefix-distance reference
-keeps the per-length path: normalized embeddings and one cross-distance
-product per prefix length.
+keeps the per-length path: the per-node reference embeddings and one
+cross-distance product per prefix length.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from evokernel.augment import (
     heat_distribution,
     snapshot_rng,
 )
-from evokernel.embedding import wl_embed_batch
 from evokernel.graphs import Graph
 from evokernel.heat import METHOD_EXACT, compute_heat_kernel, propagate_heat, spectral_decompose
 
@@ -219,8 +218,9 @@ def reference_prefix_distances(episodes, cfg, step_counts) -> dict[int, np.ndarr
     is filled cell by cell over all pairs at once.
     """
     n, steps = len(episodes), len(episodes[0].times)
-    embeddings = wl_embed_batch([snap for e in episodes for snap in e.snapshots], cfg)
-    embeddings = embeddings.reshape(n, steps, -1)
+    embeddings = np.stack(
+        [reference_wl_embed(snap, cfg.wl_iterations, cfg.dim) for e in episodes for snap in e.snapshots]
+    ).reshape(n, steps, -1)
     first, second = np.triu_indices(n, 1)
     out = {}
     for s in step_counts:

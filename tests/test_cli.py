@@ -108,6 +108,15 @@ def test_non_finite_or_negative_seed_fails_at_config(dataset_dir, capsys, flags)
     assert "[config]" in capsys.readouterr().err
 
 
+def test_unallocatable_embedding_fails_at_distances(dataset_dir, capsys):
+    code = main(
+        ["run", "--dataset", str(dataset_dir), "--name", "TRISTAR", *FAST,
+         "--emb-dim", "1000000000000000"]
+    )
+    assert code == 1
+    assert "[distances] cannot allocate WL counts" in capsys.readouterr().err
+
+
 def test_sweep_writes_curve(dataset_dir, tmp_path, capsys):
     out = tmp_path / "curve.csv"
     code = main(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import resource
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from evokernel import embedding
 from evokernel.augment import generate_episode
-from evokernel.embedding import MetricConfig, delta, wl_embed, wl_embed_batch
-from evokernel.errors import ConfigError
+from evokernel.embedding import MetricConfig, _wl_counts, delta, wl_embed
+from evokernel.errors import ConfigError, ContractError
 from evokernel.experiment import ExperimentConfig
 from evokernel.graphs import Graph
 
@@ -19,6 +20,7 @@ from .oracles import (
     dict_wl_delta,
     permute_graph,
     random_graph,
+    reference_wl_counts,
     reference_wl_embed,
     reference_wl_labels,
 )
@@ -123,11 +125,25 @@ def test_dimension_must_be_positive():
 def test_numpy_integer_sizes_give_the_rows_of_python_ints():
     graphs = [Graph(3, [(0, 1), (1, 2)], node_labels=[4, 4, 4]), Graph(2, [(0, 1)])]
     typed = MetricConfig(wl_iterations=np.int32(2), dim=np.int64(64))
-    assert np.array_equal(wl_embed_batch(graphs, typed), wl_embed_batch(graphs, MetricConfig(2, 64)))
+    plain = MetricConfig(2, 64)
+    assert np.array_equal(_wl_counts(graphs, typed)[0], _wl_counts(graphs, plain)[0])
+    for g in graphs:
+        assert np.array_equal(wl_embed(g, typed).vector, wl_embed(g, plain).vector)
 
 
-def _reference_rows(graphs, cfg):
-    return np.stack([reference_wl_embed(g, cfg.wl_iterations, cfg.dim) for g in graphs])
+def _equals_reference(graphs, cfg) -> bool:
+    """``_wl_counts`` gives the oracle's integer counts and their exact squared norms."""
+    counts, sq = _wl_counts(graphs, cfg)
+    rows = [reference_wl_counts(g, cfg.wl_iterations, cfg.dim) for g in graphs]
+    return counts.tolist() == rows and sq.tolist() == [sum(x * x for x in r) for r in rows]
+
+
+def test_unallocatable_counts_are_a_package_error():
+    # numpy refuses the 4 PB allocation outright, so the peak RSS stays put.
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    with pytest.raises(ContractError, match="1 rows x 1000000000000000 buckets"):
+        wl_embed(Graph(3, [(0, 1)]), MetricConfig(dim=10 ** 15))
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak < 64 * 1024
 
 
 def test_batch_equals_reference_on_every_mutag_snapshot(mutag):
@@ -141,7 +157,10 @@ def test_batch_equals_reference_on_every_mutag_snapshot(mutag):
     ]
     assert len(snapshots) == 2068
     metric = cfg.metric_config()
-    assert np.array_equal(wl_embed_batch(snapshots, metric), _reference_rows(snapshots, metric))
+    assert _equals_reference(snapshots, metric)
+    for snap in snapshots:
+        vector = reference_wl_embed(snap, metric.wl_iterations, metric.dim)
+        assert np.array_equal(wl_embed(snap, metric).vector, vector)
 
 
 @st.composite
@@ -163,8 +182,7 @@ def wide_graphs(draw):
     dim=st.sampled_from([1, 7, 64, 1024]),
 )
 def test_batch_equals_reference_on_random_graphs(graphs, iterations, dim):
-    cfg = MetricConfig(wl_iterations=iterations, dim=dim)
-    assert np.array_equal(wl_embed_batch(graphs, cfg), _reference_rows(graphs, cfg))
+    assert _equals_reference(graphs, MetricConfig(wl_iterations=iterations, dim=dim))
 
 
 def test_neighbour_labels_sort_as_strings():
@@ -175,7 +193,7 @@ def test_neighbour_labels_sort_as_strings():
     for g in (labelled, degree_labelled):
         for iterations in (1, 2):
             cfg = MetricConfig(wl_iterations=iterations, dim=2 ** 20)
-            assert np.array_equal(wl_embed_batch([g], cfg), _reference_rows([g], cfg))
+            assert _equals_reference([g], cfg)
 
 
 def test_batch_edge_cases_equal_reference():
@@ -190,9 +208,14 @@ def test_batch_edge_cases_equal_reference():
         Graph(0, []),
     ]
     for cfg in (MetricConfig(), MetricConfig(wl_iterations=0, dim=5)):
-        assert np.array_equal(wl_embed_batch(graphs, cfg), _reference_rows(graphs, cfg))
-    assert wl_embed_batch([], MetricConfig(dim=8)).shape == (0, 8)
-    assert np.array_equal(wl_embed_batch([Graph(0, [])] * 3), np.zeros((3, 1024)))
+        assert _equals_reference(graphs, cfg)
+        for g in graphs:
+            vector = reference_wl_embed(g, cfg.wl_iterations, cfg.dim)
+            assert np.array_equal(wl_embed(g, cfg).vector, vector)
+    counts, sq = _wl_counts([], MetricConfig(dim=8))
+    assert counts.shape == (0, 8) and sq.shape == (0,)
+    counts, sq = _wl_counts([Graph(0, [])] * 3, MetricConfig())
+    assert np.array_equal(counts, np.zeros((3, 1024))) and np.array_equal(sq, np.zeros(3))
 
 
 def test_row_depends_only_on_its_graph():
@@ -200,11 +223,11 @@ def test_row_depends_only_on_its_graph():
     graphs = [
         random_graph(rng, int(rng.integers(0, 12)), 0.4, labels=bool(k % 2)) for k in range(9)
     ]
-    batch = wl_embed_batch(graphs)
-    assert np.array_equal(wl_embed_batch(graphs[::-1])[::-1], batch)
+    batch, sq = _wl_counts(graphs, MetricConfig())
+    assert np.array_equal(_wl_counts(graphs[::-1], MetricConfig())[0][::-1], batch)
     for k, g in enumerate(graphs):
-        assert np.array_equal(wl_embed(g).vector, batch[k])
-        assert np.array_equal(wl_embed_batch([graphs[-1], g, graphs[0]])[1], batch[k])
+        assert np.array_equal(wl_embed(g).vector, batch[k] / np.sqrt(max(sq[k], 1.0)))
+        assert np.array_equal(_wl_counts([graphs[-1], g, graphs[0]], MetricConfig())[0][1], batch[k])
 
 
 def test_large_inputs_are_split_into_bounded_batches(monkeypatch):
@@ -221,9 +244,8 @@ def test_large_inputs_are_split_into_bounded_batches(monkeypatch):
         inner(graphs, cfg, out)
 
     monkeypatch.setattr(embedding, "_embed_batch", spy)
-    batch = wl_embed_batch(rings)
+    assert _equals_reference(rings, MetricConfig())
     assert len(sizes) > 2
     assert all(total <= embedding._BATCH_ENTRIES or count == 1 for count, total in sizes)
     assert sum(count for count, _ in sizes) == len(rings)
-    assert np.array_equal(batch, _reference_rows(rings, MetricConfig()))
 

@@ -17,9 +17,10 @@ from evokernel.augment import (
     heat_distribution,
     read_episode_jsonl,
 )
-from evokernel.embedding import MetricConfig, wl_embed_batch
-from evokernel.errors import ConfigError, ContractError, EvoKernelError
-from evokernel.experiment import stratified_folds
+from evokernel.embedding import MetricConfig, wl_embed
+from evokernel.errors import ConfigError, ContractError, EvoKernelError, StageError
+from evokernel.experiment import ExperimentConfig, stratified_folds, sweep_time_length
+from evokernel.gdtw import WarpingResult, gdtw_distance, warping_to_json
 from evokernel.graphs import Graph, normalized_laplacian
 from evokernel.heat import (
     HeatState,
@@ -31,7 +32,7 @@ from evokernel.heat import (
     propagate_heat,
     spectral_decompose,
 )
-from evokernel.kernel import clip_psd, evolution_kernel
+from evokernel.kernel import clip_psd, evolution_kernel, export_matrix_csv
 from evokernel.svm import svm_predict, svm_train
 
 PATH = Graph(3, [(0, 1), (1, 2)])
@@ -44,6 +45,20 @@ LABELS = np.array([0, 1, 1])
 
 def _model():
     return svm_train(KERNEL, LABELS, np.arange(3))
+
+
+def _at_config(call):
+    """Call ``call``; raise the cause of its ``[config]`` stage error."""
+    try:
+        call()
+    except StageError as exc:
+        if exc.stage != "config":
+            raise
+        raise exc.cause from exc
+
+
+# The writers are refused before they open their path, which does not exist.
+UNWRITABLE = "absent-directory/out"
 
 
 CALLS = {
@@ -104,12 +119,9 @@ CALLS = {
     "folds-negative-seed": (ConfigError, lambda: stratified_folds([0, 0, 1, 1], 2, -1)),
     "episode-negative-seed": (ConfigError, lambda: generate_episode(PATH, [0.0, 0.1], seed=-1)),
     # Embedding sizes must be integers.
-    "dim-fraction": (ConfigError, lambda: wl_embed_batch([PATH], MetricConfig(dim=1.5))),
-    "dim-bool": (ConfigError, lambda: wl_embed_batch([PATH], MetricConfig(dim=True))),
-    "iterations-fraction": (
-        ConfigError,
-        lambda: wl_embed_batch([PATH], MetricConfig(wl_iterations=2.5)),
-    ),
+    "dim-fraction": (ConfigError, lambda: wl_embed(PATH, MetricConfig(dim=1.5))),
+    "dim-bool": (ConfigError, lambda: wl_embed(PATH, MetricConfig(dim=True))),
+    "iterations-fraction": (ConfigError, lambda: wl_embed(PATH, MetricConfig(wl_iterations=2.5))),
     # Array contracts.
     "train-index-outside": (ContractError, lambda: svm_train(KERNEL, LABELS, [0, 1, 3])),
     "train-index-negative": (ContractError, lambda: svm_train(KERNEL, LABELS, [-1, 0, 1])),
@@ -129,15 +141,6 @@ CALLS = {
     "episode-bool-u0": (ConfigError, lambda: generate_episode(PATH, [0.0, 0.1], u0=True)),
     # The seed is checked before the file is read, so no file is needed.
     "jsonl-fractional-seed": (ConfigError, lambda: read_episode_jsonl("absent.jsonl", PATH, seed=1.5)),
-    "svm-nan-tol": (ConfigError, lambda: svm_train(KERNEL, LABELS, np.arange(3), tol=NAN)),
-    "svm-negative-update-cap": (
-        ConfigError,
-        lambda: svm_train(KERNEL, LABELS, np.arange(3), max_updates=-1),
-    ),
-    "svm-fractional-update-cap": (
-        ConfigError,
-        lambda: svm_train(KERNEL, LABELS, np.arange(3), max_updates=2.5),
-    ),
     "folds-fractional-seed": (ConfigError, lambda: stratified_folds([0, 0, 1, 1], 2, 1.5)),
     "folds-bool-seed": (ConfigError, lambda: stratified_folds([0, 0, 1, 1], 2, True)),
     # Label and id arrays must have an integer dtype.
@@ -150,6 +153,22 @@ CALLS = {
     ),
     "folds-2d-labels": (ContractError, lambda: stratified_folds([[0, 0], [1, 1]], 2, 0)),
     "train-2d-labels": (ContractError, lambda: svm_train(KERNEL, [[0], [1], [1]], [0, 1, 2])),
+    # Sweep lengths are numbers, never bools.
+    "sweep-bool-length": (ConfigError, lambda: _at_config(lambda: sweep_time_length(ExperimentConfig(), [True]))),
+    "sweep-numpy-bool-length": (
+        ConfigError,
+        lambda: _at_config(lambda: sweep_time_length(ExperimentConfig(), [0.5, np.True_])),
+    ),
+    # Writers refuse non-finite values.
+    "warping-json-nan-matrix": (
+        ContractError,
+        lambda: warping_to_json(np.array([[0.0, NAN], [NAN, 0.0]]), gdtw_distance(np.zeros((2, 2)))),
+    ),
+    "warping-json-nan-distance": (
+        ContractError,
+        lambda: warping_to_json(np.zeros((1, 1)), WarpingResult(NAN, ((0, 0),), np.zeros((2, 2)))),
+    ),
+    "csv-infinite-matrix": (ContractError, lambda: export_matrix_csv(np.array([[INF]]), UNWRITABLE)),
     # A distance matrix must be exactly symmetric.
     "kernel-asymmetric-distances": (
         ContractError,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import evokernel.experiment as experiment_module
+from evokernel import svm
 from evokernel.errors import ConfigError, StageError
 from evokernel.experiment import (
     MAX_TIME_STEPS,
@@ -171,10 +172,7 @@ def test_load_failure_is_stage_tagged(tmp_path):
 
 
 def test_update_cap_hits_raise_one_warning(monkeypatch):
-    train = experiment_module.svm_train
-    monkeypatch.setattr(
-        experiment_module, "svm_train", lambda *args, **kw: train(*args, **kw, max_updates=1)
-    )
+    monkeypatch.setattr(svm, "MAX_UPDATES", 1)
     with pytest.warns(RuntimeWarning, match=r"time length 1\.0: .*fold 0 class 0 \(1 updates\)") as caught:
         run_experiment(fast_config(), dataset=synthetic_dataset())
     assert len(caught) == 1

@@ -5,13 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from evokernel import gdtw
+from evokernel import embedding
 from evokernel.augment import TemporalEpisode
-from evokernel.embedding import MetricConfig, _wl_counts, delta, wl_embed_batch
+from evokernel.embedding import MetricConfig, _count_distances, _wl_counts, delta, wl_embed
 from evokernel.errors import ContractError
 from evokernel.gdtw import (
-    _count_distances,
-    _snapshot_counts,
     build_warping_matrix,
     cross_distances,
     gdtw_distance,
@@ -65,6 +63,17 @@ def test_single_snapshot_matrix_is_delta(k2, p3):
     assert m[0, 0] == pytest.approx(delta(k2, p3), abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_delta_is_the_warping_matrix_entry(seed):
+    rng = np.random.default_rng(90 + seed)
+    graphs = [Graph(0, []), Graph(0, [], node_labels=[])]
+    graphs += [random_graph(rng, int(rng.integers(1, 14)), 0.4, labels=bool(k % 2)) for k in range(8)]
+    for cfg in (CFG, MetricConfig(wl_iterations=1, dim=16)):
+        for a in graphs:
+            for b in graphs:
+                assert delta(a, b, cfg) == build_warping_matrix(_episode([a]), _episode([b]), cfg)[0, 0]
+
+
 def test_matrix_matches_hand_oracle(fixture_episodes):
     left, right = fixture_episodes
     m = build_warping_matrix(left, right, WIDE)
@@ -97,13 +106,13 @@ def test_count_grams_equal_python_int_grams(isolated, dtype):
     if isolated:
         # (1,100 nodes * 4 rounds)^2 > 2^24: the bound asks for float64.
         graphs.append(Graph(isolated, []))
-    counts, sq = _snapshot_counts(graphs, CFG)
+    counts, sq = _wl_counts(graphs, CFG)
     assert counts.dtype == dtype
     rows = [reference_wl_counts(g, CFG.wl_iterations, CFG.dim) for g in graphs]
     gram = [[sum(x * y for x, y in zip(r, s)) for s in rows] for r in rows]
     assert (counts @ counts.T).tolist() == gram
     assert sq.tolist() == [gram[k][k] for k in range(len(rows))]
-    wide = _wl_counts(graphs, CFG, np.float64)
+    wide = counts.astype(np.float64)
     assert np.array_equal(_count_distances(counts, counts, sq, sq), _count_distances(wide, wide, sq, sq))
 
 
@@ -111,9 +120,9 @@ def test_count_distances_are_the_embedding_distances():
     rng = np.random.default_rng(82)
     graphs = [Graph(0, [])]
     graphs += [random_graph(rng, int(rng.integers(1, 15)), 0.4) for _ in range(12)]
-    counts, sq = _snapshot_counts(graphs, CFG)
+    counts, sq = _wl_counts(graphs, CFG)
     d = _count_distances(counts, counts, sq, sq)
-    emb = wl_embed_batch(graphs, CFG)
+    emb = np.stack([wl_embed(g, CFG).vector for g in graphs])
     assert np.allclose(d, cross_distances(emb, emb), rtol=0.0, atol=1e-7)
     assert np.array_equal(d, d.T)
     assert np.array_equal(np.diag(d), np.zeros(len(graphs)))
@@ -123,7 +132,7 @@ def test_count_bound_is_checked_before_embedding(monkeypatch):
     def embed(*args):
         raise AssertionError("embedded a snapshot past the exact-count bound")
 
-    monkeypatch.setattr(gdtw, "_wl_counts", embed)
+    monkeypatch.setattr(embedding, "_embed_batch", embed)
     huge = Graph(10 ** 8, [])  # (10^8 * 4)^2 > 2^53; no per-node memory
     episode = TemporalEpisode(source=huge, times=np.zeros(1), snapshots=[huge], seed=0)
     with pytest.raises(ContractError, match="2\\^53"):

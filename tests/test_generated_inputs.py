@@ -115,13 +115,10 @@ VALID = {
     "stratified_folds": dict(labels=DATASET.labels, folds=2, seed=1),
     "subgraph": dict(g=P3, kept=np.array([True, False, True])),
     "svm_predict": dict(model=MODEL, k_row=K[5, :5]),
-    "svm_train": dict(
-        kernel=K, labels=DATASET.labels, train_idx=np.arange(6), c=10.0, tol=1e-3, max_updates=1000
-    ),
+    "svm_train": dict(kernel=K, labels=DATASET.labels, train_idx=np.arange(6), c=10.0),
     "sweep_time_length": dict(cfg=CONFIG, lengths=np.array([0.1, 0.2]), dataset=DATASET),
     "warping_to_json": dict(m=M, result=evokernel.gdtw_distance(M)),
     "wl_embed": dict(g=P3, cfg=METRIC),
-    "wl_embed_batch": dict(graphs=[P3, star(2)], cfg=METRIC),
     "write_episode_jsonl": dict(episode=EPISODES[0], path=WORK / "written.jsonl"),
     "write_sweep_csv": dict(
         reports=[evokernel.run_experiment(CONFIG, DATASET)], path=WORK / "sweep.csv"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evokernel.embedding import MetricConfig, wl_embed_batch
+from evokernel.embedding import MetricConfig, wl_embed
 from evokernel.errors import GraphConstructionError
 from evokernel.graphs import Graph, normalized_laplacian, subgraph
 
@@ -228,4 +228,4 @@ def test_constructor_accepts_exactly_the_simple_graphs(case, mask_bits):
     kept = np.array([bool(mask_bits >> v & 1) for v in range(n)], dtype=bool)
     assert subgraph(g, kept) == reference_subgraph(g, kept)
     cfg = MetricConfig(wl_iterations=2, dim=64)
-    assert np.array_equal(wl_embed_batch([g], cfg)[0], reference_wl_embed(g, 2, 64))
+    assert np.array_equal(wl_embed(g, cfg).vector, reference_wl_embed(g, 2, 64))

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from evokernel.augment import TemporalEpisode, generate_episode
-from evokernel.embedding import MetricConfig, wl_embed_batch
+from evokernel.embedding import MetricConfig, _count_distances, _wl_counts, wl_embed
 from evokernel.errors import ContractError
 from evokernel.experiment import ExperimentConfig
-from evokernel.gdtw import _count_distances, _snapshot_counts, build_warping_matrix, gdtw_distance
+from evokernel.gdtw import build_warping_matrix, gdtw_distance
 from evokernel.kernel import (
     _prefix_distance_matrices,
     clip_psd,
@@ -114,12 +114,13 @@ def test_mutag_distances_match_the_per_length_reference(mutag_episodes):
 
 def test_equal_mutag_snapshots_are_exactly_zero_apart(mutag_episodes):
     snapshots = [snap for e in mutag_episodes for snap in e.snapshots]
-    _, group = np.unique(wl_embed_batch(snapshots, CFG), axis=0, return_inverse=True)
+    embeddings = np.stack([wl_embed(snap, CFG).vector for snap in snapshots])
+    _, group = np.unique(embeddings, axis=0, return_inverse=True)
     group = group.ravel()
     equal = group[:, None] == group[None, :]
     # 2,068 snapshots on the diagonal plus 394 ordered pairs of distinct ones
     assert equal.sum() == 2462
-    counts, sq = _snapshot_counts(snapshots, CFG)
+    counts, sq = _wl_counts(snapshots, CFG)
     assert np.all(_count_distances(counts, counts, sq, sq)[equal] == 0.0)
 
 

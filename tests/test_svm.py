@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from evokernel import svm
 from evokernel.errors import TrainingError
 from evokernel.svm import BinarySvm, SvmModel, _smo, svm_predict, svm_train
 
@@ -138,14 +139,15 @@ def _random_problem(rng, n, kind):
 
 
 @pytest.mark.parametrize("kind", ["psd", "indefinite", "asymmetric"])
-def test_smo_is_bit_equal_to_the_reference_loop(kind):
+def test_smo_is_bit_equal_to_the_reference_loop(kind, monkeypatch):
     rng = np.random.default_rng(58)
     cap_hits = 0
     for trial in range(60):
         k, y = _random_problem(rng, int(rng.integers(2, 30)), kind)
         c = float(10.0 ** rng.uniform(-3, 3))
         cap = [1, 3, 50, 3000][trial % 4]
-        got = _smo(k, y, c, 1e-3, cap)
+        monkeypatch.setattr(svm, "MAX_UPDATES", cap)
+        got = _smo(k, y, c)
         want = reference_ovr_smo(k, y, c, 1e-3, cap)
         assert np.array_equal(got.alpha, want.alpha)
         assert np.array_equal(got.support, want.support)
@@ -227,8 +229,9 @@ def test_three_class_one_vs_rest():
     assert np.array_equal(preds, labels)
 
 
-def test_update_cap_is_reported():
-    model = svm_train(BLOCK_KERNEL, BLOCK_LABELS, np.arange(4), c=1.0, max_updates=1)
+def test_update_cap_is_reported(monkeypatch):
+    monkeypatch.setattr(svm, "MAX_UPDATES", 1)
+    model = svm_train(BLOCK_KERNEL, BLOCK_LABELS, np.arange(4), c=1.0)
     assert any(machine.cap_hit for machine in model.machines)
     assert all(machine.updates <= 1 for machine in model.machines)
 

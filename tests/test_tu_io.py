@@ -70,6 +70,14 @@ def test_node_id_out_of_range_reports_line_number(tmp_path):
         load_tu_dataset(directory, "TINY")
 
 
+def test_graph_id_beyond_the_labels_is_refused_before_sizing(tmp_path):
+    directory = _two_graph_dir(tmp_path)
+    indicator = directory / "TINY_graph_indicator.txt"
+    indicator.write_text(indicator.read_text() + "3000000000\n")
+    with pytest.raises(DatasetError, match=r"indicator\.txt line 6: graph id 3000000000 exceeds the 2"):
+        load_tu_dataset(directory, "TINY")
+
+
 def test_malformed_integer_reports_line_number(tmp_path):
     directory = _two_graph_dir(tmp_path)
     (directory / "TINY_graph_labels.txt").write_text("7\nbanana\n")
