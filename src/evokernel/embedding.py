@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ContractError, integer
+from .errors import ConfigError, ContractError, integer
 from .graphs import Graph
 
 # Refined labels are compressed to a 16-byte digest each round so signatures
@@ -39,6 +39,13 @@ _BUCKET_DIGEST_SIZE = 8
 # working memory whatever the number of graphs.
 _BATCH_ENTRIES = 16384
 
+# Deepest supported WL refinement. Time grows linearly with the depth and one
+# label-id array is kept per round: counting the 2,068 snapshots of a MUTAG
+# run takes 0.075 s at depth 3 and 8.5 s at depth 100, and a depth of 4e7,
+# which the exact-count rule still admits for small graphs, would run for
+# half an hour holding that many arrays.
+MAX_WL_ITERATIONS = 100
+
 
 @dataclass(frozen=True)
 class MetricConfig:
@@ -48,7 +55,10 @@ class MetricConfig:
     def validate(self) -> MetricConfig:
         """This config with Python-int sizes; ``ConfigError`` unless both are integers in range."""
         dim = integer("embedding dimension", self.dim, 1)
-        return MetricConfig(integer("refinement depth", self.wl_iterations), dim)
+        depth = integer("refinement depth", self.wl_iterations)
+        if depth > MAX_WL_ITERATIONS:
+            raise ConfigError(f"refinement depth {depth} is above the supported {MAX_WL_ITERATIONS}")
+        return MetricConfig(depth, dim)
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,8 @@ class CvReport:
     """Cross-validation outcome plus the resolved configuration echo.
 
     The standard deviation is the population std over the fold accuracies.
+    ``confusion[i][j]`` counts test graphs of the i-th smallest label that
+    were predicted as the j-th smallest, so any integer labels index it.
     ``canonical_json`` drops the (nondeterministic) timings block, so it is
     byte-identical across reruns of the same config and seed. In a sweep the
     ``load``, ``episodes`` and ``distances`` timings are measured once, for
@@ -168,19 +170,12 @@ def stratified_folds(labels, folds: int, seed: int) -> list[tuple[np.ndarray, np
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_FOLD_STREAM,)))
     fold_of = np.empty(n, dtype=np.int64)
     offset = 0
-    for cls in classes:
+    for cls, count in zip(classes, counts):
         members = np.flatnonzero(labels == cls)
-        members = members[rng.permutation(len(members))]
-        for pos, idx in enumerate(members):
-            fold_of[idx] = (offset + pos) % folds
-        offset = (offset + len(members)) % folds
-    out = []
+        fold_of[members[rng.permutation(count)]] = (offset + np.arange(count)) % folds
+        offset = (offset + count) % folds
     everything = np.arange(n)
-    for f in range(folds):
-        test = everything[fold_of == f]
-        train = everything[fold_of != f]
-        out.append((train, test))
-    return out
+    return [(everything[fold_of != f], everything[fold_of == f]) for f in range(folds)]
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: GraphDataset | None = None) -> CvReport:
@@ -286,8 +281,8 @@ def _cross_validate(
     tic = time.perf_counter()
     with _stage("cv"):
         labels = dataset.labels
-        n_classes = int(labels.max()) + 1 if len(labels) else 0
-        confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+        classes = np.unique(labels)
+        confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
         fold_accuracies = []
         capped = []
         for fold, (train, test) in enumerate(stratified_folds(labels, cfg.folds, cfg.seed)):
@@ -297,12 +292,11 @@ def _cross_validate(
                 for m in model.machines
                 if m.cap_hit
             ]
-            hits = 0
-            for t in test:
-                pred = svm_predict(model, ek.k[t, train])
-                confusion[labels[t], pred] += 1
-                hits += int(pred == labels[t])
-            fold_accuracies.append(hits / len(test))
+            predicted = svm_predict(model, ek.k[np.ix_(test, train)])
+            truth = labels[test]
+            cells = np.searchsorted(classes, truth), np.searchsorted(classes, predicted)
+            np.add.at(confusion, cells, 1)
+            fold_accuracies.append(np.count_nonzero(predicted == truth) / len(test))
     timings["cv"] = time.perf_counter() - tic
     if capped:
         warnings.warn(

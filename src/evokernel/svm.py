@@ -38,25 +38,15 @@ class BinarySvm:
     updates: int
     cap_hit: bool
 
-    def decision(self, k_row: np.ndarray) -> float:
-        return float((self.alpha * self.y) @ k_row + self.bias)
-
 
 @dataclass
 class SvmModel:
-    """Machines of one training set: one for two classes, else one per class.
-
-    ``decision_values`` has one entry per machine; a two-class model's single
-    value is positive (or zero) for ``classes[0]``.
-    """
+    """Machines of one training set: one for two classes, else one per class."""
 
     classes: np.ndarray
     machines: list[BinarySvm]
     c: float
     train_size: int
-
-    def decision_values(self, k_row: np.ndarray) -> np.ndarray:
-        return np.array([m.decision(k_row) for m in self.machines])
 
 
 def _smo(k: np.ndarray, y: np.ndarray, c: float) -> BinarySvm:
@@ -161,20 +151,23 @@ def svm_train(
     return SvmModel(classes=classes, machines=machines, c=c, train_size=len(train_idx))
 
 
-def svm_predict(model: SvmModel, k_row: np.ndarray) -> int:
-    """Argmax of the one-vs-rest decision values; ties go to the lowest class id.
+def svm_predict(model: SvmModel, k_rows: np.ndarray) -> int | np.ndarray:
+    """Class of one kernel row, or int64 classes of each row of an (m, train_size) block.
 
+    The decision values are ``k_rows @ coef + bias``, one column of ``alpha * y``
+    per machine, and the class is their argmax; ties go to the lowest class id.
     A two-class model predicts ``classes[0]`` unless its decision value is
     negative, which is the argmax of the mirrored pair ``[f, -f]``.
     """
-    k_row = np.asarray(k_row, dtype=float)
-    if k_row.shape != (model.train_size,):
+    k_rows = np.asarray(k_rows, dtype=float)
+    if k_rows.ndim not in (1, 2) or k_rows.shape[-1] != model.train_size:
         raise ContractError(
-            f"kernel row has length {k_row.size}, expected {model.train_size}"
+            f"kernel rows of shape {k_rows.shape}, expected rows of length {model.train_size}"
         )
-    if not np.isfinite(k_row).all():
-        raise ContractError("kernel row has non-finite entries")
-    values = model.decision_values(k_row)
-    if len(values) == 1:
-        return int(model.classes[1] if values[0] < 0 else model.classes[0])
-    return int(model.classes[int(np.argmax(values))])
+    if not np.isfinite(k_rows).all():
+        raise ContractError("kernel rows have non-finite entries")
+    coef = np.stack([m.alpha * m.y for m in model.machines], axis=1)
+    values = k_rows @ coef + np.array([m.bias for m in model.machines])
+    best = values[..., 0] < 0 if len(model.machines) == 1 else np.argmax(values, axis=-1)
+    predicted = np.asarray(model.classes, dtype=np.int64)[best.astype(np.int64)]
+    return int(predicted) if k_rows.ndim == 1 else predicted

@@ -108,6 +108,17 @@ def test_non_finite_or_negative_seed_fails_at_config(dataset_dir, capsys, flags)
     assert "[config]" in capsys.readouterr().err
 
 
+def test_too_deep_refinement_fails_at_config_before_loading(tmp_path, capsys):
+    code = main(
+        ["run", "--dataset", str(tmp_path / "missing"), "--name", "NOPE", *FAST,
+         "--wl-iters", "40000000"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "[config]" in err
+    assert "[load]" not in err
+
+
 def test_unallocatable_embedding_fails_at_distances(dataset_dir, capsys):
     code = main(
         ["run", "--dataset", str(dataset_dir), "--name", "TRISTAR", *FAST,

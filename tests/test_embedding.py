@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from evokernel import embedding
 from evokernel.augment import generate_episode
-from evokernel.embedding import MetricConfig, _wl_counts, delta, wl_embed
+from evokernel.embedding import MAX_WL_ITERATIONS, MetricConfig, _wl_counts, delta, wl_embed
 from evokernel.errors import ConfigError, ContractError
 from evokernel.experiment import ExperimentConfig
 from evokernel.graphs import Graph
@@ -120,6 +120,12 @@ def test_dimension_must_be_positive():
         wl_embed(Graph(1, []), MetricConfig(dim=0))
     with pytest.raises(ConfigError):
         wl_embed(Graph(1, []), MetricConfig(wl_iterations=-1))
+
+
+def test_refinement_depth_is_bounded():
+    assert MetricConfig(wl_iterations=MAX_WL_ITERATIONS).validate().wl_iterations == MAX_WL_ITERATIONS
+    with pytest.raises(ConfigError, match="refinement depth"):
+        MetricConfig(wl_iterations=MAX_WL_ITERATIONS + 1).validate()
 
 
 def test_numpy_integer_sizes_give_the_rows_of_python_ints():

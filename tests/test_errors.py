@@ -17,7 +17,7 @@ from evokernel.augment import (
     heat_distribution,
     read_episode_jsonl,
 )
-from evokernel.embedding import MetricConfig, wl_embed
+from evokernel.embedding import MAX_WL_ITERATIONS, MetricConfig, wl_embed
 from evokernel.errors import ConfigError, ContractError, EvoKernelError, StageError
 from evokernel.experiment import ExperimentConfig, stratified_folds, sweep_time_length
 from evokernel.gdtw import WarpingResult, gdtw_distance, warping_to_json
@@ -122,6 +122,10 @@ CALLS = {
     "dim-fraction": (ConfigError, lambda: wl_embed(PATH, MetricConfig(dim=1.5))),
     "dim-bool": (ConfigError, lambda: wl_embed(PATH, MetricConfig(dim=True))),
     "iterations-fraction": (ConfigError, lambda: wl_embed(PATH, MetricConfig(wl_iterations=2.5))),
+    "iterations-too-deep": (
+        ConfigError,
+        lambda: wl_embed(PATH, MetricConfig(wl_iterations=MAX_WL_ITERATIONS + 1)),
+    ),
     # Array contracts.
     "train-index-outside": (ContractError, lambda: svm_train(KERNEL, LABELS, [0, 1, 3])),
     "train-index-negative": (ContractError, lambda: svm_train(KERNEL, LABELS, [-1, 0, 1])),

@@ -101,6 +101,13 @@ def test_synthetic_fixture_separates_perfectly():
     assert report.confusion == [[3, 0], [0, 3]]
 
 
+@pytest.mark.parametrize("labels", [[-1, -1, -1, 1, 1, 1], [5, 5, 5, 7, 7, 7]])
+def test_confusion_is_indexed_by_class_rank(labels):
+    dataset = replace(synthetic_dataset(), labels=np.array(labels))
+    report = run_experiment(fast_config(), dataset=dataset)
+    assert report.confusion == [[3, 0], [0, 3]]
+
+
 def test_zero_length_grid_degenerates_to_static_run():
     report = run_experiment(fast_config(time_length=0.0), dataset=synthetic_dataset())
     assert report.config["times"] == [0.0]

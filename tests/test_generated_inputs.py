@@ -114,7 +114,7 @@ VALID = {
     "spectral_decompose": dict(lap=LAP),
     "stratified_folds": dict(labels=DATASET.labels, folds=2, seed=1),
     "subgraph": dict(g=P3, kept=np.array([True, False, True])),
-    "svm_predict": dict(model=MODEL, k_row=K[5, :5]),
+    "svm_predict": dict(model=MODEL, k_rows=K[5, :5]),
     "svm_train": dict(kernel=K, labels=DATASET.labels, train_idx=np.arange(6), c=10.0),
     "sweep_time_length": dict(cfg=CONFIG, lengths=np.array([0.1, 0.2]), dataset=DATASET),
     "warping_to_json": dict(m=M, result=evokernel.gdtw_distance(M)),

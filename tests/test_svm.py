@@ -90,19 +90,22 @@ def test_single_class_training_set_rejected():
         svm_train(BLOCK_KERNEL, BLOCK_LABELS, np.array([0, 1]), c=1.0)
 
 
-def test_exact_tie_prefers_lowest_class():
-    flat = BinarySvm(
-        positive_class=0,
-        y=np.array([1.0, -1.0]),
-        alpha=np.zeros(2),
-        bias=0.0,
-        support=np.array([], dtype=int),
+def _machine(positive_class, y, alpha, bias=0.0):
+    return BinarySvm(
+        positive_class=positive_class,
+        y=y,
+        alpha=alpha,
+        bias=bias,
+        support=np.flatnonzero(alpha),
         kkt_residual=0.0,
         updates=0,
         cap_hit=False,
     )
+
+
+def test_exact_tie_prefers_lowest_class():
+    flat = _machine(0, np.array([1.0, -1.0]), np.zeros(2))
     model = SvmModel(classes=np.array([0, 1]), machines=[flat], c=1.0, train_size=2)
-    assert model.decision_values(np.zeros(2)).tolist() == [0.0]
     assert svm_predict(model, np.zeros(2)) == 0
     flat.bias = -0.25
     assert svm_predict(model, np.zeros(2)) == 1
@@ -116,7 +119,6 @@ def test_two_classes_train_one_machine_mirroring_the_other():
     model = svm_train(kernel, labels, np.arange(12), c=2.0)
     assert model.classes.tolist() == [3, 5]
     assert [m.positive_class for m in model.machines] == [3]
-    assert model.decision_values(kernel[0]).shape == (1,)
     (machine,) = model.machines
     mirror = reference_ovr_smo(kernel, np.where(labels == 5, 1.0, -1.0), 2.0)
     assert np.array_equal(mirror.alpha, machine.alpha)
@@ -176,11 +178,30 @@ def test_predictions_equal_the_one_vs_rest_reference(class_count):
 
 
 @pytest.mark.parametrize("class_count", [2, 3])
-def test_prediction_ties_match_the_reference(monkeypatch, class_count):
-    # Decision value of machine m on a row is row[m], so ties can be exact.
-    monkeypatch.setattr(BinarySvm, "decision", lambda self, row: float(row[self.positive_class]))
-    labels = np.arange(6) % class_count
-    model = svm_train(np.eye(6), labels, np.arange(6), c=1.0)
+def test_block_predictions_equal_single_rows_and_the_reference(class_count):
+    rng = np.random.default_rng(61 + class_count)
+    raw = rng.standard_normal((40, 3))
+    kernel = np.exp(-np.sum((raw[:, None] - raw[None]) ** 2, axis=-1) / 2.0)
+    labels = np.arange(40) % class_count
+    train = np.arange(25)
+    model = svm_train(kernel, labels, train, c=5.0)
+    block = kernel[:, train]
+    preds = svm_predict(model, block)
+    assert preds.dtype == np.int64
+    assert preds.tolist() == [svm_predict(model, row) for row in block]
+    values = np.array([[(m.alpha * m.y) @ row + m.bias for m in model.machines] for row in block])
+    if class_count == 2:
+        values = np.hstack([values, -values])
+    assert np.array_equal(preds, reference_ovr_predict(model.classes, values))
+
+
+@pytest.mark.parametrize("class_count", [2, 3])
+def test_prediction_ties_match_the_reference(class_count):
+    # Machine m has alpha = e_m, y = 1 and bias 0, so its decision value on a
+    # row is row[m] and ties can be exact.
+    ones = np.ones(6)
+    machines = [_machine(m, ones, np.eye(6)[m]) for m in range(1 if class_count == 2 else class_count)]
+    model = SvmModel(classes=np.arange(class_count), machines=machines, c=1.0, train_size=6)
     rows = np.array(
         [
             [0.0, -0.0, 0.0, 0, 0, 0],
@@ -198,6 +219,7 @@ def test_prediction_ties_match_the_reference(monkeypatch, class_count):
         values = rows[:, :3]
     preds = [svm_predict(model, row) for row in rows]
     assert np.array_equal(preds, reference_ovr_predict(model.classes, values))
+    assert np.array_equal(svm_predict(model, rows), preds)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -238,11 +260,14 @@ def test_update_cap_is_reported(monkeypatch):
 
 def test_predict_validates_row_length():
     model = svm_train(BLOCK_KERNEL, BLOCK_LABELS, np.arange(4), c=1.0)
-    with pytest.raises(ValueError):
-        svm_predict(model, np.zeros(3))
+    for shape in (3, (2, 3), (1, 1, 4), ()):
+        with pytest.raises(ValueError, match="shape"):
+            svm_predict(model, np.zeros(shape))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             svm_predict(model, np.full(4, bad))
+        with pytest.raises(ValueError, match="non-finite"):
+            svm_predict(model, np.vstack([np.zeros(4), np.full(4, bad)]))
 
 
 def test_rejects_non_positive_c():
