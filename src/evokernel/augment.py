@@ -14,9 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, integer, real
+from .errors import ConfigError, ContractError, choice, integer, real
 from .graphs import Graph, normalized_laplacian, subgraph
 from .heat import (
+    HEAT_METHODS,
     METHOD_EXACT,
     HeatState,
     compute_heat_kernel,
@@ -134,7 +135,7 @@ def generate_episode(
     previous snapshot using the time increment t_k - t_{k-1} on that
     snapshot's own Laplacian. Either way snapshot k is ``subgraph(g,
     kept_masks[k])``, and a step with nothing left to draw from keeps
-    nothing.
+    nothing. Every argument is checked before the first step.
 
     The method is chosen from the time before anything is decomposed, and
     the spectrum is computed only when the method reads it: ``exact`` and
@@ -158,8 +159,15 @@ def generate_episode(
     if np.any(np.diff(times) <= 0):
         raise ConfigError("time grid must be strictly ascending")
     seed, graph_index = integer("seed", seed), integer("graph index", graph_index)
-    if cfg is None:
-        cfg = BoltzmannConfig()
+    cfg = BoltzmannConfig() if cfg is None else cfg
+    if not isinstance(cfg, BoltzmannConfig):
+        raise ConfigError(f"cfg must be a BoltzmannConfig or None, got {cfg!r}")
+    real("energy weight a", cfg.a)
+    real("energy bias b", cfg.b)
+    real("initial heat", u0, 0, above=True)
+    choice("heat method", method, HEAT_METHODS)
+    if not isinstance(cumulative, (bool, np.bool_)):
+        raise ConfigError(f"cumulative must be a boolean, got {cumulative!r}")
 
     lap, spec = normalized_laplacian(g), None
     ids = np.arange(g.node_count)

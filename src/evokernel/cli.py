@@ -4,51 +4,46 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .errors import EvoKernelError
 from .experiment import ExperimentConfig, _stage, run_experiment, sweep_time_length, write_sweep_csv
+from .heat import HEAT_METHODS, METHOD_TAYLOR2
+from .kernel import PSD_REPAIRS
 
-_HK_CHOICES = {"exact": "exact", "taylor": "taylor2", "fiedler": "fiedler", "auto": "auto"}
+# --hk spells each heat method by its name, except taylor2 as "taylor".
+_HK_CHOICES = {"taylor" if m == METHOD_TAYLOR2 else m: m for m in HEAT_METHODS}
+
+
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    def _get_help_string(self, action):  # a required flag has no default to print
+        return action.help if action.required else super()._get_help_string(action)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dataset", required=True, help="directory holding the benchmark text files")
-    parser.add_argument("--name", required=True, help="dataset name, e.g. MUTAG")
-    parser.add_argument("--time-length", type=float, default=1.0)
-    parser.add_argument("--time-interval", type=float, default=0.1)
-    parser.add_argument("--a", type=float, default=-2.0, help="energy weight")
-    parser.add_argument("--b", type=float, default=-2.0, help="energy bias")
-    parser.add_argument("--u0", type=float, default=1.0, help="initial heat per node")
-    parser.add_argument("--wl-iters", type=int, default=3)
-    parser.add_argument("--emb-dim", type=int, default=1024)
-    parser.add_argument("--gamma-scale", type=float, default=1.0)
-    parser.add_argument("--psd", choices=["none", "clip"], default="clip")
-    parser.add_argument("--c", type=float, default=10.0, help="SVM regularization")
-    parser.add_argument("--folds", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
+    """The flags of ``ExperimentConfig``: each flag's dest is its field, and its default the field's."""
+    parser.add_argument("--dataset", dest="dataset_dir", required=True, help="directory holding the benchmark text files")
+    parser.add_argument("--name", dest="dataset_name", required=True, help="dataset name, e.g. MUTAG")
+    parser.add_argument("--time-length", type=float, help="episode time length")
+    parser.add_argument("--time-interval", type=float, help="time grid step")
+    parser.add_argument("--a", type=float, help="energy weight")
+    parser.add_argument("--b", type=float, help="energy bias")
+    parser.add_argument("--u0", type=float, help="initial heat per node")
+    parser.add_argument("--wl-iters", dest="wl_iterations", type=int, help="WL refinement rounds")
+    parser.add_argument("--emb-dim", dest="embedding_dim", type=int, help="WL embedding buckets")
+    parser.add_argument("--gamma-scale", type=float, help="kernel bandwidth over the median distance")
+    parser.add_argument("--psd", dest="psd_repair", choices=PSD_REPAIRS, help="kernel PSD repair")
+    parser.add_argument("--c", type=float, help="SVM regularization")
+    parser.add_argument("--folds", type=int, help="cross-validation folds")
+    parser.add_argument("--seed", type=int, help="seed of the drops and the folds")
     parser.add_argument("--cumulative", action="store_true", help="drop from the previous snapshot instead of the source graph")
-    parser.add_argument("--hk", choices=sorted(_HK_CHOICES), default="exact", help="heat-kernel method")
+    parser.add_argument("--hk", dest="heat_method", choices=sorted(_HK_CHOICES), help="heat-kernel method")
+    parser.set_defaults(**ExperimentConfig().to_dict())
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        dataset_dir=args.dataset,
-        dataset_name=args.name,
-        time_length=args.time_length,
-        time_interval=args.time_interval,
-        a=args.a,
-        b=args.b,
-        u0=args.u0,
-        wl_iterations=args.wl_iters,
-        embedding_dim=args.emb_dim,
-        gamma_scale=args.gamma_scale,
-        psd_repair=args.psd,
-        c=args.c,
-        folds=args.folds,
-        seed=args.seed,
-        cumulative=args.cumulative,
-        heat_method=_HK_CHOICES[args.hk],
-    )
+    values = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+    return ExperimentConfig(**{**values, "heat_method": _HK_CHOICES[args.heat_method]})
 
 
 def _print_report(report) -> None:
@@ -69,11 +64,11 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = sub.add_parser("run", help="one cross-validated run")
+    run_parser = sub.add_parser("run", help="one cross-validated run", formatter_class=_HelpFormatter)
     _add_common(run_parser)
     run_parser.add_argument("--out", help="write the JSON report here")
 
-    sweep_parser = sub.add_parser("sweep", help="sweep the episode time length")
+    sweep_parser = sub.add_parser("sweep", help="sweep the episode time length", formatter_class=_HelpFormatter)
     _add_common(sweep_parser)
     sweep_parser.add_argument("--lengths", required=True, help="comma-separated ascending time lengths")
     sweep_parser.add_argument("--out", required=True, help="write the (length, mean, std) CSV here")
@@ -89,7 +84,8 @@ def main(argv=None) -> int:
                     fh.write(report.to_json() + "\n")
                 print(f"report written to {args.out}")
         else:
-            lengths = [x for x in args.lengths.split(",") if x.strip()]
+            with _stage("config"):
+                lengths = [float(x) for x in args.lengths.split(",") if x.strip()]
             reports = sweep_time_length(_config_from(args), lengths)
             for report in reports:
                 print(f"T={report.config['time_length']:g}  mean {report.mean_accuracy:.4f}  "

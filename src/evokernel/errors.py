@@ -1,5 +1,6 @@
 """Exception taxonomy shared across the package, and the one rule for each kind of
-argument: scalar integers and reals, integer label or id arrays, square matrices."""
+argument: scalar integers and reals, named choices, integer label or id arrays,
+square matrices."""
 
 import math
 import numbers
@@ -71,6 +72,12 @@ def real(name: str, value, minimum: float = -math.inf, *, above: bool = False) -
         bound = "" if minimum == -math.inf else f" {'>' if above else '>='} {minimum}"
         raise ConfigError(f"{name} must be a finite real number{bound}, got {value!r}")
     return number
+
+
+def choice(name: str, value, allowed: tuple) -> None:
+    """``ConfigError`` unless ``value`` is one of the strings in ``allowed``."""
+    if not (isinstance(value, str) and value in allowed):
+        raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 def integers(name: str, values) -> np.ndarray:

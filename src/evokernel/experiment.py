@@ -22,13 +22,11 @@ import numpy as np
 
 from .augment import BoltzmannConfig, generate_episode
 from .embedding import MetricConfig
-from .errors import ConfigError, EvoKernelError, StageError, integer, integers, real
-from .heat import METHOD_AUTO, METHOD_EXACT, METHOD_FIEDLER, METHOD_TAYLOR2
-from .kernel import _prefix_distance_matrices, evolution_kernel
+from .errors import ConfigError, EvoKernelError, StageError, choice, integer, integers, real
+from .heat import HEAT_METHODS, METHOD_EXACT
+from .kernel import PSD_REPAIRS, _prefix_distance_matrices, evolution_kernel
 from .svm import svm_predict, svm_train
 from .tu_io import GraphDataset, load_tu_dataset
-
-HEAT_METHODS = (METHOD_EXACT, METHOD_TAYLOR2, METHOD_FIEDLER, METHOD_AUTO)
 
 # Substream tag separating fold shuffling from per-snapshot augmentation
 # streams (which use 2-element spawn keys).
@@ -61,7 +59,7 @@ class ExperimentConfig:
     heat_method: str = METHOD_EXACT
 
     def validate(self) -> None:
-        for name in ("dataset_dir", "dataset_name", "psd_repair", "heat_method", "cumulative"):
+        for name in ("dataset_dir", "dataset_name", "cumulative"):
             kind, what = ((bool, np.bool_), "a boolean") if name == "cumulative" else (str, "a string")
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name.replace('_', ' ')} must be {what}, got {getattr(self, name)!r}")
@@ -79,10 +77,8 @@ class ExperimentConfig:
         real("regularization c", self.c, 0, above=True)
         integer("folds", self.folds, 2)
         integer("seed", self.seed)
-        if self.psd_repair not in ("none", "clip"):
-            raise ConfigError(f"psd repair must be 'none' or 'clip', got {self.psd_repair!r}")
-        if self.heat_method not in HEAT_METHODS:
-            raise ConfigError(f"heat method must be one of {HEAT_METHODS}, got {self.heat_method!r}")
+        choice("psd repair", self.psd_repair, PSD_REPAIRS)
+        choice("heat method", self.heat_method, HEAT_METHODS)
         self.metric_config().validate()
 
     def time_grid(self) -> np.ndarray:
@@ -121,24 +117,22 @@ class CvReport:
     timings: dict[str, float] = field(default_factory=dict)
     config: dict = field(default_factory=dict)
 
-    def to_dict(self, include_timings: bool = True) -> dict:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "fold_accuracies": self.fold_accuracies,
             "mean_accuracy": self.mean_accuracy,
             "std_accuracy": self.std_accuracy,
             "std_definition": "population std over fold accuracies",
             "confusion": self.confusion,
             "config": self.config,
+            "timings": self.timings,
         }
-        if include_timings:
-            payload["timings"] = self.timings
-        return payload
 
-    def to_json(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timings), sort_keys=True, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def canonical_json(self) -> str:
-        return self.to_json(include_timings=False)
+        return json.dumps({k: v for k, v in self.to_dict().items() if k != "timings"}, sort_keys=True, indent=2)
 
 
 @contextmanager
@@ -186,19 +180,16 @@ def run_experiment(cfg: ExperimentConfig, dataset: GraphDataset | None = None) -
 def sweep_time_length(
     cfg: ExperimentConfig, lengths, dataset: GraphDataset | None = None
 ) -> list[CvReport]:
-    """One report per time length, equal to a separate run at each; lengths must be ascending.
+    """One report per time length, equal to a separate run at each; lengths are ascending numbers.
 
     Episodes, snapshot embeddings and alignment tables are built once, at
     the longest length; kernel and cross-validation run per length.
     """
     with _stage("config"):
         try:
-            lengths = list(lengths)
-            if any(isinstance(t, (bool, np.bool_)) for t in lengths):
-                raise TypeError(f"{lengths!r} holds a bool")
-            lengths = [float(t) for t in lengths]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep lengths must be numbers: {exc}") from exc
+            lengths = [real("sweep length", t) for t in lengths]
+        except TypeError as exc:  # not iterable
+            raise ConfigError(f"sweep lengths must be a sequence of numbers: {exc}") from exc
         if not lengths:
             raise ConfigError("sweep needs at least one time length")
     return _run_lengths([replace(cfg, time_length=t) for t in lengths], dataset)

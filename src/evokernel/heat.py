@@ -20,6 +20,7 @@ METHOD_EXACT = "exact"
 METHOD_TAYLOR2 = "taylor2"
 METHOD_FIEDLER = "fiedler"
 METHOD_AUTO = "auto"
+HEAT_METHODS = (METHOD_EXACT, METHOD_TAYLOR2, METHOD_FIEDLER, METHOD_AUTO)
 
 # Regime defaults for auto selection: the truncated Taylor form is cubic in t,
 # so it is restricted to t below this threshold; the Fiedler form needs the

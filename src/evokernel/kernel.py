@@ -14,13 +14,16 @@ import numpy as np
 
 from .augment import TemporalEpisode
 from .embedding import MetricConfig, _count_distances, _wl_counts
-from .errors import ConfigError, ContractError, real, square
+from .errors import ContractError, choice, real, square
 from .gdtw import _cumulative_costs
 
 # Snapshot distances are computed and aligned for blocks of episode rows of
 # about this many snapshots (at least one episode) against all later
 # episodes, which bounds their working memory whatever the number of episodes.
 _BLOCK_SNAPSHOTS = 128
+
+# Repairs of an indefinite kernel: none, or zeroing its negative eigenvalues.
+PSD_REPAIRS = ("none", "clip")
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,7 @@ def evolution_kernel(
     trades the exact unit diagonal for positive semidefiniteness.
     """
     gamma_scale = real("gamma_scale", gamma_scale, 0, above=True)
-    if repair not in ("none", "clip"):
-        raise ConfigError(f"repair must be 'none' or 'clip', got {repair!r}")
+    choice("repair", repair, PSD_REPAIRS)
     d = square("distance matrix", d, nonnegative=True, symmetric=True)
     off = d[~np.eye(len(d), dtype=bool)]
     median = float(np.median(off)) if off.size else 0.0

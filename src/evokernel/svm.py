@@ -53,7 +53,6 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float) -> BinarySvm:
     n = len(y)
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of 1/2 a'Qa - 1'a at a = 0
-    columns = np.ascontiguousarray(k.T)  # row i is column i of k
     positive = y > 0
     updates = 0
     converged = False
@@ -87,7 +86,7 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float) -> BinarySvm:
 
         alpha[i] += y[i] * step
         alpha[j] -= y[j] * step
-        grad += step * y * (columns[i] - columns[j])
+        grad += step * y * (k[:, i] - k[:, j])
         updates += 1
 
     if up.any() and low.any():

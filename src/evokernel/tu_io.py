@@ -56,6 +56,11 @@ def _parse_int(text: str, path: Path, line_no: int) -> int:
         raise DatasetError(f"{path.name} line {line_no}: expected an integer, got {text!r}") from None
 
 
+def _read_ints(path: Path) -> list[tuple[int, int]]:
+    """(line number, integer) of each non-blank line."""
+    return [(ln, _parse_int(text, path, ln)) for ln, text in enumerate(_read_lines(path), start=1) if text.strip()]
+
+
 def load_tu_dataset(directory, name: str) -> GraphDataset:
     """Load dataset ``name`` from ``directory``.
 
@@ -68,19 +73,11 @@ def load_tu_dataset(directory, name: str) -> GraphDataset:
 
     # The number of graph labels bounds the graph ids, and so every per-graph array.
     labels_path = directory / f"{name}_graph_labels.txt"
-    raw_labels = []
-    for ln, text in enumerate(_read_lines(labels_path), start=1):
-        if not text.strip():
-            continue
-        raw_labels.append(_parse_int(text, labels_path, ln))
+    raw_labels = [label for _, label in _read_ints(labels_path)]
 
     indicator_path = directory / f"{name}_graph_indicator.txt"
-    indicator_lines = _read_lines(indicator_path)
     graph_of_node: list[int] = []
-    for ln, text in enumerate(indicator_lines, start=1):
-        if not text.strip():
-            continue
-        gid = _parse_int(text, indicator_path, ln)
+    for ln, gid in _read_ints(indicator_path):
         if gid < 1:
             raise DatasetError(f"{indicator_path.name} line {ln}: graph id {gid} is not 1-based")
         if gid > len(raw_labels):
@@ -132,12 +129,7 @@ def load_tu_dataset(directory, name: str) -> GraphDataset:
     node_labels: list[list[int]] | None = None
     if node_labels_path.is_file():
         node_labels = [[] for _ in range(n_graphs)]
-        lines = node_labels_path.read_text().splitlines()
-        values = [
-            _parse_int(text, node_labels_path, ln)
-            for ln, text in enumerate(lines, start=1)
-            if text.strip()
-        ]
+        values = [label for _, label in _read_ints(node_labels_path)]
         if len(values) != len(graph_of_node):
             raise DatasetError(
                 f"{node_labels_path.name}: {len(values)} labels for {len(graph_of_node)} nodes"

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evokernel.cli import main
+from evokernel.experiment import ExperimentConfig
 
 from .conftest import star, triangle, write_tu_fixture
 
@@ -50,14 +51,31 @@ def test_run_without_out_only_prints(dataset_dir, capsys):
     assert "mean accuracy" in capsys.readouterr().out
 
 
-def test_run_heat_method_flag_maps_to_taylor2(dataset_dir, tmp_path):
+@pytest.mark.parametrize(
+    "hk, heat_method",
+    [("exact", "exact"), ("taylor", "taylor2"), ("fiedler", "fiedler"), ("auto", "auto")],
+)
+@pytest.mark.parametrize("psd", ["none", "clip"])
+def test_run_heat_method_flag_maps_to_taylor2(dataset_dir, tmp_path, hk, heat_method, psd):
     out = tmp_path / "report.json"
     code = main(
         ["run", "--dataset", str(dataset_dir), "--name", "TRISTAR", *FAST,
-         "--hk", "taylor", "--out", str(out)]
+         "--hk", hk, "--psd", psd, "--out", str(out)]
     )
     assert code == 0
-    assert json.loads(out.read_text())["config"]["heat_method"] == "taylor2"
+    config = json.loads(out.read_text())["config"]
+    assert (config["heat_method"], config["psd_repair"]) == (heat_method, psd)
+
+
+def test_run_without_options_echoes_the_config_defaults(dataset_dir, tmp_path):
+    out = tmp_path / "report.json"
+    code = main(
+        ["run", "--dataset", str(dataset_dir), "--name", "TRISTAR", "--folds", "3", "--out", str(out)]
+    )
+    assert code == 0
+    config = json.loads(out.read_text())["config"]
+    expected = ExperimentConfig(dataset_dir=str(dataset_dir), dataset_name="TRISTAR", folds=3).to_dict()
+    assert {name: config[name] for name in expected} == expected
 
 
 def test_run_cumulative_flag(dataset_dir, tmp_path):

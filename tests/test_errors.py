@@ -36,6 +36,7 @@ from evokernel.kernel import clip_psd, evolution_kernel, export_matrix_csv
 from evokernel.svm import svm_predict, svm_train
 
 PATH = Graph(3, [(0, 1), (1, 2)])
+EMPTY = Graph(0, [])
 LAP = normalized_laplacian(PATH)
 SPEC = spectral_decompose(LAP)
 NAN, INF = float("nan"), float("inf")
@@ -163,6 +164,25 @@ CALLS = {
         ConfigError,
         lambda: _at_config(lambda: sweep_time_length(ExperimentConfig(), [0.5, np.True_])),
     ),
+    # generate_episode checks every argument before its first step, so a graph
+    # with no node to draw from refuses them too.
+    "episode-empty-nan-u0": (ConfigError, lambda: generate_episode(EMPTY, [0.0, 0.1], u0=NAN)),
+    "episode-empty-negative-u0": (ConfigError, lambda: generate_episode(EMPTY, [0.0, 0.1], u0=-1.0)),
+    "episode-empty-method": (ConfigError, lambda: generate_episode(EMPTY, [0.0, 0.1], method="bogus")),
+    "episode-empty-nan-weight": (
+        ConfigError,
+        lambda: generate_episode(EMPTY, [0.0, 0.1], BoltzmannConfig(a=NAN)),
+    ),
+    "episode-empty-nan-bias": (
+        ConfigError,
+        lambda: generate_episode(EMPTY, [0.0, 0.1], BoltzmannConfig(b=NAN)),
+    ),
+    "episode-string-cfg": (ConfigError, lambda: generate_episode(PATH, [0.0, 0.1], "x")),
+    "episode-string-cumulative": (
+        ConfigError,
+        lambda: generate_episode(EMPTY, [0.0, 0.1], cumulative="yes"),
+    ),
+    "episode-integer-cumulative": (ConfigError, lambda: generate_episode(EMPTY, [0.0, 0.1], cumulative=2)),
     # Writers refuse non-finite values.
     "warping-json-nan-matrix": (
         ContractError,
