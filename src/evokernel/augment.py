@@ -4,6 +4,10 @@ Per-node heat is turned into a Boltzmann retention probability, rescaled so
 the hottest node keeps probability exactly 1, and each node survives an
 independent Bernoulli draw. Repeating this over a time grid yields a temporal
 episode of snapshots of the source graph.
+
+An episode is drawn as one ``(T, n)`` bool array of kept masks, with each
+step's heat as vectors (``_episode_masks``); the pipeline works on those masks
+alone, and ``generate_episode`` cuts its snapshot graphs from them.
 """
 
 from __future__ import annotations
@@ -15,16 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, choice, integer, real
-from .graphs import Graph, normalized_laplacian, subgraph
-from .heat import (
-    HEAT_METHODS,
-    METHOD_EXACT,
-    HeatState,
-    compute_heat_kernel,
-    propagate_heat,
-    reads_spectrum,
-    spectral_decompose,
-)
+from .graphs import Graph, _cut, _edge_array, _normalized_laplacian, _subgraphs, subgraph
+from .heat import HEAT_METHODS, METHOD_EXACT, HeatState, _heat_vectors, reads_spectrum, spectral_decompose
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,8 @@ class TemporalEpisode:
     """Snapshots of one source graph over an ascending time grid.
 
     ``kept_masks[k]`` flags, over source node ids, which nodes survived in
-    snapshot k; snapshots re-pack survivors to 0-based local ids.
+    snapshot k (``generate_episode`` gives the rows of one ``(T, n)``
+    array); snapshots re-pack survivors to 0-based local ids.
     """
 
     source: Graph
@@ -77,15 +74,19 @@ def heat_distribution(state: HeatState, cfg: BoltzmannConfig) -> HeatDistributio
     """
     a = real("energy weight a", cfg.a)
     real("energy bias b", cfg.b)
-    heat = np.asarray(state.heat, dtype=float)
+    weights = _rescaled(np.asarray(state.heat, dtype=float), a)
+    probs = weights / weights.sum()
+    return HeatDistribution(t=state.t, probs=probs, normed=weights)
+
+
+def _rescaled(heat: np.ndarray, a: float) -> np.ndarray:
+    """Boltzmann weights ``exp(logit - max logit)`` of each column of ``heat``, logit = -a * heat."""
     if not np.isfinite(heat).all():
         raise ContractError("heat vector contains non-finite entries")
     logits = -a * heat
     if not np.isfinite(logits).all():
         raise ConfigError(f"energy weight a={a} overflows the heat logits")
-    weights = np.exp(logits - logits.max(initial=-np.inf))
-    probs = weights / weights.sum()
-    return HeatDistribution(t=state.t, probs=probs, normed=weights)
+    return np.exp(logits - logits.max(axis=0, initial=-np.inf))
 
 
 def drop_node(g: Graph, dist: HeatDistribution, rng: np.random.Generator):
@@ -98,12 +99,8 @@ def drop_node(g: Graph, dist: HeatDistribution, rng: np.random.Generator):
         raise ContractError(
             f"distribution over {len(dist.normed)} nodes for a graph with {g.node_count}"
         )
-    keep = _bernoulli_keep(dist, rng)
+    keep = rng.random(len(dist.normed)) < dist.normed
     return subgraph(g, keep), keep
-
-
-def _bernoulli_keep(dist: HeatDistribution, rng: np.random.Generator) -> np.ndarray:
-    return rng.random(len(dist.normed)) < dist.normed
 
 
 def snapshot_rng(seed: int, graph_index: int, time_index: int) -> np.random.Generator:
@@ -131,11 +128,12 @@ def generate_episode(
     episode bit-exactly and episodes of different graphs are independent.
 
     By default every snapshot is drawn from the original graph with the heat
-    kernel at absolute time t_k. With ``cumulative`` each step drops from the
+    at absolute time t_k. With ``cumulative`` each step drops from the
     previous snapshot using the time increment t_k - t_{k-1} on that
-    snapshot's own Laplacian. Either way snapshot k is ``subgraph(g,
-    kept_masks[k])``, and a step with nothing left to draw from keeps
-    nothing. Every argument is checked before the first step.
+    snapshot's own Laplacian. Either way ``kept_masks`` are the rows of one
+    ``(T, n)`` array, snapshot k is ``subgraph(g, kept_masks[k])``, and a step
+    with nothing left to draw from keeps nothing. Every argument is checked
+    before the first step.
 
     The method is chosen from the time before anything is decomposed, and
     the spectrum is computed only when the method reads it: ``exact`` and
@@ -162,34 +160,38 @@ def generate_episode(
     cfg = BoltzmannConfig() if cfg is None else cfg
     if not isinstance(cfg, BoltzmannConfig):
         raise ConfigError(f"cfg must be a BoltzmannConfig or None, got {cfg!r}")
-    real("energy weight a", cfg.a)
     real("energy bias b", cfg.b)
-    real("initial heat", u0, 0, above=True)
+    a, u0 = real("energy weight a", cfg.a), real("initial heat", u0, 0, above=True)
     choice("heat method", method, HEAT_METHODS)
     if not isinstance(cumulative, (bool, np.bool_)):
         raise ConfigError(f"cumulative must be a boolean, got {cumulative!r}")
 
-    lap, spec = normalized_laplacian(g), None
-    ids = np.arange(g.node_count)
-    grid = times.tolist()
-    snapshots: list[Graph] = []
-    masks: list[np.ndarray] = []
+    masks = _episode_masks(g, times, a, u0, seed, graph_index, method, cumulative)
+    return TemporalEpisode(
+        source=g, times=times, snapshots=_subgraphs(g, masks), seed=seed, kept_masks=list(masks)
+    )
+
+
+def _episode_masks(g: Graph, times: np.ndarray, a, u0, seed, graph_index, method, cumulative) -> np.ndarray:
+    """The ``(T, n)`` kept masks of ``generate_episode`` on checked arguments. One heat call
+    on the source serves every step, or under ``cumulative`` one per step on the Laplacian
+    of the nodes the previous step kept, cut from the source edge array."""
+    edges, grid = _edge_array(g), times.tolist()
+    masks = np.zeros((len(grid), g.node_count), dtype=bool)
+    ids, local = np.arange(g.node_count), edges
     for k, t in enumerate(grid):
         if cumulative and k:
-            t -= grid[k - 1]
-            ids = np.flatnonzero(masks[-1])
-            lap, spec = normalized_laplacian(snapshots[-1]), None
-        keep = np.zeros(g.node_count, dtype=bool)
-        if ids.size:
-            if spec is None and reads_spectrum(method, t):
-                spec = spectral_decompose(lap)
-            hk = compute_heat_kernel(lap, spec, t, method)
-            dist = heat_distribution(propagate_heat(hk, u0), cfg)
-            keep[ids[_bernoulli_keep(dist, snapshot_rng(seed, graph_index, k))]] = True
-        snapshots.append(subgraph(g, keep))
-        masks.append(keep)
-
-    return TemporalEpisode(source=g, times=times, snapshots=snapshots, seed=seed, kept_masks=masks)
+            ids, local, t = np.flatnonzero(masks[k - 1]), _cut(edges, masks[k - 1 : k])[1], t - grid[k - 1]
+        if not ids.size:
+            break
+        if cumulative or not k:
+            steps = [t] if cumulative else grid
+            lap = _normalized_laplacian(ids.size, local)
+            spec = spectral_decompose(lap) if any(reads_spectrum(method, s) for s in steps) else None
+            normed = _rescaled(_heat_vectors(lap, spec, steps, method, u0), a)
+        keep = snapshot_rng(seed, graph_index, k).random(ids.size) < normed[:, 0 if cumulative else k]
+        masks[k, ids[keep]] = True
+    return masks
 
 
 def write_episode_jsonl(episode: TemporalEpisode, path) -> None:

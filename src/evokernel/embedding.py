@@ -16,18 +16,21 @@ this over the disjoint union of its graphs, with the labels of each round
 replaced by integer ids ranked in string order, so that sorting ids sorts
 labels: equal signatures are found with array operations, and each distinct
 signature and each distinct (round, label) pair is hashed once per batch.
+Batches take their snapshots as flat arrays of node counts, local edge ends
+and labels, which ``_wl_counts`` cuts from each graph's edge array and, in
+the pipeline, from each episode's kept masks: no snapshot graph is built.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, integer
-from .graphs import Graph
+from .graphs import Graph, _cut, _edge_array
 
 # Refined labels are compressed to a 16-byte digest each round so signatures
 # stay short; 2^-128 collision odds are negligible against float tolerances.
@@ -80,43 +83,69 @@ def delta(g1: Graph, g2: Graph, cfg: MetricConfig = MetricConfig()) -> float:
     return float(_count_distances(counts[:1], counts[1:], sq[:1], sq[1:])[0, 0])
 
 
-def _wl_counts(graphs, cfg: MetricConfig):
-    """(len(graphs), dim) matrix of the graphs' WL bucket counts and the rows' squared norms.
+def _wl_counts(graphs, cfg: MetricConfig, masks=None):
+    """WL bucket counts, one row per snapshot, and the rows' squared norms.
 
-    A row depends only on its graph. It sums to nodes * (wl_iterations + 1),
+    The snapshots are the graphs or, given one ``(T, n)`` bool array of ``masks`` per graph,
+    ``subgraph(g, row)`` for every row of them, graph after graph, cut from the graph's
+    edge array without building a snapshot graph.
+
+    A row depends only on its snapshot. It sums to nodes * (wl_iterations + 1),
     so every entry of a Gram of such rows, and every partial sum of one, is
     an integer of at most (max nodes * (wl_iterations + 1))^2: the counts are
     float32 below 2^24 and float64 below 2^53, where their Grams and squared
     norms are exact. The type is settled from the node counts alone, before
-    anything is allocated or embedded.
+    the counts are allocated or anything is embedded.
     """
     cfg = cfg.validate()
     graphs = list(graphs)
-    nodes = max((g.node_count for g in graphs), default=0)
-    bound = (nodes * (cfg.wl_iterations + 1)) ** 2
+    if masks is None:  # one snapshot per graph, read from its edge tuple
+        nodes = np.array([g.node_count for g in graphs], dtype=np.int64)
+        edge_counts = np.array([g.edge_count for g in graphs], dtype=np.int64)
+        ends = np.fromiter(
+            chain.from_iterable(chain.from_iterable(g.edges for g in graphs)), np.int64, 2 * int(edge_counts.sum())
+        ).reshape(-1, 2)
+        labels = [g.node_labels or () for g in graphs]
+        steps = 1
+    else:  # each whole episode cut from its graph's edge array
+        cuts = [_cut(_edge_array(g), m) for g, m in zip(graphs, masks)]
+        nodes = np.concatenate([np.zeros(0, np.int64)] + [m.sum(axis=1) for m in masks])
+        edge_counts = np.concatenate([np.zeros(0, np.int64)] + [c[0] for c in cuts])
+        ends = np.concatenate([np.zeros((0, 2), np.int64)] + [c[1] for c in cuts])
+        labels = [compress((g.node_labels or ()) * len(m), m.ravel().tolist()) for g, m in zip(graphs, masks)]
+        steps = [len(m) for m in masks]
+    # Nodes of unlabelled snapshots count by their degree.
+    labelled = np.repeat(np.array([g.node_labels is not None for g in graphs], dtype=bool), steps)
+    labels = list(chain.from_iterable(labels))
+    bound = (int(nodes.max(initial=0)) * (cfg.wl_iterations + 1)) ** 2
     if bound < 2 ** 24:
         dtype = np.float32
     elif bound < 2 ** 53:
         dtype = np.float64
     else:
         raise ContractError(
-            f"WL counts of a {nodes}-node graph at {cfg.wl_iterations} iterations "
+            f"WL counts of a {int(nodes.max())}-node graph at {cfg.wl_iterations} iterations "
             f"reach Gram entries of up to {bound}, beyond exact float64 (2^53)"
         )
     try:
-        out = np.zeros((len(graphs), cfg.dim), dtype=dtype)
+        out = np.zeros((len(nodes), cfg.dim), dtype=dtype)
     except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an array can hold
         raise ContractError(
-            f"cannot allocate WL counts of {len(graphs)} rows x {cfg.dim} buckets: {exc}"
+            f"cannot allocate WL counts of {len(nodes)} rows x {cfg.dim} buckets: {exc}"
         ) from None
-    sizes = [g.node_count + 2 * g.edge_count for g in graphs]
+    sizes = (nodes + 2 * edge_counts).tolist()
+    edge_at = np.concatenate([[0], np.cumsum(edge_counts)])
+    label_at = np.concatenate([[0], np.cumsum(nodes * labelled)])
     lo = 0
-    while lo < len(graphs):
+    while lo < len(nodes):
         hi, total = lo + 1, sizes[lo]
-        while hi < len(graphs) and total + sizes[hi] <= _BATCH_ENTRIES:
+        while hi < len(nodes) and total + sizes[hi] <= _BATCH_ENTRIES:
             total += sizes[hi]
             hi += 1
-        _embed_batch(graphs[lo:hi], cfg, out[lo:hi])
+        _embed_batch(
+            nodes[lo:hi], edge_counts[lo:hi], ends[edge_at[lo] : edge_at[hi]],
+            labelled[lo:hi], labels[label_at[lo] : label_at[hi]], cfg, out[lo:hi],
+        )
         lo = hi
     return out, np.einsum("ij,ij->i", out, out).astype(np.float64)
 
@@ -141,22 +170,16 @@ def _count_distances(
     return np.sqrt(d2, out=d2)
 
 
-def _embed_batch(graphs: list[Graph], cfg: MetricConfig, out: np.ndarray) -> None:
-    """Write the WL bucket counts of ``graphs`` into the zeroed rows of ``out``."""
-    nodes = np.array([g.node_count for g in graphs], dtype=np.int64)
+def _embed_batch(nodes, edge_counts, ends, labelled, labels, cfg: MetricConfig, out: np.ndarray) -> None:
+    """Write the WL bucket counts of a batch of snapshots, given as ``_wl_counts``
+    cuts them, into the zeroed rows of ``out``."""
     n = int(nodes.sum())
     if n == 0:
         return
-    graph_of = np.repeat(np.arange(len(graphs)), nodes)
+    graph_of = np.repeat(np.arange(len(nodes)), nodes)
 
     # Adjacency lists of the disjoint union, as rows of a CSR layout.
-    edge_counts = np.array([g.edge_count for g in graphs], dtype=np.int64)
-    ends = np.fromiter(
-        chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
-        dtype=np.int64,
-        count=2 * int(edge_counts.sum()),
-    ).reshape(-1, 2)
-    ends += np.repeat(np.cumsum(nodes) - nodes, edge_counts)[:, None]
+    ends = ends + np.repeat(np.cumsum(nodes) - nodes, edge_counts)[:, None]
     src = np.concatenate([ends[:, 0], ends[:, 1]])
     dst = np.concatenate([ends[:, 1], ends[:, 0]])
     neighbours = dst[np.argsort(src, kind="stable")]
@@ -172,7 +195,7 @@ def _embed_batch(graphs: list[Graph], cfg: MetricConfig, out: np.ndarray) -> Non
         groups.append((members, neighbours[first[members][:, None] + np.arange(d)]))
 
     row_start = graph_of * cfg.dim
-    ids, names = _initial_ids(graphs, nodes, degree)
+    ids, names = _initial_ids(np.repeat(labelled, nodes), labels, degree)
     cells = [row_start + _buckets(0, names, cfg.dim)[ids]]
     for round_index in range(1, cfg.wl_iterations + 1):
         ids, names = _refine(ids, names, groups, n)
@@ -182,10 +205,8 @@ def _embed_batch(graphs: list[Graph], cfg: MetricConfig, out: np.ndarray) -> Non
     out.flat[cell] = count
 
 
-def _initial_ids(graphs: list[Graph], nodes: np.ndarray, degree: np.ndarray):
+def _initial_ids(labelled: np.ndarray, labels, degree: np.ndarray):
     """Round-0 ids of the union's nodes and the labels they stand for, in string order."""
-    labelled = np.repeat([g.node_labels is not None for g in graphs], nodes)
-    labels = list(chain.from_iterable(g.node_labels for g in graphs if g.node_labels is not None))
     try:
         values = degree.copy()
         values[labelled] = labels

@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .augment import BoltzmannConfig, generate_episode
-from .embedding import MetricConfig
+from .augment import BoltzmannConfig, _episode_masks
+from .embedding import MetricConfig, _wl_counts
 from .errors import ConfigError, EvoKernelError, StageError, choice, integer, integers, real
 from .heat import HEAT_METHODS, METHOD_EXACT
 from .kernel import PSD_REPAIRS, _prefix_distance_matrices, evolution_kernel
@@ -221,29 +221,19 @@ def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) 
             dataset = load_tu_dataset(cfg.dataset_dir, cfg.dataset_name)
     timings["load"] = time.perf_counter() - tic
 
-    boltzmann = cfg.boltzmann_config()
     tic = time.perf_counter()
     with _stage("episodes"):
-        episodes = [
-            generate_episode(
-                g,
-                times,
-                boltzmann,
-                cfg.u0,
-                cfg.seed,
-                graph_index=i,
-                method=cfg.heat_method,
-                cumulative=cfg.cumulative,
-            )
+        a, u0, seed = float(cfg.a), float(cfg.u0), int(cfg.seed)
+        masks = [
+            _episode_masks(g, times, a, u0, seed, i, cfg.heat_method, cfg.cumulative)
             for i, g in enumerate(dataset.graphs)
         ]
     timings["episodes"] = time.perf_counter() - tic
 
     tic = time.perf_counter()
     with _stage("distances"):
-        distances = _prefix_distance_matrices(
-            episodes, cfg.metric_config(), {len(grid) for grid in grids}
-        )
+        counts, sq = _wl_counts(dataset.graphs, cfg.metric_config(), masks)
+        distances = _prefix_distance_matrices(counts, sq, len(times), {len(grid) for grid in grids})
     timings["distances"] = time.perf_counter() - tic
 
     return [

@@ -95,8 +95,12 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
     ``-1.0 / sqrt(deg_i * deg_j)`` float64 operation of the textbook per-edge
     loop.
     """
-    edges = _edge_array(g)
-    deg = np.bincount(edges.ravel(), minlength=g.node_count).astype(float)
+    return _normalized_laplacian(g.node_count, _edge_array(g))
+
+
+def _normalized_laplacian(n: int, edges: np.ndarray) -> np.ndarray:
+    """``normalized_laplacian`` of the graph on ``n`` nodes with the ``(m, 2)`` edge array ``edges``."""
+    deg = np.bincount(edges.ravel(), minlength=n).astype(float)
     lap = np.diag((deg > 0).astype(float))
     i, j = edges[:, 0], edges[:, 1]
     w = -1.0 / np.sqrt(deg[i] * deg[j])
@@ -116,13 +120,25 @@ def subgraph(g: Graph, kept: np.ndarray) -> Graph:
         raise GraphConstructionError(
             f"mask of length {kept.size} for graph with {g.node_count} nodes"
         )
-    edges = _edge_array(g)
-    # Edges with both ends kept, renumbered to the kept nodes' ranks.
-    edges = (np.cumsum(kept) - 1)[edges[kept[edges[:, 0]] & kept[edges[:, 1]]]]
-    labels = None
-    if g.node_labels is not None:
-        labels = tuple(compress(g.node_labels, kept.tolist()))
-    return Graph(int(np.count_nonzero(kept)), edges.tolist(), labels)
+    return _subgraphs(g, kept[None])[0]
+
+
+def _subgraphs(g: Graph, masks: np.ndarray) -> list[Graph]:
+    """``subgraph(g, mask)`` for each row of a checked ``(T, n)`` bool mask array."""
+    edge_counts, ends = _cut(_edge_array(g), masks)
+    ends, stops, labels = ends.tolist(), np.cumsum(edge_counts).tolist(), g.node_labels
+    return [
+        Graph(sum(mask), ends[stop - m : stop], None if labels is None else tuple(compress(labels, mask)))
+        for mask, m, stop in zip(masks.tolist(), edge_counts.tolist(), stops)
+    ]
+
+
+def _cut(edges: np.ndarray, masks: np.ndarray):
+    """Edge counts and ends of the subgraphs a graph's ``(m, 2)`` edge array induces on each
+    row of ``(T, n)`` bool ``masks``: row 0's surviving edges, then row 1's and so on, in the
+    order of ``edges`` and renumbered to the kept nodes' ranks in their row."""
+    alive = masks[:, edges[:, 0]] & masks[:, edges[:, 1]]
+    return alive.sum(axis=1), (np.cumsum(masks, axis=1) - 1)[:, edges][alive]
 
 
 def _edge_array(g: Graph) -> np.ndarray:

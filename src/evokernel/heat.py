@@ -3,6 +3,10 @@
 The exact kernel comes from the eigendecomposition L = Phi Lambda Phi^T; a
 second-order Taylor truncation covers small times and a Fiedler-pair form
 covers large times. All operations are pure functions of immutable inputs.
+
+Episodes take their heat from ``_heat_vectors``, which applies each kernel's
+formula to the uniform start vector for a whole time grid without building an
+n x n kernel; the public kernels are its reference.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericalError, real, square
+from .errors import ContractError, NumericalError, choice, real, square
 
 EIGENVALUE_CLAMP = 1e-9
 RECONSTRUCTION_TOL = 1e-8
@@ -128,6 +132,7 @@ def compute_heat_kernel(
     one node every method gives [[1]]) and the result's ``method`` says so.
     """
     t = real("time", t, 0)
+    choice("heat method", method, HEAT_METHODS)
     if spec is None and reads_spectrum(method, t):
         raise ContractError(f"the {method!r} heat kernel at t={t} needs the spectral decomposition")
     if method == METHOD_AUTO:
@@ -136,9 +141,35 @@ def compute_heat_kernel(
         return heat_kernel_exact(spec, t)
     if method == METHOD_TAYLOR2:
         return heat_kernel_taylor2(lap, t)
-    if method == METHOD_FIEDLER:
-        return heat_kernel_fiedler(spec, t)
-    raise ConfigError(f"unknown heat-kernel method {method!r}")
+    return heat_kernel_fiedler(spec, t)
+
+
+def _heat_vectors(
+    lap: np.ndarray, spec: SpectralDecomposition | None, times: list[float], method: str, u0: float
+) -> np.ndarray:
+    """``(n, len(times))`` heat of u0 on checked arguments; column k is, up to rounding,
+    ``propagate_heat(compute_heat_kernel(lap, spec, times[k], method), u0).heat``:
+    ``Phi (e^{-Lambda t} * Phi^T u)`` for all exact columns in one product,
+    ``u - t L u + t^2 L (L u) / 2`` for taylor2 and ``u - e^{-lambda_1 t} phi_1 (phi_1 . u)``
+    for fiedler (u at t = 0, exact below 2 nodes)."""
+    u = np.full(len(lap), u0, dtype=float)
+    picked = [select_heat_method(spec, t) if method == METHOD_AUTO else method for t in times]
+    picked = [METHOD_EXACT if m == METHOD_FIEDLER and len(u) < 2 else m for m in picked]
+    heat = np.empty((len(u), len(times)))
+    for m in set(picked):
+        cols = [k for k, p in enumerate(picked) if p == m]
+        t = np.array([times[k] for k in cols])
+        if m == METHOD_EXACT:
+            w, v = spec.eigenvalues, spec.eigenvectors
+            heat[:, cols] = v @ (np.exp(-np.outer(w, t)) * (v.T @ u)[:, None])
+        elif m == METHOD_TAYLOR2:
+            lu = lap @ u
+            heat[:, cols] = u[:, None] - np.outer(lu, t) + np.outer(lap @ lu, t * t / 2)
+        else:
+            phi = spec.eigenvectors[:, 1]
+            decay = np.where(t == 0, 0.0, np.exp(-spec.eigenvalues[1] * t))
+            heat[:, cols] = u[:, None] - np.outer(phi * (phi @ u), decay)
+    return heat
 
 
 def reads_spectrum(method: str, t: float) -> bool:

@@ -46,34 +46,33 @@ def distance_matrix(
     count matrix and the result the working memory grows as O(n * T), not
     (n * T)^2.
     """
-    steps = len(episodes[0].times) if episodes else 0
-    return _prefix_distance_matrices(episodes, cfg, [steps])[steps]
+    if not episodes:
+        return np.zeros((0, 0))
+    grid = episodes[0].times
+    for e in episodes:
+        if len(e.snapshots) != len(grid) or not np.array_equal(e.times, grid):
+            raise ContractError("episodes are not on a common time grid with one snapshot per time")
+    counts, sq = _wl_counts([snap for e in episodes for snap in e.snapshots], cfg)
+    return _prefix_distance_matrices(counts, sq, len(grid), [len(grid)])[len(grid)]
 
 
 def _prefix_distance_matrices(
-    episodes: list[TemporalEpisode], cfg: MetricConfig, step_counts
+    counts: np.ndarray, sq: np.ndarray, steps: int, step_counts
 ) -> dict[int, np.ndarray]:
     """``distance_matrix`` of the episodes cut to their first s snapshots, for each s.
 
-    Snapshot distances come from the exact integer Gram of the WL counts, so
-    a distance does not depend on which other snapshots share its product:
-    one product over the longest grid serves every s. The alignment
-    recurrence only looks back, so gamma[s, s] of each pair's one full-length
-    table is the distance of the s-snapshot prefixes, bit for bit.
+    ``counts`` and ``sq`` are the WL count rows of every episode's ``steps``
+    snapshots, episode after episode, and their squared norms. Snapshot
+    distances come from their exact integer Gram, so a distance does not
+    depend on which other snapshots share its product: one product over the
+    longest grid serves every s. The alignment recurrence only looks back, so
+    gamma[s, s] of each pair's one full-length table is the distance of the
+    s-snapshot prefixes, bit for bit.
     """
-    n = len(episodes)
-    if n == 0:
-        return {int(s): np.zeros((0, 0)) for s in step_counts}
-    grid = episodes[0].times
-    for e in episodes[1:]:
-        if len(e.times) != len(grid) or not np.array_equal(e.times, grid):
-            raise ContractError("episodes are not on a common time grid")
-    steps = len(grid)
     if any(not 1 <= s <= steps for s in step_counts):
         raise ContractError(f"step counts {sorted(step_counts)} are not all within 1..{steps}")
     step_counts = sorted({int(s) for s in step_counts})
-
-    counts, sq = _wl_counts([snap for e in episodes for snap in e.snapshots], cfg)
+    n = len(counts) // steps
     d = {s: np.zeros((n, n)) for s in step_counts}
     per_block = max(1, _BLOCK_SNAPSHOTS // steps)
     for lo in range(0, n - 1, per_block):

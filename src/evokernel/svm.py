@@ -140,7 +140,8 @@ def svm_train(
     if len(classes) < 2:
         raise TrainingError(f"training set contains a single class ({classes.tolist()})")
 
-    k_train = square("training kernel", k[np.ix_(train_idx, train_idx)], symmetric=True)
+    # The transposed view of this exactly symmetric block gives _smo contiguous columns.
+    k_train = square("training kernel", k[np.ix_(train_idx, train_idx)], symmetric=True).T
     machines = []
     for cls in classes[:1] if len(classes) == 2 else classes:
         y = np.where(train_labels == cls, 1.0, -1.0)

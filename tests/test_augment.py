@@ -91,6 +91,26 @@ def test_non_finite_heat_rejected():
         _dist([1.0, np.inf])
 
 
+def test_columns_are_rescaled_as_heat_distribution_rescales_one_vector():
+    heat = np.random.default_rng(5).normal(size=(7, 4))
+    for a in (-2.0, 0.0, 60.0):
+        normed = augment._rescaled(heat, a)
+        for k in range(heat.shape[1]):
+            assert np.array_equal(normed[:, k], _dist(heat[:, k], a=a).normed)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_episode_heat_is_checked_as_heat_distribution_checks_it(p3):
+    """Non-finite heat is a ContractError; logits that overflow at a = 60 are a ConfigError."""
+    with pytest.raises(ContractError, match="non-finite"):
+        augment._rescaled(np.array([[1.0, 0.5], [np.nan, 0.5]]), -2.0)
+    with pytest.raises(ConfigError, match="overflows"):
+        _dist([1e307, 0.0], a=60.0)
+    for cumulative in (False, True):
+        with pytest.raises(ConfigError, match="a=60.0 overflows"):
+            generate_episode(p3, [0.0, 1.0], BoltzmannConfig(a=60.0), 1e307, cumulative=cumulative)
+
+
 def test_drop_node_keeps_everything_at_probability_one(p3):
     dist = HeatDistribution(t=0.0, probs=np.full(3, 1 / 3), normed=np.ones(3))
     snap, keep = drop_node(p3, dist, np.random.default_rng(0))

@@ -10,10 +10,16 @@ from hypothesis import strategies as st
 
 from evokernel import embedding
 from evokernel.augment import generate_episode
-from evokernel.embedding import MAX_WL_ITERATIONS, MetricConfig, _wl_counts, delta, wl_embed
+from evokernel.embedding import (
+    MAX_WL_ITERATIONS,
+    MetricConfig,
+    _wl_counts,
+    delta,
+    wl_embed,
+)
 from evokernel.errors import ConfigError, ContractError
 from evokernel.experiment import ExperimentConfig
-from evokernel.graphs import Graph
+from evokernel.graphs import Graph, subgraph
 
 from .conftest import star
 from .oracles import (
@@ -245,9 +251,9 @@ def test_large_inputs_are_split_into_bounded_batches(monkeypatch):
     sizes = []
     inner = embedding._embed_batch
 
-    def spy(graphs, cfg, out):
-        sizes.append((len(graphs), sum(g.node_count + 2 * g.edge_count for g in graphs)))
-        inner(graphs, cfg, out)
+    def spy(nodes, edge_counts, *rest):
+        sizes.append((len(nodes), int(nodes.sum() + 2 * edge_counts.sum())))
+        inner(nodes, edge_counts, *rest)
 
     monkeypatch.setattr(embedding, "_embed_batch", spy)
     assert _equals_reference(rings, MetricConfig())
@@ -255,3 +261,30 @@ def test_large_inputs_are_split_into_bounded_batches(monkeypatch):
     assert all(total <= embedding._BATCH_ENTRIES or count == 1 for count, total in sizes)
     assert sum(count for count, _ in sizes) == len(rings)
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    sizes=st.lists(st.sampled_from([0, 1, 2, 5, 9]), min_size=1, max_size=4),
+    p=st.floats(0.0, 0.8),
+    keep=st.floats(0.0, 1.0),
+    steps=st.integers(1, 4),
+    batch=st.sampled_from([7, 40, embedding._BATCH_ENTRIES]),
+)
+def test_counts_cut_from_masks_equal_counts_of_the_subgraphs(seed, sizes, p, keep, steps, batch):
+    """Labelled, unlabelled and 0-node sources, isolated nodes, all-false rows
+    and labels beyond int64, in batches that split episodes."""
+    rng = np.random.default_rng(seed)
+    sources = [random_graph(rng, n, p, labels=bool(k % 2)) for k, n in enumerate(sizes)]
+    sources.append(Graph(3, [(0, 2)], [2 ** 70, -1, 2 ** 70]))
+    masks = [rng.random((steps, g.node_count)) < keep for g in sources]
+    masks[0][-1] = False
+    snapshots = [subgraph(g, row) for g, m in zip(sources, masks) for row in m]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedding, "_BATCH_ENTRIES", batch)
+        counts, sq = _wl_counts(sources, MetricConfig(), masks)
+    expected, expected_sq = _wl_counts(snapshots, MetricConfig())
+    assert counts.dtype == expected.dtype
+    assert np.array_equal(counts, expected)
+    assert np.array_equal(sq, expected_sq)

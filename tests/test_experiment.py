@@ -8,6 +8,7 @@ import pytest
 
 import evokernel.experiment as experiment_module
 from evokernel import svm
+from evokernel.augment import generate_episode
 from evokernel.errors import ConfigError, StageError
 from evokernel.experiment import (
     MAX_TIME_STEPS,
@@ -18,6 +19,7 @@ from evokernel.experiment import (
     sweep_time_length,
     write_sweep_csv,
 )
+from evokernel.kernel import distance_matrix
 from evokernel.tu_io import GraphDataset
 
 from .conftest import star, triangle
@@ -343,3 +345,27 @@ def test_report_roundtrips_through_json():
         config=payload["config"],
     )
     assert rebuilt.canonical_json() == report.canonical_json()
+
+
+@pytest.mark.parametrize("cumulative", [False, True])
+@pytest.mark.parametrize("method", ["exact", "taylor2", "fiedler", "auto"])
+def test_run_distances_equal_those_of_generated_episodes(mutag, monkeypatch, method, cumulative):
+    """A run embeds masks, not snapshot graphs; its distances are those of generate_episode's episodes."""
+    dataset = GraphDataset(graphs=mutag.graphs[:40], labels=mutag.labels[:40], name="MUTAG40")
+    cfg = ExperimentConfig(seed=42, folds=3, heat_method=method, cumulative=cumulative)
+    seen = []
+    original = experiment_module._prefix_distance_matrices
+
+    def recording(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(experiment_module, "_prefix_distance_matrices", recording)
+    run_experiment(cfg, dataset=dataset)
+    times = cfg.time_grid()
+    boltzmann = cfg.boltzmann_config()
+    episodes = [
+        generate_episode(g, times, boltzmann, cfg.u0, cfg.seed, graph_index=i, method=method, cumulative=cumulative)
+        for i, g in enumerate(dataset.graphs)
+    ]
+    assert np.array_equal(seen[0][len(times)], distance_matrix(episodes, cfg.metric_config()))

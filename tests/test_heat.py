@@ -9,6 +9,7 @@ from evokernel.heat import (
     METHOD_EXACT,
     METHOD_FIEDLER,
     METHOD_TAYLOR2,
+    _heat_vectors,
     compute_heat_kernel,
     heat_kernel_exact,
     heat_kernel_fiedler,
@@ -200,7 +201,7 @@ def test_spectrum_is_optional_only_where_it_is_not_read(p3):
         with pytest.raises(ValueError, match="spectral decomposition"):
             compute_heat_kernel(lap, None, t, method)
     assert not reads_spectrum("bogus", 1.0)
-    with pytest.raises(ValueError, match="unknown heat-kernel method"):
+    with pytest.raises(ValueError, match="heat method must be one of"):
         compute_heat_kernel(lap, None, 1.0, "bogus")
 
 
@@ -293,3 +294,29 @@ def test_perturbation_gap_rejects_non_finite(c4):
     bad = np.full((4, 4), np.nan)
     with pytest.raises(ValueError):
         perturbation_gap(lap, bad, 1.0)
+
+
+VECTOR_TIMES = [0.0, 0.05, 0.09, 0.1, 0.3, 2.0, 30.0]
+
+
+@pytest.mark.parametrize("method", ["exact", "taylor2", "fiedler", "auto"])
+@pytest.mark.parametrize("n, connected", [(1, False), (2, True), (6, True), (9, False), (17, True)])
+def test_heat_vectors_equal_the_kernel_heat(method, n, connected):
+    """Each column is the propagated kernel heat, including fiedler at t = 0
+    and on one node (the exact kernel) and auto below and above 0.1."""
+    rng = np.random.default_rng(n)
+    g = random_connected_graph(rng, n, 0.3) if connected else random_graph(rng, n, 0.3)
+    lap = normalized_laplacian(g)
+    spec = spectral_decompose(lap)
+    times = VECTOR_TIMES if method != METHOD_TAYLOR2 else VECTOR_TIMES[:-1]
+    heat = _heat_vectors(lap, spec, times, method, 1.5)
+    assert heat.shape == (n, len(times))
+    for k, t in enumerate(times):
+        kernel_heat = propagate_heat(compute_heat_kernel(lap, spec, t, method), 1.5).heat
+        assert np.max(np.abs(heat[:, k] - kernel_heat)) <= 1e-12
+    if method == "auto":
+        picked = [select_heat_method(spec, t) for t in times]
+        assert picked[:3] == [METHOD_TAYLOR2] * 3 and METHOD_EXACT in picked
+        assert (METHOD_FIEDLER in picked) == (n in (2, 17))
+        small = [t for t in times if not reads_spectrum(method, t)]
+        assert np.array_equal(_heat_vectors(lap, None, small, method, 1.5), heat[:, : len(small)])

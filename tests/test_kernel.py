@@ -25,6 +25,12 @@ from .oracles import reference_prefix_distances
 CFG = MetricConfig()
 
 
+def _prefixes(episodes, step_counts):
+    """``_prefix_distance_matrices`` of the episodes' snapshot count rows."""
+    counts, sq = _wl_counts([snap for e in episodes for snap in e.snapshots], CFG)
+    return _prefix_distance_matrices(counts, sq, len(episodes[0].times), step_counts)
+
+
 @pytest.fixture
 def three_episodes():
     times = np.array([0.0, 0.5, 1.0])
@@ -93,7 +99,7 @@ def test_prefix_distances_equal_distances_of_cut_episodes():
         generate_episode(g, times, seed=4, graph_index=i, cumulative=i % 2 == 1)
         for i, g in enumerate(graphs)
     ]
-    prefixes = _prefix_distance_matrices(episodes, CFG, [1, 3, 6])
+    prefixes = _prefixes(episodes, [1, 3, 6])
     assert sorted(prefixes) == [1, 3, 6]
     for s, d in prefixes.items():
         cut = [
@@ -106,7 +112,7 @@ def test_prefix_distances_equal_distances_of_cut_episodes():
 
 def test_mutag_distances_match_the_per_length_reference(mutag_episodes):
     steps = range(1, len(mutag_episodes[0].times) + 1)
-    prefixes = _prefix_distance_matrices(mutag_episodes, CFG, steps)
+    prefixes = _prefixes(mutag_episodes, steps)
     reference = reference_prefix_distances(mutag_episodes, CFG, steps)
     for s in steps:
         assert np.max(np.abs(prefixes[s] - reference[s])) <= 1e-6
@@ -138,7 +144,7 @@ def test_distance_matrix_memory_stays_below_one_cross_block(mutag_episodes):
 def test_prefix_step_counts_outside_the_grid_rejected(three_episodes):
     for steps in ([0], [4]):
         with pytest.raises(ContractError):
-            _prefix_distance_matrices(three_episodes, CFG, steps)
+            _prefixes(three_episodes, steps)
 
 
 def test_zero_distances_give_all_ones_kernel():
