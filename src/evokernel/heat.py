@@ -4,9 +4,9 @@ The exact kernel comes from the eigendecomposition L = Phi Lambda Phi^T; a
 second-order Taylor truncation covers small times and a Fiedler-pair form
 covers large times. All operations are pure functions of immutable inputs.
 
-Episodes take their heat from ``_heat_vectors``, which applies each kernel's
-formula to the uniform start vector for a whole time grid without building an
-n x n kernel; the public kernels are its reference.
+``_heat_vectors`` states each method's formula once and applies it to a start
+for a whole time grid. Episodes start it from the uniform vector, so no n x n
+kernel is built; the public kernels are ``_heat_vectors`` on the identity.
 """
 
 from __future__ import annotations
@@ -84,21 +84,14 @@ def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:
 
 
 def heat_kernel_exact(spec: SpectralDecomposition, t: float) -> HeatKernel:
-    """Closed-form kernel Phi e^{-t Lambda} Phi^T; entries are non-negative."""
-    t = real("time", t, 0)
-    decay = np.exp(-t * spec.eigenvalues)
-    matrix = (spec.eigenvectors * decay) @ spec.eigenvectors.T
-    return HeatKernel(t=t, matrix=matrix, method=METHOD_EXACT)
+    """Closed-form kernel Phi e^{-t Lambda} Phi^T (Kondor & Lafferty, "Diffusion Kernels
+    on Graphs", ICML 2002; Chung, *Spectral Graph Theory*, 1997); entries are non-negative."""
+    return compute_heat_kernel(None, spec, t, METHOD_EXACT)
 
 
 def heat_kernel_taylor2(lap: np.ndarray, t: float) -> HeatKernel:
     """Second-order truncation I - tL + (tL)^2/2, intended for small t."""
-    t = real("time", t, 0)
-    lap = square("Laplacian", lap)
-    n = lap.shape[0]
-    tl = t * lap
-    matrix = np.eye(n) - tl + 0.5 * (tl @ tl)
-    return HeatKernel(t=t, matrix=matrix, method=METHOD_TAYLOR2)
+    return compute_heat_kernel(lap, None, t, METHOD_TAYLOR2)
 
 
 def heat_kernel_fiedler(spec: SpectralDecomposition, t: float) -> HeatKernel:
@@ -107,68 +100,74 @@ def heat_kernel_fiedler(spec: SpectralDecomposition, t: float) -> HeatKernel:
     lambda_1 is the second-smallest eigenvalue. t = 0 returns the identity so
     that every method agrees at the initial time.
     """
-    if spec.n < 2:
+    hk = compute_heat_kernel(None, spec, t, METHOD_FIEDLER)
+    if hk.method != METHOD_FIEDLER:
         raise ContractError("the Fiedler form needs at least 2 nodes")
-    t = real("time", t, 0)
-    n = spec.n
-    if t == 0:
-        return HeatKernel(t=0.0, matrix=np.eye(n), method=METHOD_FIEDLER)
-    lam1 = spec.eigenvalues[1]
-    phi1 = spec.eigenvectors[:, 1]
-    matrix = np.eye(n) - np.exp(-lam1 * t) * np.outer(phi1, phi1)
-    return HeatKernel(t=t, matrix=matrix, method=METHOD_FIEDLER)
+    return hk
 
 
 def compute_heat_kernel(
-    lap: np.ndarray, spec: SpectralDecomposition | None, t: float, method: str = METHOD_EXACT
+    lap: np.ndarray | None, spec: SpectralDecomposition | None, t: float, method: str = METHOD_EXACT
 ) -> HeatKernel:
-    """Dispatch on ``method``; ``auto`` picks the regime from t and lambda_1.
+    """The kernel of ``method`` at t, ``_heat_vectors`` on the identity; ``auto`` picks the
+    regime from t and lambda_1.
 
-    ``spec`` is read only where :func:`reads_spectrum` says so: ``taylor2``,
-    and ``auto`` below ``SMALL_TIME_DEFAULT``, need just ``lap``, so ``spec``
-    may be None there and the caller can skip the eigendecomposition.
+    Each argument is read only where :func:`reads_spectrum` says so: ``taylor2``, and
+    ``auto`` below ``SMALL_TIME_DEFAULT``, need just ``lap``, so ``spec`` may be None
+    there and the caller can skip the eigendecomposition; the others need just ``spec``.
+    A ``spec`` that is given must fit the ``lap`` that is given.
 
     The Fiedler form needs two nodes; on fewer the exact kernel stands in (on
     one node every method gives [[1]]) and the result's ``method`` says so.
     """
     t = real("time", t, 0)
     choice("heat method", method, HEAT_METHODS)
-    if spec is None and reads_spectrum(method, t):
+    reads = reads_spectrum(method, t)
+    if spec is None and reads:
         raise ContractError(f"the {method!r} heat kernel at t={t} needs the spectral decomposition")
-    if method == METHOD_AUTO:
-        method = select_heat_method(spec, t)
-    if method == METHOD_EXACT or (method == METHOD_FIEDLER and spec.n < 2):
-        return heat_kernel_exact(spec, t)
-    if method == METHOD_TAYLOR2:
-        return heat_kernel_taylor2(lap, t)
-    return heat_kernel_fiedler(spec, t)
+    lap = square("Laplacian", lap) if lap is not None or not reads else None
+    if spec is not None:
+        shape = np.shape(spec.eigenvalues) * 2 if isinstance(spec, SpectralDecomposition) else ()
+        if len(shape) != 2 or np.shape(spec.eigenvectors) != shape or lap is not None and lap.shape != shape:
+            raise ContractError("spec must be an n-eigenpair SpectralDecomposition of the n-node Laplacian")
+    n = len(lap) if spec is None else spec.n
+    matrix = _heat_vectors(lap, spec, [t], method, np.eye(n))[..., 0]
+    return HeatKernel(t=t, matrix=matrix, method=_formula(method, spec, t, n))
 
 
-def _heat_vectors(
-    lap: np.ndarray, spec: SpectralDecomposition | None, times: list[float], method: str, u0: float
-) -> np.ndarray:
-    """``(n, len(times))`` heat of u0 on checked arguments; column k is, up to rounding,
-    ``propagate_heat(compute_heat_kernel(lap, spec, times[k], method), u0).heat``:
-    ``Phi (e^{-Lambda t} * Phi^T u)`` for all exact columns in one product,
+def _formula(method: str, spec: SpectralDecomposition | None, t: float, n: int) -> str:
+    """The formula ``method`` uses at t on n nodes: ``auto`` picks by :func:`select_heat_method`,
+    and the Fiedler form gives way to the exact one below 2 nodes."""
+    method = select_heat_method(spec, t) if method == METHOD_AUTO else method
+    return METHOD_EXACT if method == METHOD_FIEDLER and n < 2 else method
+
+
+def _heat_vectors(lap: np.ndarray | None, spec: SpectralDecomposition | None, times: list, method: str, u):
+    """Heat ``e^{-tL} u`` of the start ``u`` at each of ``times``, on checked arguments.
+
+    ``u`` is the float u0 on every node or an ``(n, k)`` matrix, and the heat has shape
+    ``(n, len(times))`` or ``(n, k, len(times))``. Each time takes its formula from
+    :func:`_formula`: ``Phi (e^{-Lambda t} * Phi^T u)`` for all exact times in one product,
     ``u - t L u + t^2 L (L u) / 2`` for taylor2 and ``u - e^{-lambda_1 t} phi_1 (phi_1 . u)``
-    for fiedler (u at t = 0, exact below 2 nodes)."""
-    u = np.full(len(lap), u0, dtype=float)
-    picked = [select_heat_method(spec, t) if method == METHOD_AUTO else method for t in times]
-    picked = [METHOD_EXACT if m == METHOD_FIEDLER and len(u) < 2 else m for m in picked]
-    heat = np.empty((len(u), len(times)))
+    for fiedler (u at t = 0)."""
+    u = np.full(len(lap), u, dtype=float) if np.ndim(u) == 0 else u
+    picked = [_formula(method, spec, t, len(u)) for t in times]
+    heat = np.empty(u.shape + (len(times),))
     for m in set(picked):
         cols = [k for k, p in enumerate(picked) if p == m]
         t = np.array([times[k] for k in cols])
         if m == METHOD_EXACT:
             w, v = spec.eigenvalues, spec.eigenvectors
-            heat[:, cols] = v @ (np.exp(-np.outer(w, t)) * (v.T @ u)[:, None])
+            decay = np.exp(-w.reshape(w.shape + (1,) * u.ndim) * t)
+            # axes 0 and 1 are the matrix axes, so a matrix start is one product per time
+            heat[..., cols] = np.matmul(v, decay * (v.T @ u)[..., None], axes=[(0, 1)] * 3)
         elif m == METHOD_TAYLOR2:
             lu = lap @ u
-            heat[:, cols] = u[:, None] - np.outer(lu, t) + np.outer(lap @ lu, t * t / 2)
+            heat[..., cols] = u[..., None] - lu[..., None] * t + (lap @ lu)[..., None] * (t * t / 2)
         else:
             phi = spec.eigenvectors[:, 1]
             decay = np.where(t == 0, 0.0, np.exp(-spec.eigenvalues[1] * t))
-            heat[:, cols] = u[:, None] - np.outer(phi * (phi @ u), decay)
+            heat[..., cols] = u[..., None] - np.multiply.outer(phi, phi @ u)[..., None] * decay
     return heat
 
 

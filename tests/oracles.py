@@ -15,7 +15,9 @@ degrees, Laplacian and induced subgraph, decomposes every Laplacian whatever
 the heat method, and in cumulative mode drops from the previous snapshot
 graph instead of cutting from the source. The prefix-distance reference
 keeps the per-length path: the per-node reference embeddings and one
-cross-distance product per prefix length.
+cross-distance product per prefix length. The heat reference keeps the
+original n x n matrix formula of each kernel and the original method pick, so
+neither routes through the library's one formula per method.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from evokernel.augment import (
     snapshot_rng,
 )
 from evokernel.graphs import Graph
-from evokernel.heat import METHOD_EXACT, compute_heat_kernel, propagate_heat, spectral_decompose
+from evokernel.heat import METHOD_AUTO, METHOD_EXACT, METHOD_FIEDLER, METHOD_TAYLOR2, spectral_decompose
 
 
 def expm_oracle(matrix: np.ndarray) -> np.ndarray:
@@ -437,6 +439,53 @@ def reference_subgraph(g: Graph, kept: np.ndarray) -> Graph:
     return Graph(len(old_ids), edges, labels)
 
 
+# The library's auto regime bounds, restated: taylor2 below the small time,
+# fiedler past FIEDLER_TIME_FACTOR / lambda_1 for a lambda_1 above the clamp.
+SMALL_TIME_DEFAULT = 0.1
+FIEDLER_TIME_FACTOR = 10.0
+EIGENVALUE_CLAMP = 1e-9
+
+
+def reference_heat_method(spec, t: float) -> str:
+    """The auto pick: taylor2 at small t, fiedler at large t, exact between."""
+    if t < SMALL_TIME_DEFAULT:
+        return METHOD_TAYLOR2
+    if spec.n >= 2:
+        lam1 = spec.eigenvalues[1]
+        if lam1 > EIGENVALUE_CLAMP and t > FIEDLER_TIME_FACTOR / lam1:
+            return METHOD_FIEDLER
+    return METHOD_EXACT
+
+
+def reference_heat_kernel(lap: np.ndarray, spec, t: float, method: str = METHOD_EXACT) -> SimpleNamespace:
+    """The n x n kernel (``t``, ``matrix``, ``method``) from each method's matrix formula:
+    Phi e^{-t Lambda} Phi^T, I - tL + (tL)^2/2, and I - e^{-lambda_1 t} phi_1 phi_1^T
+    (the identity at t = 0, the exact kernel below 2 nodes)."""
+    if method == METHOD_AUTO:
+        method = reference_heat_method(spec, t)
+    if method == METHOD_EXACT or (method == METHOD_FIEDLER and spec.n < 2):
+        decay = np.exp(-t * spec.eigenvalues)
+        matrix = (spec.eigenvectors * decay) @ spec.eigenvectors.T
+        return SimpleNamespace(t=t, matrix=matrix, method=METHOD_EXACT)
+    if method == METHOD_TAYLOR2:
+        n = lap.shape[0]
+        tl = t * lap
+        matrix = np.eye(n) - tl + 0.5 * (tl @ tl)
+        return SimpleNamespace(t=t, matrix=matrix, method=METHOD_TAYLOR2)
+    n = spec.n
+    if t == 0:
+        return SimpleNamespace(t=0.0, matrix=np.eye(n), method=METHOD_FIEDLER)
+    lam1 = spec.eigenvalues[1]
+    phi1 = spec.eigenvectors[:, 1]
+    matrix = np.eye(n) - np.exp(-lam1 * t) * np.outer(phi1, phi1)
+    return SimpleNamespace(t=t, matrix=matrix, method=METHOD_FIEDLER)
+
+
+def reference_heat_state(hk: SimpleNamespace, u0: float) -> SimpleNamespace:
+    """The kernel applied to u0 on every node: the ``t`` and ``heat`` of a heat state."""
+    return SimpleNamespace(t=hk.t, heat=hk.matrix @ np.full(hk.matrix.shape[0], float(u0)))
+
+
 def _reference_drop_node(g: Graph, dist, rng: np.random.Generator):
     draws = rng.random(g.node_count)
     keep = draws < dist.normed
@@ -466,8 +515,8 @@ def reference_generate_episode(
         lap = reference_normalized_laplacian(g)
         spec = spectral_decompose(lap)
         for k, t in enumerate(times):
-            hk = compute_heat_kernel(lap, spec, float(t), method)
-            dist = heat_distribution(propagate_heat(hk, u0), cfg)
+            hk = reference_heat_kernel(lap, spec, float(t), method)
+            dist = heat_distribution(reference_heat_state(hk, u0), cfg)
             snap, keep = _reference_drop_node(g, dist, snapshot_rng(seed, graph_index, k))
             snapshots.append(snap)
             masks.append(keep)
@@ -482,8 +531,8 @@ def reference_generate_episode(
                 continue
             lap = reference_normalized_laplacian(current)
             spec = spectral_decompose(lap)
-            hk = compute_heat_kernel(lap, spec, dt, method)
-            dist = heat_distribution(propagate_heat(hk, u0), cfg)
+            hk = reference_heat_kernel(lap, spec, dt, method)
+            dist = heat_distribution(reference_heat_state(hk, u0), cfg)
             snap, keep_local = _reference_drop_node(current, dist, snapshot_rng(seed, graph_index, k))
             src_ids = src_ids[keep_local]
             mask = np.zeros(g.node_count, dtype=bool)

@@ -23,7 +23,9 @@ from evokernel.experiment import ExperimentConfig, stratified_folds, sweep_time_
 from evokernel.gdtw import WarpingResult, gdtw_distance, warping_to_json
 from evokernel.graphs import Graph, normalized_laplacian
 from evokernel.heat import (
+    HEAT_METHODS,
     HeatState,
+    SpectralDecomposition,
     compute_heat_kernel,
     heat_kernel_exact,
     heat_kernel_fiedler,
@@ -39,6 +41,7 @@ PATH = Graph(3, [(0, 1), (1, 2)])
 EMPTY = Graph(0, [])
 LAP = normalized_laplacian(PATH)
 SPEC = spectral_decompose(LAP)
+P4_SPEC = spectral_decompose(normalized_laplacian(Graph(4, [(0, 1), (1, 2), (2, 3)])))
 NAN, INF = float("nan"), float("inf")
 KERNEL = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]])
 LABELS = np.array([0, 1, 1])
@@ -83,6 +86,18 @@ CALLS = {
     "missing-spectrum": (ContractError, lambda: compute_heat_kernel(LAP, None, 1.0, "exact")),
     "unknown-method": (ConfigError, lambda: compute_heat_kernel(LAP, SPEC, 1.0, "bogus")),
     "u0": (ConfigError, lambda: propagate_heat(heat_kernel_exact(SPEC, 1.0), 0.0)),
+    # A spectrum is a SpectralDecomposition with one eigenvector per eigenvalue,
+    # of the Laplacian it comes with.
+    **{
+        f"spectrum-other-graph-{m}": (ContractError, lambda m=m: compute_heat_kernel(LAP, P4_SPEC, 0.5, m))
+        for m in HEAT_METHODS
+    },
+    "spectrum-string": (ContractError, lambda: heat_kernel_exact("x", 0.5)),
+    "spectrum-matrix": (ContractError, lambda: compute_heat_kernel(LAP, np.eye(3), 0.5)),
+    "spectrum-eigenpair-count": (
+        ContractError,
+        lambda: heat_kernel_exact(SpectralDecomposition(np.array([0.0, 1.0]), np.eye(3)), 0.5),
+    ),
     "perturbation": (ContractError, lambda: perturbation_gap(LAP, np.full((3, 3), np.nan), 1.0)),
     "gamma-scale": (ConfigError, lambda: evolution_kernel(np.zeros((2, 2)), gamma_scale=0)),
     "repair": (ConfigError, lambda: evolution_kernel(np.zeros((2, 2)), repair="bogus")),

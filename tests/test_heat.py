@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from evokernel import heat as heat_module
 
 from evokernel.errors import NumericalError
 from evokernel.graphs import Graph, normalized_laplacian
@@ -21,7 +27,13 @@ from evokernel.heat import (
     spectral_decompose,
 )
 
-from .oracles import expm_oracle, random_connected_graph, random_graph
+from .oracles import (
+    expm_oracle,
+    random_connected_graph,
+    random_graph,
+    reference_heat_kernel,
+    reference_heat_state,
+)
 
 
 def _spec(g):
@@ -299,11 +311,19 @@ def test_perturbation_gap_rejects_non_finite(c4):
 VECTOR_TIMES = [0.0, 0.05, 0.09, 0.1, 0.3, 2.0, 30.0]
 
 
+PUBLIC_KERNELS = {
+    METHOD_EXACT: lambda lap, spec, t: heat_kernel_exact(spec, t),
+    METHOD_TAYLOR2: lambda lap, spec, t: heat_kernel_taylor2(lap, t),
+    METHOD_FIEDLER: lambda lap, spec, t: heat_kernel_fiedler(spec, t),
+}
+
+
 @pytest.mark.parametrize("method", ["exact", "taylor2", "fiedler", "auto"])
 @pytest.mark.parametrize("n, connected", [(1, False), (2, True), (6, True), (9, False), (17, True)])
 def test_heat_vectors_equal_the_kernel_heat(method, n, connected):
-    """Each column is the propagated kernel heat, including fiedler at t = 0
-    and on one node (the exact kernel) and auto below and above 0.1."""
+    """Each column is the oracle kernel's heat, including fiedler at t = 0
+    and on one node (the exact kernel) and auto below and above 0.1; the
+    public kernels and their method pick match the oracle too."""
     rng = np.random.default_rng(n)
     g = random_connected_graph(rng, n, 0.3) if connected else random_graph(rng, n, 0.3)
     lap = normalized_laplacian(g)
@@ -311,12 +331,53 @@ def test_heat_vectors_equal_the_kernel_heat(method, n, connected):
     times = VECTOR_TIMES if method != METHOD_TAYLOR2 else VECTOR_TIMES[:-1]
     heat = _heat_vectors(lap, spec, times, method, 1.5)
     assert heat.shape == (n, len(times))
+    for t in VECTOR_TIMES:
+        picked = reference_heat_kernel(lap, spec, t, method).method
+        assert compute_heat_kernel(lap, spec, t, method).method == picked
     for k, t in enumerate(times):
-        kernel_heat = propagate_heat(compute_heat_kernel(lap, spec, t, method), 1.5).heat
+        reference = reference_heat_kernel(lap, spec, t, method)
+        kernel_heat = reference_heat_state(reference, 1.5).heat
         assert np.max(np.abs(heat[:, k] - kernel_heat)) <= 1e-12
+        hk = compute_heat_kernel(lap, spec, t, method)
+        assert np.max(np.abs(hk.matrix - reference.matrix), initial=0.0) <= 1e-12
+        if reference.method == method:
+            public = PUBLIC_KERNELS[method](lap, spec, t).matrix
+            assert np.max(np.abs(public - reference.matrix), initial=0.0) <= 1e-12
     if method == "auto":
         picked = [select_heat_method(spec, t) for t in times]
         assert picked[:3] == [METHOD_TAYLOR2] * 3 and METHOD_EXACT in picked
         assert (METHOD_FIEDLER in picked) == (n in (2, 17))
         small = [t for t in times if not reads_spectrum(method, t)]
         assert np.array_equal(_heat_vectors(lap, None, small, method, 1.5), heat[:, : len(small)])
+
+
+ORACLE_HEAT_NAMES = {"spectral_decompose"} | {n for n in vars(heat_module) if n.startswith("METHOD_")}
+
+
+def _heat_names_imported(source: str) -> list[str]:
+    """Names of ``evokernel.heat`` that ``source`` imports, from it or re-exported by another
+    evokernel module, and the module itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.startswith("evokernel.heat")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("evokernel"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(module, alias.name, None)
+                from_heat = value is not None and value is getattr(heat_module, alias.name, None)
+                if module is heat_module or value is heat_module or from_heat:
+                    found.append(alias.name)
+    return found
+
+
+def test_oracles_import_no_heat_formula():
+    """The oracles stay independent of the formulas they check: from ``evokernel.heat``
+    they take only the eigendecomposition and the method names."""
+    source = (Path(__file__).parent / "oracles.py").read_text()
+    assert set(_heat_names_imported(source)) <= ORACLE_HEAT_NAMES
+    assert _heat_names_imported("from evokernel.heat import compute_heat_kernel") == ["compute_heat_kernel"]
+    assert _heat_names_imported("from evokernel import heat_kernel_exact") == ["heat_kernel_exact"]
+    assert _heat_names_imported("from evokernel import heat") == ["heat"]
+    assert _heat_names_imported("import evokernel.heat as h") == ["evokernel.heat"]
+    assert _heat_names_imported("from evokernel.augment import BoltzmannConfig") == []
