@@ -25,7 +25,7 @@ from .embedding import MetricConfig, _wl_counts
 from .errors import ConfigError, EvoKernelError, StageError, choice, integer, integers, real
 from .heat import HEAT_METHODS, METHOD_EXACT
 from .kernel import PSD_REPAIRS, _prefix_distance_matrices, evolution_kernel
-from .svm import svm_predict, svm_train
+from .svm import _train_folds, svm_predict
 from .tu_io import GraphDataset, load_tu_dataset
 
 # Substream tag separating fold shuffling from per-snapshot augmentation
@@ -221,6 +221,9 @@ def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) 
             dataset = load_tu_dataset(cfg.dataset_dir, cfg.dataset_name)
     timings["load"] = time.perf_counter() - tic
 
+    with _stage("cv"):  # the split reads only the labels, fold count and seed
+        folds = stratified_folds(dataset.labels, cfg.folds, cfg.seed)
+
     tic = time.perf_counter()
     with _stage("episodes"):
         a, u0, seed = float(cfg.a), float(cfg.u0), int(cfg.seed)
@@ -237,7 +240,7 @@ def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) 
     timings["distances"] = time.perf_counter() - tic
 
     return [
-        _cross_validate(c, grid, distances[len(grid)], dataset, dict(timings))
+        _cross_validate(c, grid, distances[len(grid)], dataset, folds, dict(timings))
         for c, grid in zip(configs, grids)
     ]
 
@@ -247,12 +250,14 @@ def _cross_validate(
     times: np.ndarray,
     d: np.ndarray,
     dataset: GraphDataset,
+    folds: list[tuple[np.ndarray, np.ndarray]],
     timings: dict[str, float],
 ) -> CvReport:
-    """Kernel and stratified CV on one distance matrix; adds their timings.
+    """Kernel and CV over the given folds on one distance matrix; adds their timings.
 
-    Issues one RuntimeWarning naming every fold and class whose SMO machine
-    stopped at its update cap before convergence.
+    All folds' SMO machines train together in one lockstep solve. Issues one
+    RuntimeWarning naming every fold and class whose SMO machine stopped at
+    its update cap before convergence.
     """
     tic = time.perf_counter()
     with _stage("kernel"):
@@ -266,8 +271,8 @@ def _cross_validate(
         confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
         fold_accuracies = []
         capped = []
-        for fold, (train, test) in enumerate(stratified_folds(labels, cfg.folds, cfg.seed)):
-            model = svm_train(ek, labels, train, cfg.c)
+        models = _train_folds(ek, labels, [train for train, _ in folds], cfg.c)
+        for fold, ((train, test), model) in enumerate(zip(folds, models)):
             capped += [
                 f"fold {fold} class {m.positive_class} ({m.updates} updates)"
                 for m in model.machines

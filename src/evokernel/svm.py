@@ -5,6 +5,12 @@ optimization: at each update the most violating pair under the KKT conditions
 is selected deterministically (first index on ties), so training is exactly
 reproducible. Indefinite kernels are tolerated by flooring the pair curvature.
 
+All machines of all folds of one kernel train in one lockstep solve: each
+numpy operation of an update acts on every live machine, which picks its pair,
+gathers the pair's two kernel rows and moves both duals, and leaves the batch
+once it converges or reaches the update cap. A machine does the arithmetic of
+a one-machine loop, so it is bit-equal to one trained alone.
+
 A two-class problem trains one machine, for the lower class: on a symmetric
 kernel the other one-vs-rest machine is its exact mirror image (same alphas,
 negated decision values), so it would add nothing.
@@ -49,66 +55,116 @@ class SvmModel:
     train_size: int
 
 
-def _smo(k: np.ndarray, y: np.ndarray, c: float) -> BinarySvm:
-    n = len(y)
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of 1/2 a'Qa - 1'a at a = 0
-    positive = y > 0
-    updates = 0
-    converged = False
+def _smo(kernel: np.ndarray, rows: np.ndarray, y: np.ndarray, valid: np.ndarray, c: float) -> list[BinarySvm]:
+    """Machines of P problems solved in lockstep from (P, width) rows, +-1 y and valid.
 
-    while True:
+    Problem p trains on ``kernel[rows[p]][:, rows[p]]`` restricted to its
+    valid entries; padding never enters the up or low set.
+    """
+    machines: list[BinarySvm] = [None] * len(rows)
+    live = np.arange(len(rows))
+    at = live * rows.shape[1]
+    alpha = np.zeros(rows.shape)
+    grad = -np.ones(rows.shape)  # gradient of 1/2 a'Qa - 1'a at a = 0
+    # Up is y * alpha < up_bound and low is y * alpha > low_bound. For y = 1
+    # these read alpha < c - eps and alpha > eps; for y = -1 they read
+    # -alpha < -eps and -alpha > -(c - eps), the same box tests negated.
+    # Padding passes neither.
+    up_bound = np.where(valid, np.where(y > 0, c - _BOX_EPS, -_BOX_EPS), -np.inf)
+    low_bound = np.where(valid, np.where(y > 0, _BOX_EPS, -(c - _BOX_EPS)), np.inf)
+    updates = 0
+
+    while live.size:
         yg = -(y * grad)
-        below = alpha < c - _BOX_EPS
-        above = alpha > _BOX_EPS
-        up = np.where(positive, below, above)
-        low = np.where(positive, above, below)
+        ya = y * alpha
+        up = ya < up_bound
+        low = ya > low_bound
         # Entries outside a set are masked with -inf/+inf, so argmax/argmin
         # pick its first extreme index and, while the gradient is finite, an
         # empty set reads as no violation.
         yg_up = np.where(up, yg, -np.inf)
         yg_low = np.where(low, yg, np.inf)
-        i = int(np.argmax(yg_up))
-        j = int(np.argmin(yg_low))
-        if updates >= MAX_UPDATES:
-            break
-        violation = yg_up[i] - yg_low[j]
-        if violation <= KKT_TOL:
-            converged = True
-            break
+        # Flat indices into the (live, width) arrays of each machine's pair.
+        i = at + np.argmax(yg_up, axis=1)
+        j = at + np.argmin(yg_low, axis=1)
+        m_up, m_low = yg_up.ravel()[i], yg_low.ravel()[j]
+        violation = m_up - m_low
+        capped = updates >= MAX_UPDATES
+        done = np.full(live.size, capped) if capped else violation <= KKT_TOL
+        if done.any():
+            for r in np.flatnonzero(done):
+                v = valid[r]
+                if up[r].any() and low[r].any():
+                    bias = (float(m_up[r]) + float(m_low[r])) / 2.0
+                    residual = max(float(m_up[r]) - float(m_low[r]), 0.0)
+                else:
+                    # Everything sits on a box bound; center the bias on the KKT targets.
+                    bias, residual = float(np.mean(yg[r, v])), 0.0
+                support = np.flatnonzero(alpha[r, v] > _SUPPORT_TOL)
+                # The positive class is filled in by _train_folds.
+                machines[live[r]] = BinarySvm(-1, y[r, v], alpha[r, v], bias, support, residual, updates, capped)
+            keep = ~done
+            live, rows, y, valid = live[keep], rows[keep], y[keep], valid[keep]
+            up_bound, low_bound, alpha, grad = up_bound[keep], low_bound[keep], alpha[keep], grad[keep]
+            at = at[: live.size]
+            continue  # select again on the compacted arrays; nothing moved
 
-        curvature = k[i, i] + k[j, j] - 2.0 * k[i, j]
-        if curvature <= 0:
-            curvature = 1e-12
-        step = violation / curvature
-        step = min(step, c - alpha[i] if y[i] > 0 else alpha[i])
-        step = min(step, alpha[j] if y[j] > 0 else c - alpha[j])
+        # Row i of the problem's kernel block is the kernel row of its i-th entry.
+        k_i = kernel[rows.ravel()[i][:, None], rows]
+        k_j = kernel[rows.ravel()[j][:, None], rows]
+        curvature = k_i.ravel()[i] + k_j.ravel()[j] - 2.0 * k_j.ravel()[i]
+        step = violation / np.where(curvature <= 0, 1e-12, curvature)
+        y_i, y_j, a_i, a_j = y.ravel()[i], y.ravel()[j], alpha.ravel()[i], alpha.ravel()[j]
+        limit = np.where(y_i > 0, c - a_i, a_i)
+        step = np.where(limit < step, limit, step)
+        limit = np.where(y_j > 0, a_j, c - a_j)
+        step = np.where(limit < step, limit, step)
 
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
-        grad += step * y * (k[:, i] - k[:, j])
+        alpha.ravel()[i] += y_i * step
+        alpha.ravel()[j] -= y_j * step
+        grad += step[:, None] * y * (k_i - k_j)
         updates += 1
+    return machines
 
-    if up.any() and low.any():
-        m_up = float(yg_up[i])
-        m_low = float(yg_low[j])
-        bias = (m_up + m_low) / 2.0
-        residual = max(m_up - m_low, 0.0)
-    else:
-        # Everything sits on a box bound; center the bias on the KKT targets.
-        bias = float(np.mean(yg))
-        residual = 0.0
 
-    return BinarySvm(
-        positive_class=-1,  # filled by svm_train
-        y=y,
-        alpha=alpha,
-        bias=bias,
-        support=np.flatnonzero(alpha > _SUPPORT_TOL),
-        kkt_residual=residual,
-        updates=updates,
-        cap_hit=not converged,
-    )
+def _train_folds(kernel, labels, train_sets, c: float) -> list[SvmModel]:
+    """One model per training set; every machine of every set trains in one ``_smo`` solve."""
+    c = real("regularization c", c, 0, above=True)
+    k = kernel.k if isinstance(kernel, EvolutionKernelMatrix) else np.asarray(kernel, dtype=float)
+    labels = integers("labels", labels)
+    n = len(labels)
+    if k.shape != (n, n):
+        raise ContractError(f"kernel of shape {k.shape} for {n} labels")
+    sets, problems = [], []
+    for train_idx in train_sets:
+        train_idx = integers("training indices", train_idx)
+        if train_idx.size == 0:
+            raise TrainingError("empty training set")
+        if train_idx.min() < 0 or train_idx.max() >= n:
+            raise ContractError(f"training indices must be ids in [0, {n})")
+        train_labels = labels[train_idx]
+        classes = np.unique(train_labels)
+        if len(classes) < 2:
+            raise TrainingError(f"training set contains a single class ({classes.tolist()})")
+        square("training kernel", k[np.ix_(train_idx, train_idx)], symmetric=True)
+        positives = classes[:1] if len(classes) == 2 else classes
+        sets.append((train_idx, classes, positives))
+        problems += [(train_idx, train_labels == cls) for cls in positives]
+
+    shape = (len(problems), max(len(train_idx) for train_idx, _ in problems))
+    rows, y, valid = np.zeros(shape, dtype=np.int64), np.ones(shape), np.zeros(shape, dtype=bool)
+    for p, (train_idx, is_positive) in enumerate(problems):
+        rows[p, : len(train_idx)] = train_idx
+        y[p, : len(train_idx)] = np.where(is_positive, 1.0, -1.0)
+        valid[p, : len(train_idx)] = True
+    machines = iter(_smo(k, rows, y, valid, c))
+    models = []
+    for train_idx, classes, positives in sets:
+        model = SvmModel(classes, [next(machines) for _ in positives], c, len(train_idx))
+        for machine, cls in zip(model.machines, positives):
+            machine.positive_class = int(cls)
+        models.append(model)
+    return models
 
 
 def svm_train(
@@ -124,31 +180,7 @@ def svm_train(
     Convergence is max KKT violation <= ``KKT_TOL`` or ``MAX_UPDATES``
     updates, with the cap recorded on the machine.
     """
-    c = real("regularization c", c, 0, above=True)
-    k = kernel.k if isinstance(kernel, EvolutionKernelMatrix) else np.asarray(kernel, dtype=float)
-    labels = integers("labels", labels)
-    train_idx = integers("training indices", train_idx)
-    n = len(labels)
-    if k.shape != (n, n):
-        raise ContractError(f"kernel of shape {k.shape} for {n} labels")
-    if train_idx.size == 0:
-        raise TrainingError("empty training set")
-    if train_idx.min() < 0 or train_idx.max() >= n:
-        raise ContractError(f"training indices must be ids in [0, {n})")
-    train_labels = labels[train_idx]
-    classes = np.unique(train_labels)
-    if len(classes) < 2:
-        raise TrainingError(f"training set contains a single class ({classes.tolist()})")
-
-    # The transposed view of this exactly symmetric block gives _smo contiguous columns.
-    k_train = square("training kernel", k[np.ix_(train_idx, train_idx)], symmetric=True).T
-    machines = []
-    for cls in classes[:1] if len(classes) == 2 else classes:
-        y = np.where(train_labels == cls, 1.0, -1.0)
-        machine = _smo(k_train, y, c)
-        machine.positive_class = int(cls)
-        machines.append(machine)
-    return SvmModel(classes=classes, machines=machines, c=c, train_size=len(train_idx))
+    return _train_folds(kernel, labels, [train_idx], c)[0]
 
 
 def svm_predict(model: SvmModel, k_rows: np.ndarray) -> int | np.ndarray:

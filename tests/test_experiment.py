@@ -19,7 +19,9 @@ from evokernel.experiment import (
     sweep_time_length,
     write_sweep_csv,
 )
+from evokernel.graphs import Graph
 from evokernel.kernel import distance_matrix
+from evokernel.svm import svm_train
 from evokernel.tu_io import GraphDataset
 
 from .conftest import star, triangle
@@ -185,6 +187,50 @@ def test_update_cap_hits_raise_one_warning(monkeypatch):
     with pytest.warns(RuntimeWarning, match=r"time length 1\.0: .*fold 0 class 0 \(1 updates\)") as caught:
         run_experiment(fast_config(), dataset=synthetic_dataset())
     assert len(caught) == 1
+
+
+def three_class_dataset() -> GraphDataset:
+    paw = Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    graphs = [triangle(), triangle(), paw, triangle(), star(3), star(3), star(4), star(2)]
+    graphs += [Graph(n, [(i, i + 1) for i in range(n - 1)]) for n in (4, 5, 3)]
+    graphs.append(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    return GraphDataset(graphs=graphs, labels=np.repeat([0, 1, 2], 4), name="THREE")
+
+
+def test_update_cap_warning_names_each_capped_machine_with_its_updates(monkeypatch):
+    # Machines retire at different update counts; the warning names exactly
+    # those that one-fold training also stops at the cap, with their counts.
+    dataset, cfg = three_class_dataset(), fast_config()
+    kernels = []
+    build = experiment_module.evolution_kernel
+    monkeypatch.setattr(experiment_module, "evolution_kernel", lambda *a: kernels.append(build(*a)) or kernels[-1])
+    run_experiment(cfg, dataset=dataset)
+
+    def machines():
+        folds = stratified_folds(dataset.labels, cfg.folds, cfg.seed)
+        fold_models = [svm_train(kernels[0], dataset.labels, train, cfg.c) for train, _ in folds]
+        return [(fold, m) for fold, model in enumerate(fold_models) for m in model.machines]
+
+    counts = sorted({m.updates for _, m in machines()})
+    monkeypatch.setattr(svm, "MAX_UPDATES", counts[len(counts) // 2])
+    capped = [f"fold {fold} class {m.positive_class} ({m.updates} updates)" for fold, m in machines() if m.cap_hit]
+    assert 0 < len(capped) < len(machines()) and len(counts) > 1
+    with pytest.warns(RuntimeWarning) as caught:
+        run_experiment(cfg, dataset=dataset)
+    assert [str(w.message) for w in caught] == [
+        "time length 1.0: SMO stopped at its update cap before convergence in " + ", ".join(capped)
+    ]
+
+
+def test_infeasible_fold_count_fails_before_the_episodes(monkeypatch):
+    def no_episodes(*args):
+        raise AssertionError("episodes drawn before the folds were split")
+
+    monkeypatch.setattr(experiment_module, "_episode_masks", no_episodes)
+    with pytest.raises(StageError, match=r"\[cv\].*reduce folds to at most 3"):
+        run_experiment(fast_config(folds=64), dataset=synthetic_dataset())
+    with pytest.raises(StageError, match=r"\[cv\].*reduce folds to at most 3"):
+        sweep_time_length(fast_config(folds=4), [0.5, 1.0], dataset=synthetic_dataset())
 
 
 def test_default_mutag_run_warns_nothing(mutag):

@@ -5,6 +5,7 @@ import pytest
 
 from evokernel import svm
 from evokernel.errors import TrainingError
+from evokernel.experiment import stratified_folds
 from evokernel.svm import BinarySvm, SvmModel, _smo, svm_predict, svm_train
 
 from .oracles import primal_margin_oracle, reference_ovr_predict, reference_ovr_smo
@@ -140,23 +141,72 @@ def _random_problem(rng, n, kind):
     return k, y
 
 
+def _assert_same_machine(got, want):
+    assert np.array_equal(got.y, want.y)
+    assert np.array_equal(got.alpha, want.alpha)
+    assert np.array_equal(got.support, want.support)
+    assert (got.bias, got.kkt_residual) == (want.bias, want.kkt_residual)
+    assert (got.updates, got.cap_hit) == (want.updates, want.cap_hit)
+
+
 @pytest.mark.parametrize("kind", ["psd", "indefinite", "asymmetric"])
 def test_smo_is_bit_equal_to_the_reference_loop(kind, monkeypatch):
+    # One lockstep solve per cap over 15 problems of mixed size, each a k.T
+    # block of one kernel: row i of a block is the column k[:, i] that the
+    # reference reads, so the asymmetric kind reads the same entries too.
     rng = np.random.default_rng(58)
-    cap_hits = 0
-    for trial in range(60):
-        k, y = _random_problem(rng, int(rng.integers(2, 30)), kind)
+    cap_hits = staggered = 0
+    for cap in (1, 3, 50, 3000):
+        problems = [_random_problem(rng, int(rng.integers(2, 30)), kind) for _ in range(15)]
         c = float(10.0 ** rng.uniform(-3, 3))
-        cap = [1, 3, 50, 3000][trial % 4]
+        sizes = [len(y) for _, y in problems]
+        offsets = np.cumsum([0] + sizes)
+        kernel = np.zeros((offsets[-1], offsets[-1]))
+        rows = rng.integers(0, offsets[-1], (15, max(sizes)))  # padding points anywhere
+        ys, valid = np.ones(rows.shape), np.zeros(rows.shape, dtype=bool)
+        for p, ((k, y), start) in enumerate(zip(problems, offsets)):
+            kernel[start : start + len(y), start : start + len(y)] = k.T
+            rows[p, : len(y)] = start + np.arange(len(y))
+            ys[p, : len(y)], valid[p, : len(y)] = y, True
         monkeypatch.setattr(svm, "MAX_UPDATES", cap)
-        got = _smo(k, y, c)
-        want = reference_ovr_smo(k, y, c, 1e-3, cap)
-        assert np.array_equal(got.alpha, want.alpha)
-        assert np.array_equal(got.support, want.support)
-        assert (got.bias, got.kkt_residual) == (want.bias, want.kkt_residual)
-        assert (got.updates, got.cap_hit) == (want.updates, want.cap_hit)
-        cap_hits += got.cap_hit
+        got = _smo(kernel, rows, ys, valid, c)
+        assert len(got) == 15
+        for machine, (k, y) in zip(got, problems):
+            _assert_same_machine(machine, reference_ovr_smo(k, y, c, 1e-3, cap))
+        cap_hits += sum(m.cap_hit for m in got)
+        staggered += len({m.updates for m in got}) > 1  # machines retired at different steps
     assert 0 < cap_hits < 60
+    assert staggered > 0
+
+
+def _assert_same_model(got, want):
+    assert np.array_equal(got.classes, want.classes)
+    assert (got.c, got.train_size) == (want.c, want.train_size)
+    assert [m.positive_class for m in got.machines] == [m.positive_class for m in want.machines]
+    for g, w in zip(got.machines, want.machines, strict=True):
+        _assert_same_machine(g, w)
+
+
+@pytest.mark.parametrize("class_count", [2, 3])
+def test_one_lockstep_solve_over_all_folds_equals_separate_training(class_count, monkeypatch):
+    rng = np.random.default_rng(63 + class_count)
+    raw = rng.standard_normal((47, 4))
+    kernel = np.exp(-np.sum((raw[:, None] - raw[None]) ** 2, axis=-1) / 4.0)
+    labels = rng.permutation(np.arange(47) % class_count)
+    train_sets = [train for train, _ in stratified_folds(labels, 10, seed=3)]
+    assert len({len(train) for train in train_sets}) > 1
+    free = [svm_train(kernel, labels, train, c=5.0) for train in train_sets]
+    updates = sorted({m.updates for model in free for m in model.machines})
+    for cap in (None, updates[len(updates) // 2]):
+        if cap is not None:
+            monkeypatch.setattr(svm, "MAX_UPDATES", cap)
+        separate = [svm_train(kernel, labels, train, c=5.0) for train in train_sets]
+        together = svm._train_folds(kernel, labels, train_sets, 5.0)
+        for got, want in zip(together, separate, strict=True):
+            _assert_same_model(got, want)
+            assert [m.positive_class for m in got.machines] == list(range(class_count))[: len(got.machines)]
+        capped = [m.cap_hit for model in together for m in model.machines]
+        assert any(capped) == (cap is not None) and not all(capped)
 
 
 @pytest.mark.parametrize("class_count", [2, 3])
