@@ -7,8 +7,6 @@ from .augment import (
     drop_node,
     generate_episode,
     heat_distribution,
-    read_episode_jsonl,
-    write_episode_jsonl,
 )
 from .embedding import MetricConfig, WlEmbedding, delta, wl_embed
 from .errors import (
@@ -33,7 +31,6 @@ from .gdtw import (
     WarpingResult,
     build_warping_matrix,
     gdtw_distance,
-    warping_to_json,
 )
 from .graphs import (
     Graph,
@@ -57,7 +54,6 @@ from .kernel import (
     clip_psd,
     distance_matrix,
     evolution_kernel,
-    export_matrix_csv,
 )
 from .svm import SvmModel, svm_predict, svm_train
 from .tu_io import GraphDataset, load_tu_dataset
@@ -95,7 +91,6 @@ __all__ = [
     "distance_matrix",
     "drop_node",
     "evolution_kernel",
-    "export_matrix_csv",
     "gdtw_distance",
     "generate_episode",
     "heat_distribution",
@@ -106,7 +101,6 @@ __all__ = [
     "normalized_laplacian",
     "perturbation_gap",
     "propagate_heat",
-    "read_episode_jsonl",
     "run_experiment",
     "spectral_decompose",
     "stratified_folds",
@@ -114,8 +108,6 @@ __all__ = [
     "svm_predict",
     "svm_train",
     "sweep_time_length",
-    "warping_to_json",
     "wl_embed",
-    "write_episode_jsonl",
     "write_sweep_csv",
 ]

@@ -12,9 +12,7 @@ alone, and ``generate_episode`` cuts its snapshot graphs from them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -192,76 +190,3 @@ def _episode_masks(g: Graph, times: np.ndarray, a, u0, seed, graph_index, method
         keep = snapshot_rng(seed, graph_index, k).random(ids.size) < normed[:, 0 if cumulative else k]
         masks[k, ids[keep]] = True
     return masks
-
-
-def write_episode_jsonl(episode: TemporalEpisode, path) -> None:
-    """One JSON record per snapshot: time, kept source-node ids, edge list.
-
-    Edges are written in source-node ids for inspectability.
-    """
-    if not len(episode.times) == len(episode.kept_masks) == len(episode.snapshots):
-        raise ContractError(
-            f"episode has {len(episode.times)} times and {len(episode.kept_masks)} masks "
-            f"for {len(episode.snapshots)} snapshots"
-        )
-    lines = []
-    for t, snap, mask in zip(episode.times, episode.snapshots, episode.kept_masks):
-        kept = np.flatnonzero(mask)
-        if len(mask) != episode.source.node_count or len(kept) != snap.node_count:
-            raise ContractError(f"mask at t={t} does not match its snapshot")
-        edges = [[int(kept[i]), int(kept[j])] for i, j in snap.edges]
-        lines.append(
-            json.dumps({"t": float(t), "kept": [int(i) for i in kept], "edges": edges})
-        )
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def read_episode_jsonl(path, source: Graph, seed: int = 0) -> TemporalEpisode:
-    """Rebuild an episode from its JSONL form and the source graph.
-
-    The seed is not stored in the file; pass it when it matters for fixture
-    bookkeeping. Node labels are restored from the source graph. A record
-    that is not JSON, lacks a key, keeps an id twice or outside the source,
-    lists edges the source does not induce, or whose time is not a finite
-    number above the previous record's raises :class:`ConfigError` naming
-    its line.
-    """
-    seed = integer("seed", seed)
-    path = Path(path)
-    times: list[float] = []
-    snapshots = []
-    masks = []
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"{path.name} line {line_no}"
-        try:
-            record = json.loads(line)
-            t, kept, edges = record["t"], record["kept"], record["edges"]
-            expected = {(min(i, j), max(i, j)) for i, j in edges}
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"{where}: malformed episode record ({exc!r})") from None
-        if type(t) not in (int, float) or not np.isfinite(t) or (times and t <= times[-1]):
-            raise ConfigError(f"{where}: time {t!r} is not a finite number above the previous time")
-        if not isinstance(kept, list) or not all(
-            type(i) is int and 0 <= i < source.node_count for i in kept
-        ):
-            raise ConfigError(f"{where}: kept ids must be integers in [0, {source.node_count})")
-        if len(set(kept)) != len(kept):
-            raise ConfigError(f"{where}: kept ids repeat")
-        mask = np.zeros(source.node_count, dtype=bool)
-        mask[kept] = True
-        snap = subgraph(source, mask)
-        ids = np.flatnonzero(mask)
-        if expected != {(int(ids[i]), int(ids[j])) for i, j in snap.edges}:
-            raise ConfigError(f"{where}: edges at t={t} are not those the source graph induces")
-        times.append(float(t))
-        snapshots.append(snap)
-        masks.append(mask)
-    return TemporalEpisode(
-        source=source,
-        times=np.asarray(times),
-        snapshots=snapshots,
-        seed=seed,
-        kept_masks=masks,
-    )

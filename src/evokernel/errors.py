@@ -17,7 +17,8 @@ class EvoKernelError(Exception):
 class GraphConstructionError(EvoKernelError):
     """Invalid graph input: a node count, endpoint or label that is not an integer
     or out of range, an edge that is not a pair, a self-loop, a repeated edge, or
-    a label list or mask of the wrong length."""
+    a label list or mask of the wrong length, or a non-empty mask that is not of
+    bool dtype."""
 
 
 class DatasetError(EvoKernelError):

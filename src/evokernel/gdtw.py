@@ -8,7 +8,6 @@ an infinity border and recovered by backtracking.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,17 +106,3 @@ def _cumulative_costs(costs: np.ndarray) -> np.ndarray:
             np.minimum(diag_or_up[j - 1], row[j - 1], out=row[j])
             row[j] += costs[i - 1, j - 1]
     return gamma
-
-
-def warping_to_json(m: np.ndarray, result: WarpingResult) -> str:
-    """Diagnostic dump of one aligned pair: cost matrix, path, distance; all finite."""
-    m = square("warping matrix", m)
-    if not np.isfinite(result.distance):
-        raise ContractError(f"alignment distance {result.distance} is not finite")
-    return json.dumps(
-        {
-            "matrix": m.tolist(),
-            "path": [list(cell) for cell in result.path],
-            "distance": result.distance,
-        }
-    )

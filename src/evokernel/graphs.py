@@ -115,7 +115,10 @@ def subgraph(g: Graph, kept: np.ndarray) -> Graph:
     Surviving nodes are re-packed to contiguous 0-based ids in ascending
     source order; labels follow their nodes.
     """
-    kept = np.asarray(kept, dtype=bool)
+    kept = np.asarray(kept)
+    if kept.size and kept.dtype != bool:
+        raise GraphConstructionError(f"mask of dtype {kept.dtype} is not boolean")
+    kept = kept.astype(bool, copy=False)
     if kept.shape != (g.node_count,):
         raise GraphConstructionError(
             f"mask of length {kept.size} for graph with {g.node_count} nodes"

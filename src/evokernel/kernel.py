@@ -7,7 +7,6 @@ clipping is available (and on by default downstream) to repair it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,18 +119,3 @@ def clip_psd(k: np.ndarray) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     repaired = (v * w) @ v.T
     return (repaired + repaired.T) / 2.0
-
-
-def export_matrix_csv(m: np.ndarray, path, ids=None) -> None:
-    """Row-major CSV of a finite square matrix with a header of graph ids, for external analysis."""
-    m = np.asarray(m)
-    rows = m.shape[0] if m.ndim else 0
-    ids = list(range(rows)) if ids is None else ids
-    if m.shape != (len(ids), len(ids)):
-        raise ContractError(f"matrix of shape {m.shape} for {len(ids)} ids")
-    m = square("matrix", m)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [str(i) for i in ids])
-        for gid, row in zip(ids, m):
-            writer.writerow([str(gid)] + [repr(float(x)) for x in row])

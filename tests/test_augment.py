@@ -12,9 +12,7 @@ from evokernel.augment import (
     drop_node,
     generate_episode,
     heat_distribution,
-    read_episode_jsonl,
     snapshot_rng,
-    write_episode_jsonl,
 )
 from evokernel.errors import ConfigError, ContractError
 from evokernel.graphs import Graph
@@ -238,75 +236,6 @@ def test_cumulative_mode_survives_total_wipeout(p3):
     assert len(episode) == 3
     for snap in episode.snapshots[1:]:
         assert snap.node_count <= p3.node_count
-
-
-def test_episode_jsonl_roundtrip(tmp_path, mutag):
-    g = mutag.graphs[2]
-    times = np.arange(5) * 0.25
-    episode = generate_episode(g, times, DEFAULTS, 1.0, seed=21)
-    path = tmp_path / "episode.jsonl"
-    write_episode_jsonl(episode, path)
-    loaded = read_episode_jsonl(path, g, seed=21)
-    assert loaded.snapshots == episode.snapshots
-    assert np.array_equal(loaded.times, episode.times)
-    for m1, m2 in zip(loaded.kept_masks, episode.kept_masks):
-        assert np.array_equal(m1, m2)
-    assert loaded.seed == 21
-
-
-def test_episode_jsonl_is_line_based(tmp_path, p3):
-    episode = generate_episode(p3, [0.0, 0.5], DEFAULTS, 1.0, seed=3)
-    path = tmp_path / "episode.jsonl"
-    write_episode_jsonl(episode, path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 2
-    import json
-
-    record = json.loads(lines[0])
-    assert set(record) == {"t", "kept", "edges"}
-    assert record["kept"] == [0, 1, 2]
-
-
-# A valid first record for p3 (path 0-1-2); each case below corrupts the
-# valid second record '{"t": 0.5, "kept": [0, 1], "edges": [[0, 1]]}'.
-_FIRST_RECORD = '{"t": 0.0, "kept": [0, 1, 2], "edges": [[0, 1], [1, 2]]}'
-
-
-@pytest.mark.parametrize(
-    "second, message",
-    [
-        ('{"t": 0.5, "kept": [0, -1], "edges": [[0, 2]]}', "kept ids must be integers"),
-        ('{"t": 0.5, "kept": [0, 1, 1], "edges": [[0, 1]]}', "repeat"),
-        ('{"t": 0.5, "kept": [0, 3], "edges": []}', "kept ids must be integers"),
-        ('{"t": 0.5, "kept": [0, 1]}', "malformed"),
-        ('{"t": 0.5, "kept": [0, 1], "edges": [[0, 1]]', "malformed"),
-        ('{"t": -0.1, "kept": [0, 1], "edges": [[0, 1]]}', "above the previous time"),
-        ('{"t": NaN, "kept": [0, 1], "edges": [[0, 1]]}', "not a finite number"),
-        ('{"t": "0.5", "kept": [0, 1], "edges": [[0, 1]]}', "not a finite number"),
-        ('{"t": 0.5, "kept": [0, 2], "edges": [[0, 2]]}', "not those the source graph induces"),
-    ],
-    ids=["negative-id", "duplicate-id", "id-too-large", "missing-key", "bad-json", "unordered", "nan-time", "string-time", "edges"],
-)
-def test_corrupt_episode_jsonl_names_its_line(tmp_path, p3, second, message):
-    path = tmp_path / "episode.jsonl"
-    path.write_text(_FIRST_RECORD + "\n\n" + second + "\n")
-    with pytest.raises(ConfigError, match=f"line 3: .*{message}"):
-        read_episode_jsonl(path, p3)
-
-
-@pytest.mark.parametrize(
-    "masks",
-    [[], [[1, 1, 1]], [[1, 1, 1], [1, 0, 0]], [[1, 1, 1], [1, 1, 1, 0]]],
-    ids=["none", "short", "wrong-count", "wrong-length"],
-)
-def test_write_episode_jsonl_rejects_masks_unlike_the_snapshots(tmp_path, p3, masks):
-    episode = generate_episode(p3, [0.0, 0.5], DEFAULTS, 1.0, seed=3)
-    assert [s.node_count for s in episode.snapshots] == [3, 3]
-    episode.kept_masks = [np.array(m, dtype=bool) for m in masks]
-    path = tmp_path / "episode.jsonl"
-    with pytest.raises(ContractError, match="mask"):
-        write_episode_jsonl(episode, path)
-    assert not path.exists()
 
 
 METHODS = ("exact", "taylor2", "fiedler", "auto")

@@ -15,12 +15,10 @@ from evokernel.augment import (
     drop_node,
     generate_episode,
     heat_distribution,
-    read_episode_jsonl,
 )
 from evokernel.embedding import MAX_WL_ITERATIONS, MetricConfig, wl_embed
 from evokernel.errors import ConfigError, ContractError, EvoKernelError, StageError
 from evokernel.experiment import ExperimentConfig, stratified_folds, sweep_time_length
-from evokernel.gdtw import WarpingResult, gdtw_distance, warping_to_json
 from evokernel.graphs import Graph, normalized_laplacian
 from evokernel.heat import (
     HEAT_METHODS,
@@ -34,7 +32,7 @@ from evokernel.heat import (
     propagate_heat,
     spectral_decompose,
 )
-from evokernel.kernel import clip_psd, evolution_kernel, export_matrix_csv
+from evokernel.kernel import clip_psd, evolution_kernel
 from evokernel.svm import svm_predict, svm_train
 
 PATH = Graph(3, [(0, 1), (1, 2)])
@@ -59,10 +57,6 @@ def _at_config(call):
         if exc.stage != "config":
             raise
         raise exc.cause from exc
-
-
-# The writers are refused before they open their path, which does not exist.
-UNWRITABLE = "absent-directory/out"
 
 
 CALLS = {
@@ -159,8 +153,6 @@ CALLS = {
         lambda: generate_episode(PATH, [0.0, 0.1], graph_index=1.5),
     ),
     "episode-bool-u0": (ConfigError, lambda: generate_episode(PATH, [0.0, 0.1], u0=True)),
-    # The seed is checked before the file is read, so no file is needed.
-    "jsonl-fractional-seed": (ConfigError, lambda: read_episode_jsonl("absent.jsonl", PATH, seed=1.5)),
     "folds-fractional-seed": (ConfigError, lambda: stratified_folds([0, 0, 1, 1], 2, 1.5)),
     "folds-bool-seed": (ConfigError, lambda: stratified_folds([0, 0, 1, 1], 2, True)),
     # Label and id arrays must have an integer dtype.
@@ -198,16 +190,6 @@ CALLS = {
         lambda: generate_episode(EMPTY, [0.0, 0.1], cumulative="yes"),
     ),
     "episode-integer-cumulative": (ConfigError, lambda: generate_episode(EMPTY, [0.0, 0.1], cumulative=2)),
-    # Writers refuse non-finite values.
-    "warping-json-nan-matrix": (
-        ContractError,
-        lambda: warping_to_json(np.array([[0.0, NAN], [NAN, 0.0]]), gdtw_distance(np.zeros((2, 2)))),
-    ),
-    "warping-json-nan-distance": (
-        ContractError,
-        lambda: warping_to_json(np.zeros((1, 1)), WarpingResult(NAN, ((0, 0),), np.zeros((2, 2)))),
-    ),
-    "csv-infinite-matrix": (ContractError, lambda: export_matrix_csv(np.array([[INF]]), UNWRITABLE)),
     # A distance matrix must be exactly symmetric.
     "kernel-asymmetric-distances": (
         ContractError,

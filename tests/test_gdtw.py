@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from evokernel.gdtw import (
     build_warping_matrix,
     cross_distances,
     gdtw_distance,
-    warping_to_json,
 )
 from evokernel.graphs import Graph
 from evokernel.kernel import distance_matrix
@@ -241,12 +238,3 @@ def test_rejects_bad_matrices():
         gdtw_distance(np.zeros((2, 3)))
     with pytest.raises(ContractError):
         gdtw_distance(np.zeros((0, 0)))
-
-
-def test_warping_json_dump():
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    result = gdtw_distance(m)
-    payload = json.loads(warping_to_json(m, result))
-    assert payload["distance"] == 0.0
-    assert payload["path"] == [[0, 0], [1, 1]]
-    assert payload["matrix"] == [[0.0, 1.0], [1.0, 0.0]]

@@ -74,7 +74,6 @@ M = evokernel.build_warping_matrix(EPISODES[0], EPISODES[3], METRIC)
 CONFIG = ExperimentConfig(
     dataset_name="TRI-VS-STAR", time_length=0.2, folds=2, seed=1, wl_iterations=2, embedding_dim=64
 )
-evokernel.write_episode_jsonl(EPISODES[0], WORK / "episode.jsonl")
 
 VALID = {
     "Graph": dict(node_count=3, edges=np.array([[0, 1], [1, 2]]), node_labels=np.array([0, 1, 0])),
@@ -89,7 +88,6 @@ VALID = {
         rng=np.random.default_rng(0),
     ),
     "evolution_kernel": dict(d=D, gamma_scale=1.0, repair="clip"),
-    "export_matrix_csv": dict(m=D, path=WORK / "matrix.csv", ids=None),
     "gdtw_distance": dict(m=M),
     "generate_episode": dict(
         g=P3,
@@ -109,7 +107,6 @@ VALID = {
     "normalized_laplacian": dict(g=P3),
     "perturbation_gap": dict(lap=LAP, f=np.full((3, 3), 1e-3), t=0.5),
     "propagate_heat": dict(hk=HK, u0=1.0),
-    "read_episode_jsonl": dict(path=WORK / "episode.jsonl", source=DATASET.graphs[0], seed=1),
     "run_experiment": dict(cfg=CONFIG, dataset=DATASET),
     "spectral_decompose": dict(lap=LAP),
     "stratified_folds": dict(labels=DATASET.labels, folds=2, seed=1),
@@ -117,9 +114,7 @@ VALID = {
     "svm_predict": dict(model=MODEL, k_rows=K[5, :5]),
     "svm_train": dict(kernel=K, labels=DATASET.labels, train_idx=np.arange(6), c=10.0),
     "sweep_time_length": dict(cfg=CONFIG, lengths=np.array([0.1, 0.2]), dataset=DATASET),
-    "warping_to_json": dict(m=M, result=evokernel.gdtw_distance(M)),
     "wl_embed": dict(g=P3, cfg=METRIC),
-    "write_episode_jsonl": dict(episode=EPISODES[0], path=WORK / "written.jsonl"),
     "write_sweep_csv": dict(
         reports=[evokernel.run_experiment(CONFIG, DATASET)], path=WORK / "sweep.csv"
     ),

@@ -139,11 +139,22 @@ def test_array_forms_equal_scalar_references(seed, n, p):
         assert np.array_equal(normalized_laplacian(sub), reference_normalized_laplacian(sub))
 
 
-def test_subgraph_rejects_mask_of_wrong_shape(p3):
-    with pytest.raises(GraphConstructionError, match="mask of length 2"):
-        subgraph(p3, np.array([True, False]))
-    with pytest.raises(GraphConstructionError):
-        subgraph(p3, np.ones((3, 1), dtype=bool))
+@pytest.mark.parametrize(
+    "kept, message",
+    [
+        (np.array([True, False]), "mask of length 2"),
+        (np.ones((3, 1), dtype=bool), "mask of length 3"),
+        ([], "mask of length 0"),
+        (np.array([0, 1, 2]), r"dtype int\d+ is not boolean"),
+        (np.array([0.5, 0, 1]), "dtype float64 is not boolean"),
+        ([1, 0, 1], r"dtype int\d+ is not boolean"),
+    ],
+    ids=["short", "column", "empty", "int-ids", "fractions", "int-list"],
+)
+def test_subgraph_rejects_mask_of_wrong_shape(p3, kept, message):
+    """A mask must be one bool per node: integer ids or fractions are not read as flags."""
+    with pytest.raises(GraphConstructionError, match=message):
+        subgraph(p3, kept)
 
 
 def test_unchecked_graph_with_outside_endpoint_is_rejected():

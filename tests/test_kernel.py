@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import csv
 import tracemalloc
 
 import numpy as np
@@ -16,7 +15,6 @@ from evokernel.kernel import (
     clip_psd,
     distance_matrix,
     evolution_kernel,
-    export_matrix_csv,
 )
 
 from .conftest import star, triangle
@@ -223,26 +221,3 @@ def test_kernel_rejects_bad_options():
 def test_kernel_rejects_bad_distances(d):
     with pytest.raises(ContractError):
         evolution_kernel(d)
-
-
-@pytest.mark.parametrize(
-    "m, ids",
-    [(np.eye(3), ["a", "b"]), (np.eye(3), ["a", "b", "c", "d"]), (np.zeros((2, 3)), None), (np.float64(1.0), None)],
-    ids=["few-ids", "many-ids", "non-square", "scalar"],
-)
-def test_csv_export_rejects_ids_unlike_the_rows(tmp_path, m, ids):
-    path = tmp_path / "matrix.csv"
-    with pytest.raises(ContractError, match="ids"):
-        export_matrix_csv(m, path, ids=ids)
-    assert not path.exists()
-
-
-def test_csv_export_roundtrip(tmp_path):
-    m = np.array([[0.0, 1.25], [1.25, 0.0]])
-    path = tmp_path / "matrix.csv"
-    export_matrix_csv(m, path, ids=["g0", "g1"])
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["id", "g0", "g1"]
-    assert [float(x) for x in rows[1][1:]] == [0.0, 1.25]
-    assert rows[2][0] == "g1"
