@@ -19,6 +19,7 @@ from evokernel.augment import (
 from evokernel.embedding import MAX_WL_ITERATIONS, MetricConfig, wl_embed
 from evokernel.errors import ConfigError, ContractError, EvoKernelError, StageError
 from evokernel.experiment import ExperimentConfig, stratified_folds, sweep_time_length
+from evokernel.gdtw import build_warping_matrix, gdtw_distance
 from evokernel.graphs import Graph, normalized_laplacian
 from evokernel.heat import (
     HEAT_METHODS,
@@ -32,7 +33,7 @@ from evokernel.heat import (
     propagate_heat,
     spectral_decompose,
 )
-from evokernel.kernel import clip_psd, evolution_kernel
+from evokernel.kernel import clip_psd, distance_matrix, evolution_kernel
 from evokernel.svm import svm_predict, svm_train
 
 PATH = Graph(3, [(0, 1), (1, 2)])
@@ -194,6 +195,38 @@ CALLS = {
     "kernel-asymmetric-distances": (
         ContractError,
         lambda: evolution_kernel(np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])),
+    ),
+    "kernel-negative-distances": (ContractError, lambda: evolution_kernel(np.array([[0.0, -1.0], [-1.0, 0.0]]))),
+    # A time grid is a non-empty ascending sequence of finite times from 0.
+    "episode-empty-grid": (ConfigError, lambda: generate_episode(PATH, [])),
+    "episode-nan-grid": (ConfigError, lambda: generate_episode(PATH, [0.0, NAN])),
+    "episode-late-start": (ConfigError, lambda: generate_episode(PATH, [0.1, 0.2])),
+    "episode-descending-grid": (ConfigError, lambda: generate_episode(PATH, [0.0, 0.2, 0.1])),
+    # Alignment needs episodes of one length, and a non-empty, square,
+    # finite and non-negative warping matrix.
+    "warping-length-mismatch": (
+        ContractError,
+        lambda: build_warping_matrix(generate_episode(PATH, [0.0]), generate_episode(PATH, [0.0, 0.1])),
+    ),
+    "warping-empty": (ContractError, lambda: gdtw_distance(np.zeros((0, 0)))),
+    "warping-non-square": (ContractError, lambda: gdtw_distance(np.zeros((2, 3)))),
+    "warping-negative": (ContractError, lambda: gdtw_distance(np.array([[0.0, -1.0], [1.0, 0.0]]))),
+    "warping-infinite": (ContractError, lambda: gdtw_distance(np.array([[INF, 1.0], [1.0, 0.0]]))),
+    "distances-grid-mismatch": (
+        ContractError,
+        lambda: distance_matrix([generate_episode(PATH, [0.0, 0.1]), generate_episode(PATH, [0.0, 0.2])]),
+    ),
+    "train-kernel-shape": (ContractError, lambda: svm_train(np.eye(2), LABELS, np.arange(3))),
+    # Sweep lengths are a non-empty ascending sequence.
+    "sweep-no-length": (ConfigError, lambda: _at_config(lambda: sweep_time_length(ExperimentConfig(), []))),
+    "sweep-scalar-lengths": (ConfigError, lambda: _at_config(lambda: sweep_time_length(ExperimentConfig(), 0.5))),
+    "sweep-descending-lengths": (
+        ConfigError,
+        lambda: _at_config(lambda: sweep_time_length(ExperimentConfig(), [0.2, 0.1])),
+    ),
+    "config-too-many-steps": (
+        ConfigError,
+        lambda: ExperimentConfig(time_length=1.0, time_interval=1e-9).validate(),
     ),
 }
 
