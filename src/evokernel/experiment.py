@@ -4,8 +4,9 @@ A run generates one episode per graph on a shared time grid, builds the full
 distance and kernel matrices once, then trains and evaluates a fold-restricted
 SVM per cross-validation fold. A time-length sweep generates, embeds and
 aligns the episodes of its longest length once, reads every length's
-distances from those alignment tables, and builds the kernel and
-cross-validates per length.
+distances from those alignment tables and builds one kernel per length.
+Every SVM machine of every length, fold and class trains in one lockstep
+solve; each length then predicts its folds and makes its report.
 One seed drives both augmentation and fold shuffling through independent
 substreams.
 """
@@ -25,7 +26,7 @@ from .embedding import MetricConfig, _wl_counts
 from .errors import ConfigError, EvoKernelError, StageError, choice, integer, integers, real
 from .heat import HEAT_METHODS, METHOD_EXACT
 from .kernel import PSD_REPAIRS, _prefix_distance_matrices, evolution_kernel
-from .svm import _train_folds, svm_predict
+from .svm import SvmModel, _train_folds, svm_predict
 from .tu_io import GraphDataset, load_tu_dataset
 
 # Substream tag separating fold shuffling from per-snapshot augmentation
@@ -106,8 +107,9 @@ class CvReport:
     were predicted as the j-th smallest, so any integer labels index it.
     ``canonical_json`` drops the (nondeterministic) timings block, so it is
     byte-identical across reruns of the same config and seed. In a sweep the
-    ``load``, ``episodes`` and ``distances`` timings are measured once, for
-    all lengths together, and echoed on every report.
+    ``load``, ``episodes``, ``distances`` and ``cv`` timings are measured
+    once, for all lengths together, and echoed on every report; ``cv`` is the
+    one SVM solve plus every length's predictions. ``kernel`` is per length.
     """
 
     fold_accuracies: list[float]
@@ -141,7 +143,8 @@ def _stage(name: str):
         yield
     except StageError:
         raise
-    except (EvoKernelError, ValueError, OSError) as exc:  # ValueError: numpy's LinAlgError
+    # ValueError: numpy's LinAlgError; MemoryError: an allocation too big for the machine.
+    except (EvoKernelError, ValueError, OSError, MemoryError) as exc:
         raise StageError(name, exc) from exc
 
 
@@ -183,7 +186,8 @@ def sweep_time_length(
     """One report per time length, equal to a separate run at each; lengths are ascending numbers.
 
     Episodes, snapshot embeddings and alignment tables are built once, at
-    the longest length; kernel and cross-validation run per length.
+    the longest length, and every length's SVM machines train in one solve;
+    the kernel and the predictions are per length.
     """
     with _stage("config"):
         try:
@@ -200,9 +204,10 @@ def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) 
 
     Every grid is k * dt, and each snapshot draws from its own substream keyed
     by (seed, graph, k), so each shorter grid and its episodes are prefixes of
-    the longest: episodes are generated once, on the longest grid. The load,
-    episodes and distances timings are measured once and echoed on every
-    report.
+    the longest: episodes are generated once, on the longest grid. Every
+    length's kernel is built into one stack, and one solve trains every
+    machine of every (kernel, fold) pair. The load, episodes, distances and
+    cv timings are measured once and echoed on every report.
     """
     timings: dict[str, float] = {}
 
@@ -239,51 +244,63 @@ def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) 
         distances = _prefix_distance_matrices(counts, sq, len(times), {len(grid) for grid in grids})
     timings["distances"] = time.perf_counter() - tic
 
-    return [
-        _cross_validate(c, grid, distances[len(grid)], dataset, folds, dict(timings))
-        for c, grid in zip(configs, grids)
-    ]
+    n = len(dataset.labels)
+    kernels, sigmas, length_timings = np.empty((len(configs), n, n)), [], []
+    for at, (c, grid) in enumerate(zip(configs, grids)):
+        tic = time.perf_counter()
+        with _stage("kernel"):
+            ek = evolution_kernel(distances[len(grid)], c.gamma_scale, c.psd_repair)
+            kernels[at] = ek.k
+        sigmas.append(ek.sigma)
+        length_timings.append(dict(timings, kernel=time.perf_counter() - tic))
+        if at + 1 == len(grids) or len(grids[at + 1]) != len(grid):
+            del distances[len(grid)]  # its last kernel is built
+
+    tic = time.perf_counter()
+    with _stage("cv"):
+        models = _train_folds(kernels, dataset.labels, [train for train, _ in folds], cfg.c)
+        reports = [
+            _cross_validate(c, grid, k, sigma, fold_models, t, dataset, folds)
+            for c, grid, k, sigma, fold_models, t in zip(configs, grids, kernels, sigmas, models, length_timings)
+        ]
+    cv = time.perf_counter() - tic
+    for report in reports:
+        report.timings["cv"] = cv
+    return reports
 
 
 def _cross_validate(
     cfg: ExperimentConfig,
     times: np.ndarray,
-    d: np.ndarray,
+    k: np.ndarray,
+    sigma: float,
+    models: list[SvmModel],
+    timings: dict[str, float],
     dataset: GraphDataset,
     folds: list[tuple[np.ndarray, np.ndarray]],
-    timings: dict[str, float],
 ) -> CvReport:
-    """Kernel and CV over the given folds on one distance matrix; adds their timings.
+    """Report of one length from its kernel and its trained fold models.
 
-    All folds' SMO machines train together in one lockstep solve. Issues one
-    RuntimeWarning naming every fold and class whose SMO machine stopped at
-    its update cap before convergence.
+    Predicts every fold's test graphs and issues one RuntimeWarning naming
+    every fold and class whose SMO machine stopped at its update cap before
+    convergence.
     """
-    tic = time.perf_counter()
-    with _stage("kernel"):
-        ek = evolution_kernel(d, cfg.gamma_scale, cfg.psd_repair)
-    timings["kernel"] = time.perf_counter() - tic
-
-    tic = time.perf_counter()
-    with _stage("cv"):
-        labels = dataset.labels
-        classes = np.unique(labels)
-        confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
-        fold_accuracies = []
-        capped = []
-        models = _train_folds(ek, labels, [train for train, _ in folds], cfg.c)
-        for fold, ((train, test), model) in enumerate(zip(folds, models)):
-            capped += [
-                f"fold {fold} class {m.positive_class} ({m.updates} updates)"
-                for m in model.machines
-                if m.cap_hit
-            ]
-            predicted = svm_predict(model, ek.k[np.ix_(test, train)])
-            truth = labels[test]
-            cells = np.searchsorted(classes, truth), np.searchsorted(classes, predicted)
-            np.add.at(confusion, cells, 1)
-            fold_accuracies.append(np.count_nonzero(predicted == truth) / len(test))
-    timings["cv"] = time.perf_counter() - tic
+    labels = dataset.labels
+    classes = np.unique(labels)
+    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    fold_accuracies = []
+    capped = []
+    for fold, ((train, test), model) in enumerate(zip(folds, models)):
+        capped += [
+            f"fold {fold} class {m.positive_class} ({m.updates} updates)"
+            for m in model.machines
+            if m.cap_hit
+        ]
+        predicted = svm_predict(model, k[np.ix_(test, train)])
+        truth = labels[test]
+        cells = np.searchsorted(classes, truth), np.searchsorted(classes, predicted)
+        np.add.at(confusion, cells, 1)
+        fold_accuracies.append(np.count_nonzero(predicted == truth) / len(test))
     if capped:
         warnings.warn(
             f"time length {cfg.time_length}: SMO stopped at its update cap before "
@@ -295,7 +312,7 @@ def _cross_validate(
     config_echo.update(
         {
             "times": [float(t) for t in times],
-            "sigma": ek.sigma,
+            "sigma": sigma,
             "dataset_graphs": len(dataset.graphs),
             "dataset_classes": int(dataset.class_count),
         }

@@ -5,11 +5,12 @@ optimization: at each update the most violating pair under the KKT conditions
 is selected deterministically (first index on ties), so training is exactly
 reproducible. Indefinite kernels are tolerated by flooring the pair curvature.
 
-All machines of all folds of one kernel train in one lockstep solve: each
-numpy operation of an update acts on every live machine, which picks its pair,
-gathers the pair's two kernel rows and moves both duals, and leaves the batch
-once it converges or reaches the update cap. A machine does the arithmetic of
-a one-machine loop, so it is bit-equal to one trained alone.
+All machines of a run, over every kernel of a time-length sweep, every fold
+and every class, train in one lockstep solve: each numpy operation of an
+update acts on every live machine, which picks its pair, gathers the pair's
+two rows of its own kernel and moves both duals, and leaves the batch once it
+converges or reaches the update cap. A machine does the arithmetic of a
+one-machine loop, so it is bit-equal to one trained alone.
 
 A two-class problem trains one machine, for the lower class: on a symmetric
 kernel the other one-vs-rest machine is its exact mirror image (same alphas,
@@ -55,11 +56,14 @@ class SvmModel:
     train_size: int
 
 
-def _smo(kernel: np.ndarray, rows: np.ndarray, y: np.ndarray, valid: np.ndarray, c: float) -> list[BinarySvm]:
+def _smo(
+    kernel: np.ndarray, base: np.ndarray, rows: np.ndarray, y: np.ndarray, valid: np.ndarray, c: float
+) -> list[BinarySvm]:
     """Machines of P problems solved in lockstep from (P, width) rows, +-1 y and valid.
 
-    Problem p trains on ``kernel[rows[p]][:, rows[p]]`` restricted to its
-    valid entries; padding never enters the up or low set.
+    ``kernel`` stacks (n, n) kernels as (L * n, n) rows, and problem p trains
+    on ``kernel[base[p] + rows[p]][:, rows[p]]`` restricted to its valid
+    entries; padding never enters the up or low set.
     """
     machines: list[BinarySvm] = [None] * len(rows)
     live = np.arange(len(rows))
@@ -104,14 +108,14 @@ def _smo(kernel: np.ndarray, rows: np.ndarray, y: np.ndarray, valid: np.ndarray,
                 # The positive class is filled in by _train_folds.
                 machines[live[r]] = BinarySvm(-1, y[r, v], alpha[r, v], bias, support, residual, updates, capped)
             keep = ~done
-            live, rows, y, valid = live[keep], rows[keep], y[keep], valid[keep]
+            live, base, rows, y, valid = live[keep], base[keep], rows[keep], y[keep], valid[keep]
             up_bound, low_bound, alpha, grad = up_bound[keep], low_bound[keep], alpha[keep], grad[keep]
             at = at[: live.size]
             continue  # select again on the compacted arrays; nothing moved
 
-        # Row i of the problem's kernel block is the kernel row of its i-th entry.
-        k_i = kernel[rows.ravel()[i][:, None], rows]
-        k_j = kernel[rows.ravel()[j][:, None], rows]
+        # Row i of the problem's kernel block is its own kernel's row of its i-th entry.
+        k_i = kernel[(base + rows.ravel()[i])[:, None], rows]
+        k_j = kernel[(base + rows.ravel()[j])[:, None], rows]
         curvature = k_i.ravel()[i] + k_j.ravel()[j] - 2.0 * k_j.ravel()[i]
         step = violation / np.where(curvature <= 0, 1e-12, curvature)
         y_i, y_j, a_i, a_j = y.ravel()[i], y.ravel()[j], alpha.ravel()[i], alpha.ravel()[j]
@@ -127,44 +131,57 @@ def _smo(kernel: np.ndarray, rows: np.ndarray, y: np.ndarray, valid: np.ndarray,
     return machines
 
 
-def _train_folds(kernel, labels, train_sets, c: float) -> list[SvmModel]:
-    """One model per training set; every machine of every set trains in one ``_smo`` solve."""
+def _train_folds(kernels: np.ndarray, labels, train_sets, c: float) -> list[list[SvmModel]]:
+    """Models of every (kernel, training set) pair of an (L, n, n) stack, ``[kernel][set]``.
+
+    Every machine of every pair trains in one ``_smo`` solve.
+    """
     c = real("regularization c", c, 0, above=True)
-    k = kernel.k if isinstance(kernel, EvolutionKernelMatrix) else np.asarray(kernel, dtype=float)
     labels = integers("labels", labels)
     n = len(labels)
-    if k.shape != (n, n):
-        raise ContractError(f"kernel of shape {k.shape} for {n} labels")
-    sets, problems = [], []
+    if kernels.shape[1:] != (n, n):
+        raise ContractError(f"kernel of shape {kernels.shape[1:]} for {n} labels")
+    sets = []
     for train_idx in train_sets:
         train_idx = integers("training indices", train_idx)
         if train_idx.size == 0:
             raise TrainingError("empty training set")
         if train_idx.min() < 0 or train_idx.max() >= n:
             raise ContractError(f"training indices must be ids in [0, {n})")
-        train_labels = labels[train_idx]
-        classes = np.unique(train_labels)
+        classes = np.unique(labels[train_idx])
         if len(classes) < 2:
             raise TrainingError(f"training set contains a single class ({classes.tolist()})")
-        square("training kernel", k[np.ix_(train_idx, train_idx)], symmetric=True)
-        positives = classes[:1] if len(classes) == 2 else classes
-        sets.append((train_idx, classes, positives))
-        problems += [(train_idx, train_labels == cls) for cls in positives]
+        sets.append((train_idx, classes, classes[:1] if len(classes) == 2 else classes))
+    for kernel in kernels:
+        for train_idx, _, _ in sets:
+            square("training kernel", kernel[np.ix_(train_idx, train_idx)], symmetric=True)
+    # Problems run kernel by kernel, set by set and class by class; ``at`` is
+    # the first row of the problem's kernel in the (L * n, n) stack.
+    problems = [
+        (at, train_idx, cls)
+        for at in range(0, len(kernels) * n, n)
+        for train_idx, _, positives in sets
+        for cls in positives
+    ]
 
-    shape = (len(problems), max(len(train_idx) for train_idx, _ in problems))
+    shape = (len(problems), max(len(train_idx) for train_idx, _, _ in sets))
+    base = np.array([at for at, _, _ in problems], dtype=np.int64)
     rows, y, valid = np.zeros(shape, dtype=np.int64), np.ones(shape), np.zeros(shape, dtype=bool)
-    for p, (train_idx, is_positive) in enumerate(problems):
+    for p, (_, train_idx, cls) in enumerate(problems):
         rows[p, : len(train_idx)] = train_idx
-        y[p, : len(train_idx)] = np.where(is_positive, 1.0, -1.0)
+        y[p, : len(train_idx)] = np.where(labels[train_idx] == cls, 1.0, -1.0)
         valid[p, : len(train_idx)] = True
-    machines = iter(_smo(k, rows, y, valid, c))
-    models = []
-    for train_idx, classes, positives in sets:
-        model = SvmModel(classes, [next(machines) for _ in positives], c, len(train_idx))
-        for machine, cls in zip(model.machines, positives):
-            machine.positive_class = int(cls)
-        models.append(model)
-    return models
+    machines = _smo(kernels.reshape(-1, n), base, rows, y, valid, c)
+    for machine, (_, _, cls) in zip(machines, problems):
+        machine.positive_class = int(cls)
+    machines = iter(machines)
+    return [
+        [
+            SvmModel(classes, [next(machines) for _ in positives], c, len(train_idx))
+            for train_idx, classes, positives in sets
+        ]
+        for _ in kernels
+    ]
 
 
 def svm_train(
@@ -180,7 +197,8 @@ def svm_train(
     Convergence is max KKT violation <= ``KKT_TOL`` or ``MAX_UPDATES``
     updates, with the cap recorded on the machine.
     """
-    return _train_folds(kernel, labels, [train_idx], c)[0]
+    k = kernel.k if isinstance(kernel, EvolutionKernelMatrix) else np.asarray(kernel, dtype=float)
+    return _train_folds(k[None], labels, [train_idx], c)[0][0]
 
 
 def svm_predict(model: SvmModel, k_rows: np.ndarray) -> int | np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evokernel import experiment
 from evokernel.cli import main
 from evokernel.experiment import ExperimentConfig
 
@@ -144,6 +145,18 @@ def test_unallocatable_embedding_fails_at_distances(dataset_dir, capsys):
     )
     assert code == 1
     assert "[distances] cannot allocate WL counts" in capsys.readouterr().err
+
+
+def test_out_of_memory_fails_at_distances(dataset_dir, monkeypatch, capsys):
+    message = "Unable to allocate 358. MiB for an array with shape (501, 93687)"
+
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(experiment, "_prefix_distance_matrices", exhausted)
+    code = main(["run", "--dataset", str(dataset_dir), "--name", "TRISTAR", *FAST])
+    assert code == 1
+    assert capsys.readouterr().err == f"evokernel: [distances] {message}\n"
 
 
 def test_sweep_writes_curve(dataset_dir, tmp_path, capsys):

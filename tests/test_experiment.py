@@ -318,9 +318,53 @@ def test_sweep_reports_equal_separate_runs(options):
 
 def test_sweep_shares_measured_stage_timings():
     reports = sweep_time_length(fast_config(), [0.3, 0.6], dataset=synthetic_dataset())
-    for stage in ("load", "episodes", "distances"):
+    for stage in ("load", "episodes", "distances", "cv"):
         assert reports[0].timings[stage] == reports[1].timings[stage]
+    assert reports[0].timings["kernel"] != reports[1].timings["kernel"]
     assert list(reports[0].timings) == ["load", "episodes", "distances", "kernel", "cv"]
+
+
+def test_sweep_trains_every_machine_in_one_solve(monkeypatch):
+    solves = []
+    solve = svm._smo
+
+    def counting(*args):
+        solves.append(solve(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(svm, "_smo", counting)
+    lengths = [0.2, 0.25, 0.6, 1.0]
+    reports = sweep_time_length(fast_config(time_interval=0.2), lengths, dataset=three_class_dataset())
+    assert len(reports) == len(lengths)
+    # Lengths x 3 folds x 3 one-vs-rest classes.
+    assert [len(machines) for machines in solves] == [len(lengths) * 3 * 3]
+
+
+def test_sweep_warns_once_per_capped_length_as_separate_runs_do(monkeypatch):
+    # At this cap the machines of lengths 0.2 and 0.9 stop early, those of 0.5 do not.
+    dataset, cfg, lengths = three_class_dataset(), fast_config(), [0.2, 0.5, 0.9]
+    monkeypatch.setattr(svm, "MAX_UPDATES", 22)
+
+    def messages(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        assert all(w.category is RuntimeWarning for w in caught)
+        return [str(w.message) for w in caught]
+
+    alone = [messages(lambda: run_experiment(replace(cfg, time_length=t), dataset=dataset)) for t in lengths]
+    assert [len(m) for m in alone] == [1, 0, 1]
+    assert messages(lambda: sweep_time_length(cfg, lengths, dataset=dataset)) == alone[0] + alone[2]
+
+
+def test_out_of_memory_fails_at_distances(monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 358. MiB for an array with shape (501, 93687)")
+
+    monkeypatch.setattr(experiment_module, "_prefix_distance_matrices", exhausted)
+    with pytest.raises(StageError, match=r"^\[distances\] Unable to allocate 358\. MiB") as caught:
+        run_experiment(fast_config(), dataset=synthetic_dataset())
+    assert isinstance(caught.value.cause, MemoryError)
 
 
 @pytest.mark.parametrize("lengths", [[], [0.1, float("nan")], [0.1, None], [0.1, -0.5]])
@@ -403,8 +447,9 @@ def test_run_distances_equal_those_of_generated_episodes(mutag, monkeypatch, met
     original = experiment_module._prefix_distance_matrices
 
     def recording(*args):
-        seen.append(original(*args))
-        return seen[-1]
+        distances = original(*args)
+        seen.append(dict(distances))  # the run deletes each matrix once its kernels are built
+        return distances
 
     monkeypatch.setattr(experiment_module, "_prefix_distance_matrices", recording)
     run_experiment(cfg, dataset=dataset)

@@ -151,25 +151,27 @@ def _assert_same_machine(got, want):
 
 @pytest.mark.parametrize("kind", ["psd", "indefinite", "asymmetric"])
 def test_smo_is_bit_equal_to_the_reference_loop(kind, monkeypatch):
-    # One lockstep solve per cap over 15 problems of mixed size, each a k.T
-    # block of one kernel: row i of a block is the column k[:, i] that the
-    # reference reads, so the asymmetric kind reads the same entries too.
+    # One lockstep solve per cap over 15 problems of mixed size, each on its
+    # own kernel of a (15 * 30, 30) stack. Problem p reads k.T scattered over
+    # random rows of kernel p, and noise elsewhere: row i of a block is the
+    # column k[:, i] that the reference reads, so the asymmetric kind reads
+    # the same entries too.
     rng = np.random.default_rng(58)
     cap_hits = staggered = 0
+    n = 30
     for cap in (1, 3, 50, 3000):
-        problems = [_random_problem(rng, int(rng.integers(2, 30)), kind) for _ in range(15)]
+        problems = [_random_problem(rng, int(rng.integers(2, n)), kind) for _ in range(15)]
         c = float(10.0 ** rng.uniform(-3, 3))
-        sizes = [len(y) for _, y in problems]
-        offsets = np.cumsum([0] + sizes)
-        kernel = np.zeros((offsets[-1], offsets[-1]))
-        rows = rng.integers(0, offsets[-1], (15, max(sizes)))  # padding points anywhere
+        kernels = rng.standard_normal((15, n, n))
+        rows = rng.integers(0, n, (15, n - 1))  # padding points anywhere
         ys, valid = np.ones(rows.shape), np.zeros(rows.shape, dtype=bool)
-        for p, ((k, y), start) in enumerate(zip(problems, offsets)):
-            kernel[start : start + len(y), start : start + len(y)] = k.T
-            rows[p, : len(y)] = start + np.arange(len(y))
+        for p, (k, y) in enumerate(problems):
+            picked = rng.permutation(n)[: len(y)]
+            kernels[p][np.ix_(picked, picked)] = k.T
+            rows[p, : len(y)] = picked
             ys[p, : len(y)], valid[p, : len(y)] = y, True
         monkeypatch.setattr(svm, "MAX_UPDATES", cap)
-        got = _smo(kernel, rows, ys, valid, c)
+        got = _smo(kernels.reshape(-1, n), np.arange(15) * n, rows, ys, valid, c)
         assert len(got) == 15
         for machine, (k, y) in zip(got, problems):
             _assert_same_machine(machine, reference_ovr_smo(k, y, c, 1e-3, cap))
@@ -201,12 +203,35 @@ def test_one_lockstep_solve_over_all_folds_equals_separate_training(class_count,
         if cap is not None:
             monkeypatch.setattr(svm, "MAX_UPDATES", cap)
         separate = [svm_train(kernel, labels, train, c=5.0) for train in train_sets]
-        together = svm._train_folds(kernel, labels, train_sets, 5.0)
+        (together,) = svm._train_folds(kernel[None], labels, train_sets, 5.0)
         for got, want in zip(together, separate, strict=True):
             _assert_same_model(got, want)
             assert [m.positive_class for m in got.machines] == list(range(class_count))[: len(got.machines)]
         capped = [m.cap_hit for model in together for m in model.machines]
         assert any(capped) == (cap is not None) and not all(capped)
+
+
+@pytest.mark.parametrize("class_count", [2, 3])
+def test_one_solve_over_several_kernels_equals_training_each_kernel_alone(class_count, monkeypatch):
+    # Three bandwidths of one point set, as a sweep's lengths give kernels of
+    # one dataset; the cap stops some of the machines but not all.
+    rng = np.random.default_rng(71 + class_count)
+    raw = rng.standard_normal((41, 4))
+    squared = np.sum((raw[:, None] - raw[None]) ** 2, axis=-1)
+    kernels = np.stack([np.exp(-squared / width) for width in (1.0, 4.0, 16.0)])
+    labels = rng.permutation(np.arange(41) % class_count)
+    train_sets = [train for train, _ in stratified_folds(labels, 5, seed=4)]
+    free = [svm_train(k, labels, train, c=5.0) for k in kernels for train in train_sets]
+    updates = sorted({m.updates for model in free for m in model.machines})
+    monkeypatch.setattr(svm, "MAX_UPDATES", updates[len(updates) // 2])
+    together = svm._train_folds(kernels, labels, train_sets, 5.0)
+    assert len(together) == len(kernels)
+    capped = []
+    for k, models in zip(kernels, together, strict=True):
+        for train, got in zip(train_sets, models, strict=True):
+            _assert_same_model(got, svm_train(k, labels, train, c=5.0))
+        capped.append([m.cap_hit for model in models for m in model.machines])
+    assert any(map(any, capped)) and not all(map(all, capped))
 
 
 @pytest.mark.parametrize("class_count", [2, 3])
