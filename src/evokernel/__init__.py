@@ -42,9 +42,6 @@ from .heat import (
     HeatState,
     SpectralDecomposition,
     compute_heat_kernel,
-    heat_kernel_exact,
-    heat_kernel_fiedler,
-    heat_kernel_taylor2,
     perturbation_gap,
     propagate_heat,
     spectral_decompose,
@@ -94,9 +91,6 @@ __all__ = [
     "gdtw_distance",
     "generate_episode",
     "heat_distribution",
-    "heat_kernel_exact",
-    "heat_kernel_fiedler",
-    "heat_kernel_taylor2",
     "load_tu_dataset",
     "normalized_laplacian",
     "perturbation_gap",

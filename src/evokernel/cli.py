@@ -27,7 +27,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-length", type=float, help="episode time length")
     parser.add_argument("--time-interval", type=float, help="time grid step")
     parser.add_argument("--a", type=float, help="energy weight")
-    parser.add_argument("--b", type=float, help="energy bias")
     parser.add_argument("--u0", type=float, help="initial heat per node")
     parser.add_argument("--wl-iters", dest="wl_iterations", type=int, help="WL refinement rounds")
     parser.add_argument("--emb-dim", dest="embedding_dim", type=int, help="WL embedding buckets")

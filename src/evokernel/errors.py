@@ -22,7 +22,8 @@ class GraphConstructionError(EvoKernelError):
 
 
 class DatasetError(EvoKernelError):
-    """Benchmark ingestion failure: missing file or malformed record (message carries the line number)."""
+    """Benchmark ingestion failure: missing file or malformed record (message carries the
+    line number), or a caller's ``GraphDataset`` that is not a list of graphs with one label each."""
 
 
 class NumericalError(EvoKernelError):

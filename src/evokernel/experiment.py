@@ -23,7 +23,8 @@ import numpy as np
 
 from .augment import BoltzmannConfig, _episode_masks
 from .embedding import MetricConfig, _wl_counts
-from .errors import ConfigError, EvoKernelError, StageError, choice, integer, integers, real
+from .errors import ConfigError, DatasetError, EvoKernelError, StageError, choice, integer, integers, real
+from .graphs import Graph
 from .heat import HEAT_METHODS, METHOD_EXACT
 from .kernel import PSD_REPAIRS, _prefix_distance_matrices, evolution_kernel
 from .svm import SvmModel, _train_folds, svm_predict
@@ -47,7 +48,6 @@ class ExperimentConfig:
     time_length: float = 1.0
     time_interval: float = 0.1
     a: float = -2.0
-    b: float = -2.0
     u0: float = 1.0
     wl_iterations: int = 3
     embedding_dim: int = 1024
@@ -72,7 +72,6 @@ class ExperimentConfig:
                 f"at most {MAX_TIME_STEPS} are supported"
             )
         real("a", self.a)
-        real("b", self.b)
         real("initial heat", self.u0, 0, above=True)
         real("gamma scale", self.gamma_scale, 0, above=True)
         real("regularization c", self.c, 0, above=True)
@@ -91,7 +90,7 @@ class ExperimentConfig:
         return MetricConfig(wl_iterations=self.wl_iterations, dim=self.embedding_dim)
 
     def boltzmann_config(self) -> BoltzmannConfig:
-        return BoltzmannConfig(a=self.a, b=self.b)
+        return BoltzmannConfig(a=self.a)
 
     def to_dict(self) -> dict:
         # numpy scalars pass validate(); echo them as numbers json can write.
@@ -161,9 +160,8 @@ def stratified_folds(labels, folds: int, seed: int) -> list[tuple[np.ndarray, np
     classes, counts = np.unique(labels, return_counts=True)
     for cls, count in zip(classes, counts):
         if count < folds:
-            raise ConfigError(
-                f"class {cls} has only {count} members; reduce folds to at most {count}"
-            )
+            advice = f"reduce folds to at most {count}" if count > 1 else "a class needs at least 2 members"
+            raise ConfigError(f"class {cls} has only {count} member{'s' if count > 1 else ''}; {advice}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_FOLD_STREAM,)))
     fold_of = np.empty(n, dtype=np.int64)
     offset = 0
@@ -176,7 +174,8 @@ def stratified_folds(labels, folds: int, seed: int) -> list[tuple[np.ndarray, np
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: GraphDataset | None = None) -> CvReport:
-    """Full pipeline for one configuration; ``dataset`` overrides disk loading."""
+    """Full pipeline for one configuration; ``dataset`` overrides disk loading and is
+    checked at the ``load`` stage, before any episode is drawn."""
     return _run_lengths([cfg], dataset)[0]
 
 
@@ -224,6 +223,7 @@ def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) 
     with _stage("load"):
         if dataset is None:
             dataset = load_tu_dataset(cfg.dataset_dir, cfg.dataset_name)
+        _check_dataset(dataset)
     timings["load"] = time.perf_counter() - tic
 
     with _stage("cv"):  # the split reads only the labels, fold count and seed
@@ -267,6 +267,24 @@ def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) 
     for report in reports:
         report.timings["cv"] = cv
     return reports
+
+
+def _check_dataset(dataset) -> None:
+    """``DatasetError`` unless ``dataset`` is a ``GraphDataset`` whose graphs are a list or
+    tuple of ``Graph`` and whose labels are a numpy array with one label per graph;
+    ``ContractError`` unless the labels are integers."""
+    if not isinstance(dataset, GraphDataset):
+        raise DatasetError(f"dataset must be a GraphDataset, got a {type(dataset).__name__}")
+    graphs, labels = dataset.graphs, dataset.labels
+    if not isinstance(graphs, (list, tuple)):
+        raise DatasetError(f"dataset graphs must be a list of Graph, got a {type(graphs).__name__}")
+    for i, g in enumerate(graphs):
+        if not isinstance(g, Graph):
+            raise DatasetError(f"dataset graph {i} is a {type(g).__name__}, not a Graph")
+    if not isinstance(labels, np.ndarray):
+        raise DatasetError(f"dataset labels must be a numpy array, got a {type(labels).__name__}")
+    if len(integers("dataset labels", labels)) != len(graphs):
+        raise DatasetError(f"dataset has {len(graphs)} graphs but {len(labels)} labels")
 
 
 def _cross_validate(

@@ -1,12 +1,15 @@
 """Heat kernels e^{-t L} of the normalized Laplacian.
 
-The exact kernel comes from the eigendecomposition L = Phi Lambda Phi^T; a
-second-order Taylor truncation covers small times and a Fiedler-pair form
-covers large times. All operations are pure functions of immutable inputs.
+One entry point, ``compute_heat_kernel(lap, spec, t, method)``, gives the
+kernel of each method: ``exact`` from the eigendecomposition L = Phi Lambda
+Phi^T, ``taylor2`` (a second-order truncation for small times), ``fiedler``
+(the Fiedler-pair form for large times) and ``auto``, which picks one of the
+three from t and lambda_1. All operations are pure functions of immutable
+inputs.
 
 ``_heat_vectors`` states each method's formula once and applies it to a start
 for a whole time grid. Episodes start it from the uniform vector, so no n x n
-kernel is built; the public kernels are ``_heat_vectors`` on the identity.
+kernel is built; ``compute_heat_kernel`` is ``_heat_vectors`` on the identity.
 """
 
 from __future__ import annotations
@@ -83,34 +86,17 @@ def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def heat_kernel_exact(spec: SpectralDecomposition, t: float) -> HeatKernel:
-    """Closed-form kernel Phi e^{-t Lambda} Phi^T (Kondor & Lafferty, "Diffusion Kernels
-    on Graphs", ICML 2002; Chung, *Spectral Graph Theory*, 1997); entries are non-negative."""
-    return compute_heat_kernel(None, spec, t, METHOD_EXACT)
-
-
-def heat_kernel_taylor2(lap: np.ndarray, t: float) -> HeatKernel:
-    """Second-order truncation I - tL + (tL)^2/2, intended for small t."""
-    return compute_heat_kernel(lap, None, t, METHOD_TAYLOR2)
-
-
-def heat_kernel_fiedler(spec: SpectralDecomposition, t: float) -> HeatKernel:
-    """Large-time form I - e^{-lambda_1 t} phi_1 phi_1^T.
-
-    lambda_1 is the second-smallest eigenvalue. t = 0 returns the identity so
-    that every method agrees at the initial time.
-    """
-    hk = compute_heat_kernel(None, spec, t, METHOD_FIEDLER)
-    if hk.method != METHOD_FIEDLER:
-        raise ContractError("the Fiedler form needs at least 2 nodes")
-    return hk
-
-
 def compute_heat_kernel(
     lap: np.ndarray | None, spec: SpectralDecomposition | None, t: float, method: str = METHOD_EXACT
 ) -> HeatKernel:
-    """The kernel of ``method`` at t, ``_heat_vectors`` on the identity; ``auto`` picks the
-    regime from t and lambda_1.
+    """The heat kernel of ``method`` at t, ``_heat_vectors`` on the identity.
+
+    - ``exact``: Phi e^{-t Lambda} Phi^T (Kondor & Lafferty, "Diffusion Kernels on
+      Graphs", ICML 2002; Chung, *Spectral Graph Theory*, 1997); entries are non-negative.
+    - ``taylor2``: the second-order truncation I - tL + (tL)^2/2, for small t.
+    - ``fiedler``: the large-time form I - e^{-lambda_1 t} phi_1 phi_1^T, with lambda_1
+      the second-smallest eigenvalue; t = 0 gives the identity, as every method does.
+    - ``auto``: the method :func:`select_heat_method` picks from t and lambda_1.
 
     Each argument is read only where :func:`reads_spectrum` says so: ``taylor2``, and
     ``auto`` below ``SMALL_TIME_DEFAULT``, need just ``lap``, so ``spec`` may be None
@@ -118,7 +104,7 @@ def compute_heat_kernel(
     A ``spec`` that is given must fit the ``lap`` that is given.
 
     The Fiedler form needs two nodes; on fewer the exact kernel stands in (on
-    one node every method gives [[1]]) and the result's ``method`` says so.
+    one node every method gives [[1]]) and the result's ``method`` is ``exact``.
     """
     t = real("time", t, 0)
     choice("heat method", method, HEAT_METHODS)
@@ -204,7 +190,7 @@ def perturbation_gap(lap: np.ndarray, f: np.ndarray, t: float) -> float:
     lap, f = square("Laplacian", lap), square("perturbation", f, symmetric=True)
     if f.shape != lap.shape:
         raise ContractError(f"perturbation of shape {f.shape} for a Laplacian of shape {lap.shape}")
-    exact = heat_kernel_exact(spectral_decompose(lap), t)
+    exact = compute_heat_kernel(lap, spectral_decompose(lap), t, METHOD_EXACT)
     perturbed = _symmetric_expm(-exact.t * (lap + f))
     return float(np.linalg.norm(exact.matrix - perturbed))
 

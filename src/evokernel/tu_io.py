@@ -137,12 +137,11 @@ def load_tu_dataset(directory, name: str) -> GraphDataset:
         for node, value in enumerate(values):
             node_labels[graph_of_node[node]].append(value)
 
-    graphs = []
-    for gid in range(n_graphs):
-        g = Graph(node_counts[gid], edge_sets[gid], node_labels[gid] if node_labels is not None else None)
-        if g.node_labels is None:
-            # Standard fallback: a node's degree stands in for its label.
-            g = Graph(g.node_count, g.edges, g.degrees().tolist())
-        graphs.append(g)
-
+    if node_labels is None:
+        # Standard fallback: a node's degree stands in for its label.
+        node_labels = [
+            np.bincount([end for edge in edges for end in edge], minlength=n).tolist()
+            for n, edges in zip(node_counts, edge_sets)
+        ]
+    graphs = [Graph(n, edges, labels) for n, edges, labels in zip(node_counts, edge_sets, node_labels)]
     return GraphDataset(graphs=graphs, labels=labels, name=name)

@@ -18,10 +18,10 @@ from evokernel.experiment import ExperimentConfig, run_experiment
 from evokernel.gdtw import gdtw_distance
 from evokernel.graphs import Graph, normalized_laplacian
 from evokernel.heat import (
+    METHOD_FIEDLER,
+    METHOD_TAYLOR2,
     HeatState,
-    heat_kernel_exact,
-    heat_kernel_fiedler,
-    heat_kernel_taylor2,
+    compute_heat_kernel,
     perturbation_gap,
     spectral_decompose,
 )
@@ -55,14 +55,14 @@ def test_criterion_1_heat_kernel_correctness():
             g = random_graph(rng, int(rng.integers(2, 41)), 0.2)
             lap = normalized_laplacian(g)
             spec = spectral_decompose(lap)
-            kernels = {t: heat_kernel_exact(spec, t).matrix for t in times}
+            kernels = {t: compute_heat_kernel(lap, spec, t).matrix for t in times}
             for t, h in kernels.items():
                 assert np.linalg.norm(h - expm_oracle(-t * lap)) <= 1e-8
                 assert h.min() >= -1e-10
             for s in times:
                 for t in times:
                     lhs = kernels[s] @ kernels[t]
-                    rhs = heat_kernel_exact(spec, s + t).matrix
+                    rhs = compute_heat_kernel(lap, spec, s + t).matrix
                     assert np.linalg.norm(lhs - rhs) <= 1e-8
 
 
@@ -75,7 +75,9 @@ def test_criterion_2_approximation_regimes():
             lap = normalized_laplacian(g)
             spec = spectral_decompose(lap)
             errs = [
-                np.linalg.norm(heat_kernel_taylor2(lap, t).matrix - heat_kernel_exact(spec, t).matrix)
+                np.linalg.norm(
+                    compute_heat_kernel(lap, spec, t, METHOD_TAYLOR2).matrix - compute_heat_kernel(lap, spec, t).matrix
+                )
                 for t in taylor_times
             ]
             order = np.polyfit(np.log(taylor_times), np.log(errs), 1)[0]
@@ -88,7 +90,9 @@ def test_criterion_2_approximation_regimes():
             offset = np.eye(g.node_count) - np.outer(phi0, phi0)
             gaps = [
                 np.linalg.norm(
-                    heat_kernel_fiedler(spec, t).matrix - heat_kernel_exact(spec, t).matrix - offset
+                    compute_heat_kernel(None, spec, t, METHOD_FIEDLER).matrix
+                    - compute_heat_kernel(None, spec, t).matrix
+                    - offset
                 )
                 for t in (5.0, 10.0, 20.0, 40.0)
             ]

@@ -113,7 +113,7 @@ def test_invalid_config_fails_with_stage_tag(dataset_dir, capsys):
         ["--time-interval", "nan"],
         ["--time-length", "1e300", "--time-interval", "1e-300"],
         ["--a", "nan"],
-        ["--b=-inf"],
+        ["--a=-inf"],
         ["--u0", "inf"],
         ["--gamma-scale", "nan"],
         ["--c", "inf"],
@@ -254,7 +254,6 @@ _OPTIONS = {
     "--time-length": _option(_LENGTH, st.floats(-1.0, -1e-9) | _SPECIAL),
     "--time-interval": _option(st.floats(0.025, 1.0), st.floats(-1.0, 0.0) | _SPECIAL),
     "--a": _option(st.floats(-5.0, 5.0), _SPECIAL),
-    "--b": _option(st.floats(-5.0, 5.0), _SPECIAL),
     "--u0": _option(st.floats(0.01, 3.0), st.floats(-1.0, 0.0) | _SPECIAL),
     "--gamma-scale": _option(st.floats(0.01, 3.0), st.floats(-1.0, 0.0) | _SPECIAL),
     "--c": _option(st.floats(0.01, 20.0), st.floats(-1.0, 0.0) | _SPECIAL),

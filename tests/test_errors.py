@@ -26,9 +26,6 @@ from evokernel.heat import (
     HeatState,
     SpectralDecomposition,
     compute_heat_kernel,
-    heat_kernel_exact,
-    heat_kernel_fiedler,
-    heat_kernel_taylor2,
     perturbation_gap,
     propagate_heat,
     spectral_decompose,
@@ -71,27 +68,23 @@ CALLS = {
             PATH, HeatDistribution(0.0, np.ones(2), np.ones(2)), np.random.default_rng(0)
         ),
     ),
-    "exact-negative-time": (ConfigError, lambda: heat_kernel_exact(SPEC, -1.0)),
-    "taylor-negative-time": (ConfigError, lambda: heat_kernel_taylor2(LAP, -1.0)),
-    "fiedler-one-node": (
-        ContractError,
-        lambda: heat_kernel_fiedler(spectral_decompose(np.zeros((1, 1))), 1.0),
-    ),
-    "fiedler-negative-time": (ConfigError, lambda: heat_kernel_fiedler(SPEC, -1.0)),
+    "exact-negative-time": (ConfigError, lambda: compute_heat_kernel(None, SPEC, -1.0, "exact")),
+    "taylor-negative-time": (ConfigError, lambda: compute_heat_kernel(LAP, None, -1.0, "taylor2")),
+    "fiedler-negative-time": (ConfigError, lambda: compute_heat_kernel(None, SPEC, -1.0, "fiedler")),
     "missing-spectrum": (ContractError, lambda: compute_heat_kernel(LAP, None, 1.0, "exact")),
     "unknown-method": (ConfigError, lambda: compute_heat_kernel(LAP, SPEC, 1.0, "bogus")),
-    "u0": (ConfigError, lambda: propagate_heat(heat_kernel_exact(SPEC, 1.0), 0.0)),
+    "u0": (ConfigError, lambda: propagate_heat(compute_heat_kernel(None, SPEC, 1.0, "exact"), 0.0)),
     # A spectrum is a SpectralDecomposition with one eigenvector per eigenvalue,
     # of the Laplacian it comes with.
     **{
         f"spectrum-other-graph-{m}": (ContractError, lambda m=m: compute_heat_kernel(LAP, P4_SPEC, 0.5, m))
         for m in HEAT_METHODS
     },
-    "spectrum-string": (ContractError, lambda: heat_kernel_exact("x", 0.5)),
+    "spectrum-string": (ContractError, lambda: compute_heat_kernel(None, "x", 0.5, "exact")),
     "spectrum-matrix": (ContractError, lambda: compute_heat_kernel(LAP, np.eye(3), 0.5)),
     "spectrum-eigenpair-count": (
         ContractError,
-        lambda: heat_kernel_exact(SpectralDecomposition(np.array([0.0, 1.0]), np.eye(3)), 0.5),
+        lambda: compute_heat_kernel(None, SpectralDecomposition(np.array([0.0, 1.0]), np.eye(3)), 0.5, "exact"),
     ),
     "perturbation": (ContractError, lambda: perturbation_gap(LAP, np.full((3, 3), np.nan), 1.0)),
     "gamma-scale": (ConfigError, lambda: evolution_kernel(np.zeros((2, 2)), gamma_scale=0)),
@@ -110,11 +103,11 @@ CALLS = {
     # Non-finite scalar options fail their range guards.
     "gamma-scale-nan": (ConfigError, lambda: evolution_kernel(np.zeros((2, 2)), gamma_scale=NAN)),
     "gamma-scale-inf": (ConfigError, lambda: evolution_kernel(np.zeros((2, 2)), gamma_scale=INF)),
-    "exact-nan-time": (ConfigError, lambda: heat_kernel_exact(SPEC, NAN)),
-    "exact-infinite-time": (ConfigError, lambda: heat_kernel_exact(SPEC, INF)),
-    "taylor-nan-time": (ConfigError, lambda: heat_kernel_taylor2(LAP, NAN)),
-    "fiedler-nan-time": (ConfigError, lambda: heat_kernel_fiedler(SPEC, NAN)),
-    "u0-nan": (ConfigError, lambda: propagate_heat(heat_kernel_exact(SPEC, 1.0), NAN)),
+    "exact-nan-time": (ConfigError, lambda: compute_heat_kernel(None, SPEC, NAN, "exact")),
+    "exact-infinite-time": (ConfigError, lambda: compute_heat_kernel(None, SPEC, INF, "exact")),
+    "taylor-nan-time": (ConfigError, lambda: compute_heat_kernel(LAP, None, NAN, "taylor2")),
+    "fiedler-nan-time": (ConfigError, lambda: compute_heat_kernel(None, SPEC, NAN, "fiedler")),
+    "u0-nan": (ConfigError, lambda: propagate_heat(compute_heat_kernel(None, SPEC, 1.0, "exact"), NAN)),
     "energy-weight-nan": (
         ConfigError,
         lambda: heat_distribution(HeatState(0.0, np.ones(3)), BoltzmannConfig(a=NAN)),

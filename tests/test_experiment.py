@@ -81,8 +81,11 @@ def test_folds_deterministic_under_seed():
 
 def test_small_class_rejected():
     labels = np.array([0] * 9 + [1] * 2)
-    with pytest.raises(ConfigError, match="class 1 has only 2"):
+    with pytest.raises(ConfigError, match="class 1 has only 2 members; reduce folds to at most 2"):
         stratified_folds(labels, 3, seed=0)
+    # No fold count below 2 exists, so a one-member class cannot be told to reduce folds to 1.
+    with pytest.raises(ConfigError, match="^class 1 has only 1 member; a class needs at least 2 members$"):
+        stratified_folds(labels[:-1], 3, seed=0)
 
 
 def test_mutag_fold_sizes(mutag):
@@ -180,6 +183,33 @@ def test_load_failure_is_stage_tagged(tmp_path):
     cfg = fast_config(dataset_dir=str(tmp_path / "nowhere"), dataset_name="GONE")
     with pytest.raises(StageError, match=r"\[load\]"):
         run_experiment(cfg)
+
+
+BAD_DATASETS = {
+    "labels-list": (lambda d: replace(d, labels=d.labels.tolist()), "labels must be a numpy array, got a list"),
+    "float-labels": (lambda d: replace(d, labels=d.labels.astype(float)), "labels must be a 1-d array of integers"),
+    "fewer-graphs": (lambda d: replace(d, graphs=d.graphs[1:]), "has 5 graphs but 6 labels"),
+    "tuple": (lambda d: (d.graphs, d.labels), "must be a GraphDataset, got a tuple"),
+    "graph-generator": (lambda d: replace(d, graphs=(g for g in d.graphs)), "list of Graph, got a generator"),
+    "graph-pair": (lambda d: replace(d, graphs=d.graphs[:5] + [(3, [])]), "graph 5 is a tuple, not a Graph"),
+}
+
+
+@pytest.mark.parametrize("sweep", [False, True])
+@pytest.mark.parametrize("case", sorted(BAD_DATASETS))
+def test_bad_caller_dataset_fails_at_load_before_the_episodes(monkeypatch, case, sweep):
+    def no_episodes(*args):
+        raise AssertionError("episodes drawn from an unchecked dataset")
+
+    monkeypatch.setattr(experiment_module, "_episode_masks", no_episodes)
+    make, message = BAD_DATASETS[case]
+    dataset = make(synthetic_dataset())
+    with pytest.raises(StageError, match=r"^\[load\] .*" + message) as caught:
+        if sweep:
+            sweep_time_length(fast_config(), [0.5, 1.0], dataset=dataset)
+        else:
+            run_experiment(fast_config(), dataset=dataset)
+    assert caught.value.stage == "load"
 
 
 def test_update_cap_hits_raise_one_warning(monkeypatch):

@@ -56,7 +56,7 @@ METRIC = MetricConfig(wl_iterations=2, dim=64)
 P3 = Graph(3, [(0, 1), (1, 2)], node_labels=[0, 1, 0])
 LAP = evokernel.normalized_laplacian(P3)
 SPEC = evokernel.spectral_decompose(LAP)
-HK = evokernel.heat_kernel_exact(SPEC, 0.5)
+HK = evokernel.compute_heat_kernel(LAP, SPEC, 0.5, "exact")
 STATE = evokernel.propagate_heat(HK, 1.0)
 TIMES = np.array([0.0, 0.1, 0.2])
 DATASET = GraphDataset(
@@ -100,9 +100,6 @@ VALID = {
         cumulative=False,
     ),
     "heat_distribution": dict(state=STATE, cfg=BoltzmannConfig()),
-    "heat_kernel_exact": dict(spec=SPEC, t=0.5),
-    "heat_kernel_fiedler": dict(spec=SPEC, t=0.5),
-    "heat_kernel_taylor2": dict(lap=LAP, t=0.05),
     "load_tu_dataset": dict(directory=DATA_DIR / "MUTAG", name="MUTAG"),
     "normalized_laplacian": dict(g=P3),
     "perturbation_gap": dict(lap=LAP, f=np.full((3, 3), 1e-3), t=0.5),

@@ -17,9 +17,6 @@ from evokernel.heat import (
     METHOD_TAYLOR2,
     _heat_vectors,
     compute_heat_kernel,
-    heat_kernel_exact,
-    heat_kernel_fiedler,
-    heat_kernel_taylor2,
     perturbation_gap,
     propagate_heat,
     reads_spectrum,
@@ -75,13 +72,13 @@ def test_decompose_rejects_non_laplacian():
 
 
 def test_exact_kernel_at_time_zero(c4):
-    hk = heat_kernel_exact(_spec(c4), 0.0)
+    hk = compute_heat_kernel(None, _spec(c4), 0.0, METHOD_EXACT)
     assert np.allclose(hk.matrix, np.eye(4), atol=1e-12)
     assert hk.method == METHOD_EXACT
 
 
 def test_exact_kernel_single_edge_closed_form(k2):
-    hk = heat_kernel_exact(_spec(k2), 1.0)
+    hk = compute_heat_kernel(None, _spec(k2), 1.0, METHOD_EXACT)
     on = (1.0 + np.exp(-2.0)) / 2.0
     off = (1.0 - np.exp(-2.0)) / 2.0
     assert np.allclose(hk.matrix, [[on, off], [off, on]], atol=1e-12)
@@ -91,18 +88,18 @@ def test_exact_kernel_matches_expm_oracle():
     rng = np.random.default_rng(42)
     g = random_graph(rng, 30, 0.2)
     lap = normalized_laplacian(g)
-    ours = heat_kernel_exact(spectral_decompose(lap), 0.7).matrix
+    ours = compute_heat_kernel(None, spectral_decompose(lap), 0.7, METHOD_EXACT).matrix
     reference = expm_oracle(-0.7 * lap)
     assert np.linalg.norm(ours - reference) <= 1e-8
 
 
 def test_exact_kernel_rejects_negative_time(k2):
     with pytest.raises(ValueError):
-        heat_kernel_exact(_spec(k2), -0.5)
+        compute_heat_kernel(None, _spec(k2), -0.5, METHOD_EXACT)
 
 
 def test_taylor_kernel_at_time_zero(p3):
-    hk = heat_kernel_taylor2(normalized_laplacian(p3), 0.0)
+    hk = compute_heat_kernel(normalized_laplacian(p3), None, 0.0, METHOD_TAYLOR2)
     assert np.array_equal(hk.matrix, np.eye(3))
     assert hk.method == METHOD_TAYLOR2
 
@@ -110,10 +107,10 @@ def test_taylor_kernel_at_time_zero(p3):
 def test_taylor_kernel_formula_and_remainder_bound(k2):
     lap = normalized_laplacian(k2)
     t = 0.1
-    hk = heat_kernel_taylor2(lap, t)
+    hk = compute_heat_kernel(lap, None, t, METHOD_TAYLOR2)
     expected = np.eye(2) - t * lap + 0.5 * (t * lap) @ (t * lap)
     assert np.array_equal(hk.matrix, expected)
-    exact = heat_kernel_exact(_spec(k2), t).matrix
+    exact = compute_heat_kernel(None, _spec(k2), t, METHOD_EXACT).matrix
     assert np.max(np.abs(hk.matrix - exact)) <= (2 * t) ** 3 / 6.0
 
 
@@ -124,7 +121,8 @@ def test_taylor_error_shrinks_cubically_on_halving():
     spec = spectral_decompose(lap)
 
     def max_err(t):
-        return np.max(np.abs(heat_kernel_taylor2(lap, t).matrix - heat_kernel_exact(spec, t).matrix))
+        taylor2 = compute_heat_kernel(lap, None, t, METHOD_TAYLOR2).matrix
+        return np.max(np.abs(taylor2 - compute_heat_kernel(None, spec, t, METHOD_EXACT).matrix))
 
     ratio = max_err(0.1) / max_err(0.05)
     assert 6.0 <= ratio <= 10.0
@@ -137,7 +135,10 @@ def test_taylor_convergence_order_estimate():
     spec = spectral_decompose(lap)
     ts = np.array([0.2, 0.1, 0.05, 0.025])
     errs = [
-        np.linalg.norm(heat_kernel_taylor2(lap, t).matrix - heat_kernel_exact(spec, t).matrix)
+        np.linalg.norm(
+            compute_heat_kernel(lap, None, t, METHOD_TAYLOR2).matrix
+            - compute_heat_kernel(None, spec, t, METHOD_EXACT).matrix
+        )
         for t in ts
     ]
     order = np.polyfit(np.log(ts), np.log(errs), 1)[0]
@@ -145,7 +146,7 @@ def test_taylor_convergence_order_estimate():
 
 
 def test_fiedler_kernel_single_edge_closed_form(k2):
-    hk = heat_kernel_fiedler(_spec(k2), 5.0)
+    hk = compute_heat_kernel(None, _spec(k2), 5.0, METHOD_FIEDLER)
     outer = np.array([[0.5, -0.5], [-0.5, 0.5]])
     assert np.allclose(hk.matrix, np.eye(2) - np.exp(-10.0) * outer, atol=1e-12)
     assert hk.method == METHOD_FIEDLER
@@ -154,26 +155,22 @@ def test_fiedler_kernel_single_edge_closed_form(k2):
 def test_fiedler_kernel_tends_to_identity():
     rng = np.random.default_rng(3)
     g = random_connected_graph(rng, 12, 0.3)
-    hk = heat_kernel_fiedler(_spec(g), 5000.0)
+    hk = compute_heat_kernel(None, _spec(g), 5000.0, METHOD_FIEDLER)
     assert np.allclose(hk.matrix, np.eye(12), atol=1e-10)
 
 
 def test_fiedler_kernel_time_zero_is_identity(k2):
-    assert np.array_equal(heat_kernel_fiedler(_spec(k2), 0.0).matrix, np.eye(2))
-
-
-def test_fiedler_kernel_needs_two_nodes():
-    with pytest.raises(ValueError):
-        heat_kernel_fiedler(spectral_decompose(np.zeros((1, 1))), 1.0)
+    assert np.array_equal(compute_heat_kernel(None, _spec(k2), 0.0, METHOD_FIEDLER).matrix, np.eye(2))
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_fiedler_request_below_two_nodes_falls_back_to_exact(n):
     g = Graph(n, [])
     lap = normalized_laplacian(g)
-    hk = compute_heat_kernel(lap, spectral_decompose(lap), 2.0, METHOD_FIEDLER)
-    assert hk.method == METHOD_EXACT
-    assert np.array_equal(hk.matrix, np.eye(n))
+    for given in (lap, None):  # the Laplacian is not read
+        hk = compute_heat_kernel(given, spectral_decompose(lap), 2.0, METHOD_FIEDLER)
+        assert hk.method == METHOD_EXACT
+        assert np.array_equal(hk.matrix, np.eye(n))
 
 
 def test_fiedler_offset_corrected_error_decreases():
@@ -185,7 +182,11 @@ def test_fiedler_offset_corrected_error_decreases():
     phi0 = spec.eigenvectors[:, 0]
     offset = np.eye(14) - np.outer(phi0, phi0)
     errs = [
-        np.linalg.norm(heat_kernel_fiedler(spec, t).matrix - heat_kernel_exact(spec, t).matrix - offset)
+        np.linalg.norm(
+            compute_heat_kernel(None, spec, t, METHOD_FIEDLER).matrix
+            - compute_heat_kernel(None, spec, t, METHOD_EXACT).matrix
+            - offset
+        )
         for t in (5.0, 10.0, 20.0, 40.0)
     ]
     assert all(b < a for a, b in zip(errs, errs[1:]))
@@ -224,18 +225,18 @@ def test_auto_never_picks_fiedler_on_disconnected():
 
 
 def test_propagate_time_zero_is_initial_heat(c4):
-    hk = heat_kernel_exact(_spec(c4), 0.0)
+    hk = compute_heat_kernel(None, _spec(c4), 0.0, METHOD_EXACT)
     state = propagate_heat(hk, 1.0)
     assert np.allclose(state.heat, np.ones(4), atol=1e-12)
 
 
 def test_propagate_single_edge_conserves_uniform_heat(k2):
-    state = propagate_heat(heat_kernel_exact(_spec(k2), 1.0), 1.0)
+    state = propagate_heat(compute_heat_kernel(None, _spec(k2), 1.0, METHOD_EXACT), 1.0)
     assert np.allclose(state.heat, [1.0, 1.0], atol=1e-12)
 
 
 def test_propagate_star_center_absorbs_most(star4):
-    state = propagate_heat(heat_kernel_exact(_spec(star4), 1.0), 1.0)
+    state = propagate_heat(compute_heat_kernel(None, _spec(star4), 1.0, METHOD_EXACT), 1.0)
     center, leaves = state.heat[0], state.heat[1:]
     assert np.all(center > leaves)
     # cross-check the heat vector against the expm oracle
@@ -245,7 +246,7 @@ def test_propagate_star_center_absorbs_most(star4):
 
 def test_propagate_rejects_non_positive_heat(k2):
     with pytest.raises(ValueError):
-        propagate_heat(heat_kernel_exact(_spec(k2), 1.0), 0.0)
+        propagate_heat(compute_heat_kernel(None, _spec(k2), 1.0, METHOD_EXACT), 0.0)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -255,8 +256,11 @@ def test_semigroup_property(seed):
     spec = _spec(g)
     for s in (0.1, 0.5, 1.0):
         for t in (0.1, 0.5, 1.0):
-            lhs = heat_kernel_exact(spec, s).matrix @ heat_kernel_exact(spec, t).matrix
-            rhs = heat_kernel_exact(spec, s + t).matrix
+            lhs = (
+                compute_heat_kernel(None, spec, s, METHOD_EXACT).matrix
+                @ compute_heat_kernel(None, spec, t, METHOD_EXACT).matrix
+            )
+            rhs = compute_heat_kernel(None, spec, s + t, METHOD_EXACT).matrix
             assert np.linalg.norm(lhs - rhs) <= 1e-8
 
 
@@ -266,11 +270,11 @@ def test_exact_kernel_symmetry_nonnegativity_trace(seed):
     g = random_graph(rng, int(rng.integers(2, 40)), 0.25)
     spec = _spec(g)
     for t in (0.1, 1.0, 5.0):
-        h = heat_kernel_exact(spec, t).matrix
+        h = compute_heat_kernel(None, spec, t, METHOD_EXACT).matrix
         assert np.max(np.abs(h - h.T)) <= 1e-10
         assert h.min() >= -1e-10
         assert abs(np.trace(h) - np.exp(-t * spec.eigenvalues).sum()) <= 1e-8
-        heat = propagate_heat(heat_kernel_exact(spec, t), 1.0).heat
+        heat = propagate_heat(compute_heat_kernel(None, spec, t, METHOD_EXACT), 1.0).heat
         assert heat.min() >= -1e-10  # positive initial heat stays non-negative
 
 
@@ -311,19 +315,12 @@ def test_perturbation_gap_rejects_non_finite(c4):
 VECTOR_TIMES = [0.0, 0.05, 0.09, 0.1, 0.3, 2.0, 30.0]
 
 
-PUBLIC_KERNELS = {
-    METHOD_EXACT: lambda lap, spec, t: heat_kernel_exact(spec, t),
-    METHOD_TAYLOR2: lambda lap, spec, t: heat_kernel_taylor2(lap, t),
-    METHOD_FIEDLER: lambda lap, spec, t: heat_kernel_fiedler(spec, t),
-}
-
-
 @pytest.mark.parametrize("method", ["exact", "taylor2", "fiedler", "auto"])
 @pytest.mark.parametrize("n, connected", [(1, False), (2, True), (6, True), (9, False), (17, True)])
 def test_heat_vectors_equal_the_kernel_heat(method, n, connected):
     """Each column is the oracle kernel's heat, including fiedler at t = 0
     and on one node (the exact kernel) and auto below and above 0.1; the
-    public kernels and their method pick match the oracle too."""
+    kernel of ``compute_heat_kernel`` and its method pick match the oracle too."""
     rng = np.random.default_rng(n)
     g = random_connected_graph(rng, n, 0.3) if connected else random_graph(rng, n, 0.3)
     lap = normalized_laplacian(g)
@@ -340,9 +337,6 @@ def test_heat_vectors_equal_the_kernel_heat(method, n, connected):
         assert np.max(np.abs(heat[:, k] - kernel_heat)) <= 1e-12
         hk = compute_heat_kernel(lap, spec, t, method)
         assert np.max(np.abs(hk.matrix - reference.matrix), initial=0.0) <= 1e-12
-        if reference.method == method:
-            public = PUBLIC_KERNELS[method](lap, spec, t).matrix
-            assert np.max(np.abs(public - reference.matrix), initial=0.0) <= 1e-12
     if method == "auto":
         picked = [select_heat_method(spec, t) for t in times]
         assert picked[:3] == [METHOD_TAYLOR2] * 3 and METHOD_EXACT in picked
@@ -377,7 +371,7 @@ def test_oracles_import_no_heat_formula():
     source = (Path(__file__).parent / "oracles.py").read_text()
     assert set(_heat_names_imported(source)) <= ORACLE_HEAT_NAMES
     assert _heat_names_imported("from evokernel.heat import compute_heat_kernel") == ["compute_heat_kernel"]
-    assert _heat_names_imported("from evokernel import heat_kernel_exact") == ["heat_kernel_exact"]
+    assert _heat_names_imported("from evokernel import compute_heat_kernel") == ["compute_heat_kernel"]
     assert _heat_names_imported("from evokernel import heat") == ["heat"]
     assert _heat_names_imported("import evokernel.heat as h") == ["evokernel.heat"]
     assert _heat_names_imported("from evokernel.augment import BoltzmannConfig") == []
