@@ -97,6 +97,16 @@ def test_missing_dataset_fails_with_stage_tag(tmp_path, capsys):
     assert "missing file" in err
 
 
+def test_non_utf8_dataset_file_fails_at_load_naming_the_file(dataset_dir, capsys):
+    node_labels = dataset_dir / "TRISTAR_node_labels.txt"
+    node_labels.write_bytes(b"\xff" + node_labels.read_bytes())
+    code = main(["run", "--dataset", str(dataset_dir), "--name", "TRISTAR", *FAST])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "[load]" in err
+    assert "TRISTAR_node_labels.txt: not UTF-8" in err
+
+
 def test_invalid_config_fails_with_stage_tag(dataset_dir, capsys):
     code = main(
         ["run", "--dataset", str(dataset_dir), "--name", "TRISTAR", "--folds", "1"]
