@@ -77,13 +77,19 @@ def heat_distribution(state: HeatState, cfg: BoltzmannConfig) -> HeatDistributio
     return HeatDistribution(t=state.t, probs=probs, normed=weights)
 
 
-def _rescaled(heat: np.ndarray, a: float) -> np.ndarray:
-    """Boltzmann weights ``exp(logit - max logit)`` of each column of ``heat``, logit = -a * heat."""
+@np.errstate(over="ignore")
+def _rescaled(heat: np.ndarray, a: float, times=None, source: str = "") -> np.ndarray:
+    """Boltzmann weights ``exp(logit - max logit)`` of each column of ``heat``, logit = -a * heat.
+
+    Logits that overflow raise ``ConfigError``, without a numpy warning; it names the
+    first such time of the columns' ``times`` when given, then ``source``."""
     if not np.isfinite(heat).all():
         raise ContractError("heat vector contains non-finite entries")
     logits = -a * heat
-    if not np.isfinite(logits).all():
-        raise ConfigError(f"energy weight a={a} overflows the heat logits")
+    finite = np.isfinite(logits).all(axis=0)
+    if not finite.all():
+        at = "" if times is None else f" at t={times[np.argmin(finite)]:g}"
+        raise ConfigError(f"energy weight a={a} overflows the heat logits{at}{source}")
     return np.exp(logits - logits.max(axis=0, initial=-np.inf))
 
 
@@ -186,7 +192,8 @@ def _episode_masks(g: Graph, times: np.ndarray, a, u0, seed, graph_index, method
             steps = [t] if cumulative else grid
             lap = _normalized_laplacian(ids.size, local)
             spec = spectral_decompose(lap) if any(reads_spectrum(method, s) for s in steps) else None
-            normed = _rescaled(_heat_vectors(lap, spec, steps, method, u0), a)
+            heat = _heat_vectors(lap, spec, steps, method, u0)
+            normed = _rescaled(heat, a, steps, f" from u0={u0:g} under the {method!r} heat method")
         keep = snapshot_rng(seed, graph_index, k).random(ids.size) < normed[:, 0 if cumulative else k]
         masks[k, ids[keep]] = True
     return masks

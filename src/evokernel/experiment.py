@@ -104,11 +104,13 @@ class CvReport:
     The standard deviation is the population std over the fold accuracies.
     ``confusion[i][j]`` counts test graphs of the i-th smallest label that
     were predicted as the j-th smallest, so any integer labels index it.
-    ``canonical_json`` drops the (nondeterministic) timings block, so it is
-    byte-identical across reruns of the same config and seed. In a sweep the
-    ``load``, ``episodes``, ``distances`` and ``cv`` timings are measured
-    once, for all lengths together, and echoed on every report; ``cv`` is the
-    one SVM solve plus every length's predictions. ``kernel`` is per length.
+    ``timings`` holds the seconds of the ``load``, ``episodes``, ``distances``,
+    ``kernel`` and ``cv`` stages in that order, each measured by the stage
+    context that tags the stage's errors. ``canonical_json`` drops this
+    (nondeterministic) block, so it is byte-identical across reruns of the
+    same config and seed. In a sweep every stage but ``kernel`` runs once,
+    for all lengths together, and its time is echoed on every report; ``cv``
+    is the one SVM solve plus every length's predictions.
     """
 
     fold_accuracies: list[float]
@@ -137,7 +139,11 @@ class CvReport:
 
 
 @contextmanager
-def _stage(name: str):
+def _stage(name: str, timings: dict[str, float] | None = None):
+    """Run one stage of a run: a failure inside is raised as a ``StageError`` tagged with
+    ``name``, and a stage that succeeds stores its seconds in ``timings[name]`` when
+    ``timings`` is given."""
+    tic = time.perf_counter()
     try:
         yield
     except StageError:
@@ -145,6 +151,8 @@ def _stage(name: str):
     # ValueError: numpy's LinAlgError; MemoryError: an allocation too big for the machine.
     except (EvoKernelError, ValueError, OSError, MemoryError) as exc:
         raise StageError(name, exc) from exc
+    if timings is not None:
+        timings[name] = time.perf_counter() - tic
 
 
 def stratified_folds(labels, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -219,53 +227,44 @@ def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) 
             grids.append(c.time_grid())
     cfg, times = configs[-1], grids[-1]
 
-    tic = time.perf_counter()
-    with _stage("load"):
+    with _stage("load", timings):
         if dataset is None:
             dataset = load_tu_dataset(cfg.dataset_dir, cfg.dataset_name)
         _check_dataset(dataset)
-    timings["load"] = time.perf_counter() - tic
 
     with _stage("cv"):  # the split reads only the labels, fold count and seed
         folds = stratified_folds(dataset.labels, cfg.folds, cfg.seed)
 
-    tic = time.perf_counter()
-    with _stage("episodes"):
+    with _stage("episodes", timings):
         a, u0, seed = float(cfg.a), float(cfg.u0), int(cfg.seed)
         masks = [
             _episode_masks(g, times, a, u0, seed, i, cfg.heat_method, cfg.cumulative)
             for i, g in enumerate(dataset.graphs)
         ]
-    timings["episodes"] = time.perf_counter() - tic
 
-    tic = time.perf_counter()
-    with _stage("distances"):
+    with _stage("distances", timings):
         counts, sq = _wl_counts(dataset.graphs, cfg.metric_config(), masks)
         distances = _prefix_distance_matrices(counts, sq, len(times), {len(grid) for grid in grids})
-    timings["distances"] = time.perf_counter() - tic
 
     n = len(dataset.labels)
     kernels, sigmas, length_timings = np.empty((len(configs), n, n)), [], []
     for at, (c, grid) in enumerate(zip(configs, grids)):
-        tic = time.perf_counter()
-        with _stage("kernel"):
+        length_timings.append(dict(timings))
+        with _stage("kernel", length_timings[at]):
             ek = evolution_kernel(distances[len(grid)], c.gamma_scale, c.psd_repair)
             kernels[at] = ek.k
         sigmas.append(ek.sigma)
-        length_timings.append(dict(timings, kernel=time.perf_counter() - tic))
         if at + 1 == len(grids) or len(grids[at + 1]) != len(grid):
             del distances[len(grid)]  # its last kernel is built
 
-    tic = time.perf_counter()
-    with _stage("cv"):
+    with _stage("cv", timings):
         models = _train_folds(kernels, dataset.labels, [train for train, _ in folds], cfg.c)
         reports = [
-            _cross_validate(c, grid, k, sigma, fold_models, t, dataset, folds)
-            for c, grid, k, sigma, fold_models, t in zip(configs, grids, kernels, sigmas, models, length_timings)
+            _cross_validate(c, grid, k, sigma, fold_models, dataset, folds)
+            for c, grid, k, sigma, fold_models in zip(configs, grids, kernels, sigmas, models)
         ]
-    cv = time.perf_counter() - tic
-    for report in reports:
-        report.timings["cv"] = cv
+    for report, t in zip(reports, length_timings):
+        report.timings = dict(t, cv=timings["cv"])
     return reports
 
 
@@ -293,7 +292,6 @@ def _cross_validate(
     k: np.ndarray,
     sigma: float,
     models: list[SvmModel],
-    timings: dict[str, float],
     dataset: GraphDataset,
     folds: list[tuple[np.ndarray, np.ndarray]],
 ) -> CvReport:
@@ -340,7 +338,6 @@ def _cross_validate(
         mean_accuracy=float(np.mean(fold_accuracies)),
         std_accuracy=float(np.std(fold_accuracies)),
         confusion=confusion.tolist(),
-        timings=timings,
         config=config_echo,
     )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericalError, choice, real, square
+from .errors import ConfigError, ContractError, NumericalError, choice, real, square
 
 EIGENVALUE_CLAMP = 1e-9
 RECONSTRUCTION_TOL = 1e-8
@@ -67,8 +67,9 @@ def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a symmetric normalized Laplacian.
 
     Eigenvalues within EIGENVALUE_CLAMP below zero are clamped to 0 so that
-    exponentials never exceed 1 from rounding noise. Reconstruction and
-    orthonormality are verified to RECONSTRUCTION_TOL.
+    exponentials never exceed 1 from rounding noise. The Frobenius residual
+    of the reconstruction Phi Lambda Phi^T must be within RECONSTRUCTION_TOL;
+    orthonormality of the eigenvectors is left to ``eigh`` and not checked.
     """
     lap = square("Laplacian", lap)
     try:
@@ -101,10 +102,12 @@ def compute_heat_kernel(
     Each argument is read only where :func:`reads_spectrum` says so: ``taylor2``, and
     ``auto`` below ``SMALL_TIME_DEFAULT``, need just ``lap``, so ``spec`` may be None
     there and the caller can skip the eigendecomposition; the others need just ``spec``.
-    A ``spec`` that is given must fit the ``lap`` that is given.
+    A ``spec`` that is given must be finite and fit the ``lap`` that is given.
 
     The Fiedler form needs two nodes; on fewer the exact kernel stands in (on
     one node every method gives [[1]]) and the result's ``method`` is ``exact``.
+    A kernel that overflows, as ``taylor2`` does at a large enough t, raises
+    ``ConfigError``.
     """
     t = real("time", t, 0)
     choice("heat method", method, HEAT_METHODS)
@@ -116,6 +119,9 @@ def compute_heat_kernel(
         shape = np.shape(spec.eigenvalues) * 2 if isinstance(spec, SpectralDecomposition) else ()
         if len(shape) != 2 or np.shape(spec.eigenvectors) != shape or lap is not None and lap.shape != shape:
             raise ContractError("spec must be an n-eigenpair SpectralDecomposition of the n-node Laplacian")
+        arrays = np.asarray(spec.eigenvalues), np.asarray(spec.eigenvectors)
+        if not all(a.dtype.kind in "biuf" and np.isfinite(a).all() for a in arrays):
+            raise ContractError("spec must hold finite real numbers")
     n = len(lap) if spec is None else spec.n
     matrix = _heat_vectors(lap, spec, [t], method, np.eye(n))[..., 0]
     return HeatKernel(t=t, matrix=matrix, method=_formula(method, spec, t, n))
@@ -128,6 +134,7 @@ def _formula(method: str, spec: SpectralDecomposition | None, t: float, n: int) 
     return METHOD_EXACT if method == METHOD_FIEDLER and n < 2 else method
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _heat_vectors(lap: np.ndarray | None, spec: SpectralDecomposition | None, times: list, method: str, u):
     """Heat ``e^{-tL} u`` of the start ``u`` at each of ``times``, on checked arguments.
 
@@ -135,8 +142,12 @@ def _heat_vectors(lap: np.ndarray | None, spec: SpectralDecomposition | None, ti
     ``(n, len(times))`` or ``(n, k, len(times))``. Each time takes its formula from
     :func:`_formula`: ``Phi (e^{-Lambda t} * Phi^T u)`` for all exact times in one product,
     ``u - t L u + t^2 L (L u) / 2`` for taylor2 and ``u - e^{-lambda_1 t} phi_1 (phi_1 . u)``
-    for fiedler (u at t = 0)."""
-    u = np.full(len(lap), u, dtype=float) if np.ndim(u) == 0 else u
+    for fiedler (u at t = 0).
+
+    Heat that overflows raises ``ConfigError`` naming the first such time, the method and
+    a float ``u``; numpy's overflow and invalid-value warnings are silenced here."""
+    u0 = u if np.ndim(u) == 0 else None
+    u = u if u0 is None else np.full(len(lap), u0, dtype=float)
     picked = [_formula(method, spec, t, len(u)) for t in times]
     heat = np.empty(u.shape + (len(times),))
     for m in set(picked):
@@ -154,7 +165,16 @@ def _heat_vectors(lap: np.ndarray | None, spec: SpectralDecomposition | None, ti
             phi = spec.eigenvectors[:, 1]
             decay = np.where(t == 0, 0.0, np.exp(-spec.eigenvalues[1] * t))
             heat[..., cols] = u[..., None] - np.multiply.outer(phi, phi @ u)[..., None] * decay
+    finite = np.isfinite(heat).reshape(-1, len(times)).all(axis=0)
+    if not finite.all():
+        raise _overflow(times[np.argmin(finite)], u0, method)
     return heat
+
+
+def _overflow(t: float, u0: float | None, method: str) -> ConfigError:
+    """The error for heat at t that overflows: from the float ``u0``, or of the kernel if None."""
+    heat = "heat kernel" if u0 is None else f"heat from u0={u0:g}"
+    return ConfigError(f"{heat} at t={t:g} overflows under the {method!r} heat method")
 
 
 def reads_spectrum(method: str, t: float) -> bool:
@@ -174,11 +194,16 @@ def select_heat_method(spec: SpectralDecomposition | None, t: float) -> str:
     return METHOD_EXACT
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def propagate_heat(hk: HeatKernel, u0: float) -> HeatState:
-    """Evolve the uniform initial condition u0 on every node through the kernel."""
+    """Evolve the uniform initial condition u0 on every node through the kernel.
+
+    Heat that overflows raises ``ConfigError``, without a numpy warning."""
     u0 = real("initial heat", u0, 0, above=True)
     n = hk.matrix.shape[0]
     heat = hk.matrix @ np.full(n, u0)
+    if not np.isfinite(heat).all():
+        raise _overflow(hk.t, u0, hk.method)
     return HeatState(t=hk.t, heat=heat)
 
 

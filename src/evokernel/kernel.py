@@ -55,6 +55,8 @@ def distance_matrix(
     for e in episodes:
         if len(e.snapshots) != len(grid) or not np.array_equal(e.times, grid):
             raise ContractError("episodes are not on a common time grid with one snapshot per time")
+    if not len(grid):
+        raise ContractError("episodes have no snapshots")
     counts, sq = _wl_counts([snap for e in episodes for snap in e.snapshots], cfg)
     return _prefix_distance_matrices(counts, sq, len(grid), [len(grid)])[len(grid)]
 

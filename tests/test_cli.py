@@ -137,6 +137,28 @@ def test_non_finite_or_negative_seed_fails_at_config(dataset_dir, capsys, flags)
     assert "[config]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--u0", "1e308"], "heat from u0=1e+308 at t=0 overflows under the 'exact' heat method"),
+        (
+            ["--u0", "1e308", "--hk", "taylor"],
+            "energy weight a=-2.0 overflows the heat logits at t=0 from u0=1e+308 under the 'taylor2' heat method",
+        ),
+        (
+            ["--hk", "taylor", "--time-length", "1e300", "--time-interval", "1e298"],
+            "heat from u0=1 at t=1e+298 overflows under the 'taylor2' heat method",
+        ),
+    ],
+    ids=["u0", "u0-taylor", "t-taylor"],
+)
+def test_heat_overflow_fails_at_episodes_naming_u0_t_and_the_method(mutag_dir, capsys, flags, message):
+    # Tier-1 turns warnings into errors, so a numpy overflow warning fails this too.
+    code = main(["run", "--dataset", str(mutag_dir), "--name", "MUTAG", *flags])
+    assert code == 1
+    assert capsys.readouterr().err == f"evokernel: [episodes] {message}\n"
+
+
 def test_too_deep_refinement_fails_at_config_before_loading(tmp_path, capsys):
     code = main(
         ["run", "--dataset", str(tmp_path / "missing"), "--name", "NOPE", *FAST,

@@ -12,6 +12,7 @@ import pytest
 from evokernel.augment import (
     BoltzmannConfig,
     HeatDistribution,
+    TemporalEpisode,
     drop_node,
     generate_episode,
     heat_distribution,
@@ -23,6 +24,7 @@ from evokernel.gdtw import build_warping_matrix, gdtw_distance
 from evokernel.graphs import Graph, normalized_laplacian
 from evokernel.heat import (
     HEAT_METHODS,
+    HeatKernel,
     HeatState,
     SpectralDecomposition,
     compute_heat_kernel,
@@ -82,6 +84,14 @@ CALLS = {
     },
     "spectrum-string": (ContractError, lambda: compute_heat_kernel(None, "x", 0.5, "exact")),
     "spectrum-matrix": (ContractError, lambda: compute_heat_kernel(LAP, np.eye(3), 0.5)),
+    "spectrum-non-finite": (
+        ContractError,
+        lambda: compute_heat_kernel(None, SpectralDecomposition(np.array([0.0, NAN, 1.0]), np.eye(3)), 1.0),
+    ),
+    "spectrum-text": (
+        ContractError,
+        lambda: compute_heat_kernel(None, SpectralDecomposition(np.array(["0", "1", "1.5"]), np.eye(3)), 1.0),
+    ),
     "spectrum-eigenpair-count": (
         ContractError,
         lambda: compute_heat_kernel(None, SpectralDecomposition(np.array([0.0, 1.0]), np.eye(3)), 0.5, "exact"),
@@ -209,6 +219,10 @@ CALLS = {
         ContractError,
         lambda: distance_matrix([generate_episode(PATH, [0.0, 0.1]), generate_episode(PATH, [0.0, 0.2])]),
     ),
+    "distances-no-snapshots": (
+        ContractError,
+        lambda: distance_matrix([TemporalEpisode(PATH, np.array([]), [], 0)]),
+    ),
     "train-kernel-shape": (ContractError, lambda: svm_train(np.eye(2), LABELS, np.arange(3))),
     # Sweep lengths are a non-empty ascending sequence.
     "sweep-no-length": (ConfigError, lambda: _at_config(lambda: sweep_time_length(ExperimentConfig(), []))),
@@ -216,6 +230,27 @@ CALLS = {
     "sweep-descending-lengths": (
         ConfigError,
         lambda: _at_config(lambda: sweep_time_length(ExperimentConfig(), [0.2, 0.1])),
+    ),
+    # Heat and its logits that overflow name u0, t and the method, with no numpy warning.
+    "heat-kernel-overflow": (ConfigError, lambda: compute_heat_kernel(LAP, None, 1e300, "taylor2")),
+    "heat-propagation-overflow": (
+        ConfigError,
+        lambda: propagate_heat(compute_heat_kernel(None, SPEC, 1.0, "exact"), 1.7e308),
+    ),
+    "heat-infinite-kernel": (
+        ConfigError,
+        lambda: propagate_heat(HeatKernel(1.0, np.full((3, 3), INF), "taylor2"), 1.0),
+    ),
+    **{
+        f"episode-heat-overflow-{m}": (
+            ConfigError,
+            lambda m=m: generate_episode(PATH, [0.0, 0.1], u0=1e308, method=m),
+        )
+        for m in HEAT_METHODS
+    },
+    "episode-taylor-time-overflow": (
+        ConfigError,
+        lambda: generate_episode(PATH, [0.0, 1e300], method="taylor2", cumulative=True),
     ),
     "config-too-many-steps": (
         ConfigError,

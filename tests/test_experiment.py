@@ -25,6 +25,12 @@ from evokernel.svm import svm_train
 from evokernel.tu_io import GraphDataset
 
 from .conftest import star, triangle
+from .oracles import (
+    reference_generate_episode,
+    reference_ovr_predict,
+    reference_ovr_smo,
+    reference_prefix_distances,
+)
 
 
 def synthetic_dataset() -> GraphDataset:
@@ -490,3 +496,56 @@ def test_run_distances_equal_those_of_generated_episodes(mutag, monkeypatch, met
         for i, g in enumerate(dataset.graphs)
     ]
     assert np.array_equal(seen[0][len(times)], distance_matrix(episodes, cfg.metric_config()))
+
+
+def test_sweep_equals_the_oracle_pipeline(mutag, monkeypatch):
+    """The run's glue against an oracle-only pipeline: prefix reads, kernel stack and fold models.
+
+    Episodes, prefix distances and one-vs-rest SMO come from ``tests/oracles.py``;
+    the median bandwidth, ``exp`` and the eigenvalue clip are numpy. Only the fold
+    split is the library's.
+    """
+    dataset = GraphDataset(graphs=mutag.graphs[:30], labels=mutag.labels[:30], name="MUTAG30")
+    cfg = ExperimentConfig(seed=42, folds=3)
+    lengths = [0.5, 1.0]
+    seen = []
+    original = experiment_module._prefix_distance_matrices
+
+    def recording(*args):
+        distances = original(*args)
+        seen.append(dict(distances))  # the run deletes each matrix once its kernels are built
+        return distances
+
+    monkeypatch.setattr(experiment_module, "_prefix_distance_matrices", recording)
+    reports = sweep_time_length(cfg, lengths, dataset=dataset)
+
+    grids = [replace(cfg, time_length=t).time_grid() for t in lengths]
+    episodes = [
+        reference_generate_episode(g, grids[-1], cfg.boltzmann_config(), cfg.u0, cfg.seed, graph_index=i)
+        for i, g in enumerate(dataset.graphs)
+    ]
+    expected = reference_prefix_distances(episodes, cfg.metric_config(), [len(grid) for grid in grids])
+    assert len(seen) == 1 and sorted(seen[0]) == sorted(expected)
+    folds = stratified_folds(dataset.labels, cfg.folds, cfg.seed)
+    classes = np.unique(dataset.labels)
+    for grid, report in zip(grids, reports):
+        d = expected[len(grid)]
+        assert np.abs(seen[0][len(grid)] - d).max() <= 1e-12
+        k = np.exp(-d / (cfg.gamma_scale * np.median(d[~np.eye(len(d), dtype=bool)])))
+        w, v = np.linalg.eigh(k)
+        k = (v * np.clip(w, 0.0, None)) @ v.T
+        k = (k + k.T) / 2.0
+        confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
+        accuracies = []
+        for train, test in folds:
+            values = np.zeros((len(test), len(classes)))
+            for at, cls in enumerate(classes):
+                y = np.where(dataset.labels[train] == cls, 1.0, -1.0)
+                machine = reference_ovr_smo(k[np.ix_(train, train)], y, cfg.c)
+                values[:, at] = k[np.ix_(test, train)] @ (machine.alpha * y) + machine.bias
+            predicted = reference_ovr_predict(classes, values)
+            truth = dataset.labels[test]
+            np.add.at(confusion, (np.searchsorted(classes, truth), np.searchsorted(classes, predicted)), 1)
+            accuracies.append(np.count_nonzero(predicted == truth) / len(test))
+        assert report.fold_accuracies == accuracies
+        assert report.confusion == confusion.tolist()

@@ -2,11 +2,12 @@
 
 ``tests/data/fingerprints.json`` holds SHA-256 digests of the loaded dataset,
 of every episode mask array under each heat method in both modes, of the
-default run's distance matrix and of the README sweep's CSV, plus the
-default run's fold accuracies and confusion matrix. Only platform-stable
-values are pinned: masks read ``eigh`` only through a Bernoulli threshold and
-distances come from an exact integer Gram and correctly rounded operations,
-so after the kernel's ``exp`` and ``eigh`` only accuracies and confusion are.
+default run's distance matrix and of the README sweep's CSV, plus the fold
+accuracies and confusion matrices of the default run and of a
+``--cumulative --hk auto`` run. Only platform-stable values are pinned: masks
+read ``eigh`` only through a Bernoulli threshold and distances come from an
+exact integer Gram and correctly rounded operations, so after the kernel's
+``exp`` and ``eigh`` only accuracies and confusion are.
 
 A change that means to move one of them rewrites the file with
 ``PYTHONPATH=src python -m tests.test_fingerprints`` and says so.
@@ -17,9 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
-from evokernel import ExperimentConfig, load_tu_dataset, sweep_time_length, write_sweep_csv
+from evokernel import ExperimentConfig, load_tu_dataset, run_experiment, sweep_time_length, write_sweep_csv
 from evokernel.augment import _episode_masks
 from evokernel.embedding import _wl_counts
 from evokernel.heat import HEAT_METHODS
@@ -58,6 +60,7 @@ def fingerprints(mutag_dir: Path, scratch: Path) -> dict:
     reports = sweep_time_length(cfg, README_LENGTHS, dataset)
     write_sweep_csv(reports, csv)
     report = reports[-1]  # the default length: equal to run_experiment(cfg), as test_experiment checks
+    cumulative_auto = run_experiment(replace(cfg, cumulative=True, heat_method="auto"), dataset)
     return {
         "dataset": _sha(json.dumps(content).encode()),
         "episode_masks": masks,
@@ -65,6 +68,10 @@ def fingerprints(mutag_dir: Path, scratch: Path) -> dict:
         "sweep_csv": _sha(csv.read_bytes()),
         "fold_accuracies": report.fold_accuracies,
         "confusion": report.confusion,
+        "cumulative_auto": {
+            "fold_accuracies": cumulative_auto.fold_accuracies,
+            "confusion": cumulative_auto.confusion,
+        },
     }
 
 

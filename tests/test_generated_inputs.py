@@ -260,8 +260,6 @@ def test_valid_calls_return_finite_results(name):
     assert all(np.isfinite(np.asarray(x, dtype=float)).all() for x in _numbers(result))
 
 
-# An energy weight that overflows the heat logits is refused after numpy warns.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("name, param, field", _substitutions())
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())

@@ -9,7 +9,7 @@ import pytest
 
 from evokernel import heat as heat_module
 
-from evokernel.errors import NumericalError
+from evokernel.errors import ConfigError, NumericalError
 from evokernel.graphs import Graph, normalized_laplacian
 from evokernel.heat import (
     METHOD_EXACT,
@@ -247,6 +247,18 @@ def test_propagate_star_center_absorbs_most(star4):
 def test_propagate_rejects_non_positive_heat(k2):
     with pytest.raises(ValueError):
         propagate_heat(compute_heat_kernel(None, _spec(k2), 1.0, METHOD_EXACT), 0.0)
+
+
+def test_heat_that_overflows_names_u0_t_and_the_method(p3):
+    """A kernel or heat beyond the float range is a ConfigError, not a numpy warning and inf or NaN."""
+    lap = normalized_laplacian(p3)
+    with pytest.raises(ConfigError, match="heat kernel at t=1e\\+300 overflows under the 'taylor2' heat method"):
+        compute_heat_kernel(lap, None, 1e300, METHOD_TAYLOR2)
+    hk = compute_heat_kernel(None, _spec(p3), 1.0, METHOD_EXACT)
+    with pytest.raises(ConfigError, match="heat from u0=1.7e\\+308 at t=1 overflows under the 'exact' heat method"):
+        propagate_heat(hk, 1.7e308)
+    with pytest.raises(ConfigError, match="from u0=1.7e\\+308 at t=0 overflows under the 'exact' heat method"):
+        _heat_vectors(lap, _spec(p3), [0.0, 1.0], METHOD_EXACT, 1.7e308)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -73,6 +73,12 @@ def test_mismatched_grids_rejected(three_episodes):
         distance_matrix([three_episodes[0], other], CFG)
 
 
+def test_episodes_without_snapshots_rejected():
+    empty = TemporalEpisode(source=triangle(), times=np.array([]), snapshots=[], seed=0)
+    with pytest.raises(ContractError, match="episodes have no snapshots"):
+        distance_matrix([empty, empty], CFG)
+
+
 def test_matrix_equals_alignment_of_each_block(three_episodes):
     times = np.array([0.0, 0.5, 1.0])
     episodes = three_episodes + [
