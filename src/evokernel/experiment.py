@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .augment import BoltzmannConfig, _episode_masks
+from .augment import BoltzmannConfig, _episode_masks, _snapshot_draws
 from .embedding import MetricConfig, _wl_counts
 from .errors import ConfigError, DatasetError, EvoKernelError, StageError, choice, integer, integers, real
 from .graphs import Graph
@@ -237,9 +237,10 @@ def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) 
 
     with _stage("episodes", timings):
         a, u0, seed = float(cfg.a), float(cfg.u0), int(cfg.seed)
+        graphs, counts = dataset.graphs, [g.node_count for g in dataset.graphs]
         masks = [
-            _episode_masks(g, times, a, u0, seed, i, cfg.heat_method, cfg.cumulative)
-            for i, g in enumerate(dataset.graphs)
+            _episode_masks(g, times, a, u0, draws, cfg.heat_method, cfg.cumulative)
+            for g, draws in zip(graphs, _snapshot_draws(seed, range(len(graphs)), counts, len(times)))
         ]
 
     with _stage("distances", timings):

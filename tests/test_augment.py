@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evokernel import augment
@@ -192,6 +192,51 @@ def test_snapshot_rng_streams_are_independent():
     assert not np.array_equal(a, b)
 
 
+def _stream_rows(seed, graph_index, n, steps):
+    return np.array([snapshot_rng(seed, graph_index, k).random(n) for k in range(steps)]).reshape(steps, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**130),
+    graphs=st.lists(st.tuples(st.integers(0, 2**70), st.integers(0, 60)), min_size=1, max_size=5),
+    steps=st.integers(1, 12),
+)
+@example(seed=2**128, graphs=[(2**32, 3), (2**32 - 1, 0), (0, 60)], steps=12)
+@example(seed=2**32 - 1, graphs=[(2**64, 1), (7, 2)], steps=1)
+def test_snapshot_draws_equal_each_snapshot_stream(seed, graphs, steps):
+    """Seeds and graph indices of one to five 32-bit words, graphs of 0 to 60 nodes."""
+    indices, counts = [i for i, _ in graphs], [n for _, n in graphs]
+    drawn = list(augment._snapshot_draws(seed, indices, counts, steps))
+    assert len(drawn) == len(graphs)
+    for (i, n), draws in zip(graphs, drawn):
+        assert draws.dtype == np.float64
+        assert np.array_equal(draws, _stream_rows(seed, i, n, steps))
+
+
+def test_snapshot_draws_are_exact_across_chunks(monkeypatch):
+    """Many graphs over several passes, and two graphs larger than a pass: each takes passes
+    of its own, over as many rows as fit, or one row where a row is larger than a pass."""
+    passes, chunk_draws = [], augment._chunk_draws
+
+    def spy(pool, const, jumps, chunk):
+        passes.append([(n, ks) for _, n, ks in chunk])
+        return chunk_draws(pool, const, jumps, chunk)
+
+    monkeypatch.setattr(augment, "_chunk_draws", spy)
+    steps, limit = 5, augment._CHUNK_DRAWS
+    counts = np.random.default_rng(3).integers(0, 40, 300).tolist()
+    counts[100], counts[200] = limit // 2, limit + 5
+    drawn = list(augment._snapshot_draws(42, range(len(counts)), counts, steps))
+    assert len(passes) > 8
+    assert [p for p in passes if p[0][0] == limit // 2] == [[(limit // 2, range(k, min(k + 2, 5)))] for k in (0, 2, 4)]
+    assert [p for p in passes if p[0][0] == limit + 5] == [[(limit + 5, range(k, k + 1))] for k in range(5)]
+    assert all(sum(len(ks) * max(n, 1) for n, ks in p) <= limit for p in passes if p[0][0] != limit + 5)
+    assert [n for p in passes for n, ks in p if ks.start == 0] == counts
+    for i, (n, draws) in enumerate(zip(counts, drawn)):
+        assert np.array_equal(draws, _stream_rows(42, i, n, steps))
+
+
 def test_mean_snapshot_size_trends_down(mutag):
     g = mutag.graphs[0]
     times = np.arange(11) * 0.1
@@ -292,9 +337,17 @@ def test_random_episode_equals_the_reference(seed, n, p, a, method, cumulative, 
     def rng_at(s, index, k):
         return _WipeOut() if k == wipe_at else snapshot_rng(s, index, k)
 
+    snapshot_draws = augment._snapshot_draws
+
+    def draws_wiped(*args):
+        for draws in snapshot_draws(*args):
+            if wipe_at is not None:
+                draws[wipe_at] = 1.0
+            yield draws
+
     kwargs = dict(graph_index=seed % 7, method=method, cumulative=cumulative)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(augment, "snapshot_rng", rng_at)
+        mp.setattr(augment, "_snapshot_draws", draws_wiped)
         mp.setattr(oracles, "snapshot_rng", rng_at)
         episode = generate_episode(g, times, cfg, 1.0, seed, **kwargs)
         reference = reference_generate_episode(g, times, cfg, 1.0, seed, **kwargs)
@@ -355,22 +408,22 @@ def test_cumulative_auto_decomposes_once_per_step_that_reads_the_spectrum(mutag,
 
 def test_steps_with_no_nodes_to_draw_from_neither_decompose_nor_draw(p3, decompositions, monkeypatch):
     """A cumulative step after a wipe-out, or any step of a 0-node source,
-    keeps nothing without a decomposition or an RNG substream."""
-    draws = []
+    keeps nothing without a decomposition or reading its draws."""
+    snapshot_draws = augment._snapshot_draws
 
-    def rng_at(seed, index, k):
-        draws.append(k)
-        return _WipeOut() if k == 1 else snapshot_rng(seed, index, k)
+    def draws_wiped(*args):
+        for draws in snapshot_draws(*args):
+            draws[1] = 1.0  # step 1 keeps no node
+            draws[2:] = 0.0  # would keep every node, if a later step read its row
+            yield draws
 
-    monkeypatch.setattr(augment, "snapshot_rng", rng_at)
+    monkeypatch.setattr(augment, "_snapshot_draws", draws_wiped)
     episode = generate_episode(p3, GRID, DEFAULTS, 1.0, 42, cumulative=True)
-    assert draws == [0, 1]
     assert decompositions == [3, episode.snapshots[0].node_count]
     assert all(s.node_count == 0 for s in episode.snapshots[1:])
 
-    draws.clear()
     decompositions.clear()
     for cumulative in (False, True):
         episode = generate_episode(Graph(0, []), GRID, DEFAULTS, 1.0, 42, cumulative=cumulative)
         assert [s.node_count for s in episode.snapshots] == [0] * len(GRID)
-    assert draws == [] and decompositions == []
+    assert decompositions == []

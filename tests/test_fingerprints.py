@@ -22,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from evokernel import ExperimentConfig, load_tu_dataset, run_experiment, sweep_time_length, write_sweep_csv
-from evokernel.augment import _episode_masks
+from evokernel.augment import _episode_masks, _snapshot_draws
 from evokernel.embedding import _wl_counts
 from evokernel.heat import HEAT_METHODS
 from evokernel.kernel import _prefix_distance_matrices
@@ -44,12 +44,13 @@ def fingerprints(mutag_dir: Path, scratch: Path) -> dict:
     cfg = ExperimentConfig(dataset_dir=str(mutag_dir), dataset_name="MUTAG", seed=SEED)
     times = cfg.time_grid()
 
-    masks = {}
+    masks, sizes = {}, [g.node_count for g in dataset.graphs]
     for cumulative in (False, True):
         for method in HEAT_METHODS:
+            draws = _snapshot_draws(SEED, range(len(dataset.graphs)), sizes, len(times))
             graph_masks = [
-                _episode_masks(g, times, cfg.a, cfg.u0, SEED, i, method, cumulative)
-                for i, g in enumerate(dataset.graphs)
+                _episode_masks(g, times, cfg.a, cfg.u0, d, method, cumulative)
+                for g, d in zip(dataset.graphs, draws)
             ]
             masks[f"{method}{'-cumulative' if cumulative else ''}"] = _sha(b"".join(m.tobytes() for m in graph_masks))
             if (method, cumulative) == (cfg.heat_method, cfg.cumulative):
