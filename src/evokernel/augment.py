@@ -9,8 +9,8 @@ An episode is drawn as one ``(T, n)`` bool array of kept masks, with each
 step's heat as vectors (``_episode_masks``); the pipeline works on those masks
 alone, and ``generate_episode`` cuts its snapshot graphs from them. Snapshot k
 of graph i reads its uniforms from the substream ``snapshot_rng(seed, i, k)``;
-``_snapshot_draws`` computes the same values, bit for bit, for many graphs and
-steps at once in numpy array passes.
+``_snapshot_draws`` computes the same values, bit for bit, for a run's graphs
+and steps: one array pass seeds every stream, then passes of fixed size draw.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, choice, integer, real
+from .errors import ConfigError, ContractError, choice, integer, real, reals
 from .graphs import Graph, _cut, _edge_array, _normalized_laplacian, _subgraphs, subgraph
 from .heat import HEAT_METHODS, METHOD_EXACT, HeatState, _heat_vectors, reads_spectrum, spectral_decompose
 
@@ -75,7 +75,7 @@ def heat_distribution(state: HeatState, cfg: BoltzmannConfig) -> HeatDistributio
     """
     a = real("energy weight a", cfg.a)
     real("energy bias b", cfg.b)
-    weights = _rescaled(np.asarray(state.heat, dtype=float), a)
+    weights = _rescaled(reals("heat vector", state.heat), a)
     probs = weights / weights.sum()
     return HeatDistribution(t=state.t, probs=probs, normed=weights)
 
@@ -122,7 +122,7 @@ def snapshot_rng(seed: int, graph_index: int, time_index: int) -> np.random.Gene
 
 # numpy's SeedSequence and PCG64 (O'Neill, HMC-CS-2014-0905) replayed on uint32 values held in
 # Python ints or uint64 arrays; a 128-bit value is a list of four such limbs, lowest first.
-_MASK32, _MASK128, _CHUNK_DRAWS = 2**32 - 1, 2**128 - 1, 4096
+_MASK32, _MASK128, _CHUNK_DRAWS = 2**32 - 1, 2**128 - 1, 2048
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -131,18 +131,22 @@ def _words(x: int) -> list[int]:
     return [x >> s & _MASK32 for s in range(0, max(x.bit_length(), 1), 32)]
 
 
-def _hashmix(value, const: int, mult: int = _MULT_A):
-    """SeedSequence's hash of ``value`` under ``const``, and the next constant."""
-    nxt = const * mult & _MASK32
-    value = (value ^ const) * nxt & _MASK32
-    return value ^ value >> 16, nxt
+def _hashmix(values: list, const: int, mult: int = _MULT_A):
+    """SeedSequence's hashes of ``values`` in turn from ``const``, and the next constant."""
+    hashes = []
+    for value in values:
+        nxt = const * mult & _MASK32
+        value = (value ^ const) * nxt & _MASK32
+        hashes.append(value ^ value >> 16)
+        const = nxt
+    return hashes, const
 
 
 def _mix_in(pool: list, const: int, word, skip: int = -1) -> int:
     """Mix ``word`` into each word of a SeedSequence pool but ``skip``; the next constant."""
     for dst in range(4):
         if dst != skip:
-            h, const = _hashmix(word, const)
+            (h,), const = _hashmix([word], const)
             x = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * h) & _MASK32
             pool[dst] = x ^ x >> 16
     return const
@@ -150,69 +154,54 @@ def _mix_in(pool: list, const: int, word, skip: int = -1) -> int:
 
 def _snapshot_draws(seed: int, graph_indices, node_counts, steps: int):
     """Yield, per graph, the ``(steps, n)`` array whose row k is ``snapshot_rng(seed, i,
-    k).random(n)``, bit for bit, in array passes over about ``_CHUNK_DRAWS`` draws each;
-    a graph with more draws takes passes of its own, over as many of its rows as fit.
+    k).random(n)``, bit for bit. One array pass seeds every (graph, step) stream, a lane; then
+    one loop draws in ``_pcg_draws`` passes of ``_CHUNK_DRAWS``, each holding 16 limb rows that long.
 
     As in ``SeedSequence``, the seed's words, padded to four, are hashed into the pool, the
     pool is mixed, then each further word, the seed's and then the spawn key's, is mixed in.
     Draw j of a stream reads the PCG64 state ``M^(j+2) initstate + (1 + M + ... + M^(j+2)) inc``."""
-    words, pool, const = _words(seed) + [0, 0, 0], [], _INIT_A
-    for w in words[:4]:
-        w, const = _hashmix(w, const)
-        pool.append(w)
+    words = _words(seed) + [0, 0, 0]
+    pool, const = _hashmix(words[:4], _INIT_A)
     for src in range(4):
         const = _mix_in(pool, const, pool[src], src)
-    for w in words[4 : len(words) - 3]:
-        const = _mix_in(pool, const, w)
-    counts, power, total, jumps = list(node_counts), _PCG_MULT, 1 + _PCG_MULT, []
-    for _ in range(max(counts, default=0)):
-        power, total = power * _PCG_MULT & _MASK128, total + power * _PCG_MULT & _MASK128
-        jumps.append([v >> b & _MASK32 for v in (power, total) for b in (0, 32, 64, 96)])
-    jumps, chunk, size = np.array(jumps, dtype=np.uint64).reshape(-1, 8).T.copy(), [], 0
-    for i, n in zip(graph_indices, counts):
-        if chunk and size + steps * max(n, 1) > _CHUNK_DRAWS:
-            yield from _chunk_draws(pool, const, jumps, chunk)
-            chunk, size = [], 0
-        rows = max(1, _CHUNK_DRAWS // max(n, 1))
-        if steps <= rows:
-            chunk.append((_words(i), n, range(steps)))
-            size += steps * max(n, 1)
-        else:  # a larger graph: passes of its own, over as many of its rows as fit
-            blocks = [[(_words(i), n, range(k, min(k + rows, steps)))] for k in range(0, steps, rows)]
-            yield np.concatenate([_chunk_draws(pool, const, jumps, block)[0] for block in blocks])
-    if chunk:
-        yield from _chunk_draws(pool, const, jumps, chunk)
-
-
-def _chunk_draws(pool: list, const: int, jumps: np.ndarray, chunk: list) -> list[np.ndarray]:
-    """One pass of ``_snapshot_draws``: the draws of rows ``ks`` of the graphs in ``chunk``,
-    given as (index words, node count, ks) triples."""
-    width, counts = max(len(w) for w, _, _ in chunk), np.array([n for _, n, _ in chunk], dtype=np.int64)
-    # One lane per (graph, step), whose spawn key's words are the graph index's, then the step.
-    graph = np.repeat(np.arange(len(chunk)), [len(ks) for _, _, ks in chunk])
-    lengths = np.array([len(w) for w, _, _ in chunk])[graph]
-    spawn = np.array([w + [0] * (width + 1 - len(w)) for w, _, _ in chunk], dtype=np.uint64)[graph]
-    spawn[np.arange(graph.size), lengths] = np.concatenate([np.array(ks, dtype=np.uint64) for _, _, ks in chunk])
-    pool = [np.full(graph.size, w, dtype=np.uint64) for w in pool]
+    # Lane steps * g + k mixes in the seed's words past the fourth, graph g's index's, then k.
+    keys = [words[4 : len(words) - 3] + _words(i) for i in graph_indices]
+    width, lengths = max(map(len, keys)), np.repeat([len(w) for w in keys], steps)
+    spawn = np.repeat(np.array([w + [0] * (width + 1 - len(w)) for w in keys], dtype=np.uint64), steps, axis=0)
+    spawn[np.arange(lengths.size), lengths] = np.tile(np.arange(steps, dtype=np.uint64), len(keys))
+    pool = [np.full(lengths.size, w, dtype=np.uint64) for w in pool]
     for at, w in enumerate(spawn.T):
         mixed = list(pool)
         const = _mix_in(mixed, const, w)
         pool = [np.where(at <= lengths, new, old) for new, old in zip(mixed, pool)]
     # generate_state(4, uint64) gives PCG64's initstate and initseq; inc = 2 * initseq + 1.
-    s, const = [], _INIT_B
-    for at in range(8):
-        w, const = _hashmix(pool[at % 4], const, _MULT_B)
-        s.append(w)
+    s = _hashmix([pool[at % 4] for at in range(8)], _INIT_B, _MULT_B)[0]
     inc = [s[6] << 1 | 1, s[7] << 1 | s[6] >> 31, s[4] << 1 | s[7] >> 31, s[5] << 1 | s[4] >> 31]
-    lanes, per_lane, cols = np.array([s[2], s[3], s[0], s[1]] + inc) & _MASK32, counts[graph], [0] * 4
-    j = np.arange(per_lane.sum()) - np.repeat(np.cumsum(per_lane) - per_lane, per_lane)
+    lanes = np.array([s[2], s[3], s[0], s[1]] + inc) & _MASK32
+    counts, power, total, jumps = np.array(node_counts, dtype=np.int64), _PCG_MULT, 1 + _PCG_MULT, []
+    for _ in range(counts.max(initial=0)):
+        power, total = power * _PCG_MULT & _MASK128, total + power * _PCG_MULT & _MASK128
+        jumps.append([v >> b & _MASK32 for v in (power, total) for b in (0, 32, 64, 96)])
+    jumps, per_lane = np.array(jumps, dtype=np.uint64).reshape(-1, 8).T.copy(), np.repeat(counts, steps)
+    starts, out = np.cumsum(per_lane) - per_lane, np.empty(per_lane.sum())
+    for at in range(0, out.size, _CHUNK_DRAWS):
+        draw = np.arange(at, min(at + _CHUNK_DRAWS, out.size))
+        lane = np.searchsorted(starts, draw, side="right") - 1  # the last of lanes that share a start
+        out[at : at + draw.size] = _pcg_draws(lanes.take(lane, 1), jumps.take(draw - starts[lane], 1))
+    for part, n in zip(np.split(out, np.cumsum(counts * steps)[:-1]), counts.tolist()):
+        yield part.reshape(steps, n)
+
+
+def _pcg_draws(lanes: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    """The doubles of PCG64 states ``power * initstate + total * inc`` mod 2**128, from
+    ``(8, draws)`` limbs: ``lanes`` holds initstate and inc, ``jumps`` power and total."""
+    cols = [0] * 4
     # Both 128-bit products summed by limb: each limb product's 32-bit halves go to their
     # columns, except that the top column, read mod 2**32, takes whole products.
     for at in (0, 4):
-        a, b = [w[j] for w in jumps[at : at + 4]], [np.repeat(w, per_lane) for w in lanes[at : at + 4]]
         for i in range(4):
             for k in range(4 - i):
-                p = a[i] * b[k]
+                p = jumps[at + i] * lanes[at + k]
                 cols[i + k] += p if i + k == 3 else p & _MASK32
                 if i + k < 3:
                     cols[i + k + 1] += p >> 32
@@ -222,8 +211,7 @@ def _chunk_draws(pool: list, const: int, jumps: np.ndarray, chunk: list) -> list
     # XSL-RR output, then the double of its top 53 bits.
     out, rot = (x[0] ^ x[2]) | (x[1] ^ x[3]) << 32, x[3] >> 26
     out = (out >> rot | out << (64 - rot & 63)) >> 11
-    parts = np.split(out * 2.0**-53, np.cumsum([len(ks) * n for _, n, ks in chunk])[:-1])
-    return [part.reshape(len(ks), n) for part, (_, n, ks) in zip(parts, chunk)]
+    return out * 2.0**-53
 
 
 def generate_episode(
@@ -263,11 +251,11 @@ def generate_episode(
     of the 10 increments come out just below 0.1 and take ``taylor2``, the
     other 4 take ``exact`` (or ``fiedler``).
     """
-    times = np.asarray(times, dtype=float)
+    if not isinstance(g, Graph):
+        raise ConfigError(f"g must be a Graph, got {g!r}")
+    times = reals("time grid", times, ConfigError)
     if times.ndim != 1 or times.size == 0:
         raise ConfigError("time grid must be a non-empty 1-d sequence")
-    if not np.isfinite(times).all():
-        raise ConfigError("time grid must be finite")
     if times[0] != 0.0:
         raise ConfigError(f"time grid must start at 0, got {times[0]}")
     if np.any(np.diff(times) <= 0):

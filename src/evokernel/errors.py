@@ -1,6 +1,6 @@
 """Exception taxonomy shared across the package, and the one rule for each kind of
 argument: scalar integers and reals, named choices, integer label or id arrays,
-square matrices."""
+real arrays and square matrices."""
 
 import math
 import numbers
@@ -90,13 +90,27 @@ def integers(name: str, values) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
+def reals(name: str, values, error: type = ContractError) -> np.ndarray:
+    """``values`` as floats; ``error`` unless numpy reads them as finite real, not complex, numbers."""
+    try:
+        a = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=float)
+        if np.iscomplexobj(values):  # checked before a cast would drop the imaginary part
+            raise TypeError("complex entries")
+        a = a.astype(float, copy=False)
+        if not np.isfinite(a).all():
+            raise ValueError("non-finite entries")
+        return a
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} must hold finite real numbers: {exc}") from exc
+
+
 def square(name: str, m, *, nonnegative: bool = False, symmetric: bool = False) -> np.ndarray:
-    """``m`` as floats; ``ContractError`` unless finite and square (and, if asked, >= 0 or symmetric)."""
-    m = np.asarray(m, dtype=float)
+    """``m`` as floats; ``ContractError`` unless finite reals and square (and, if asked, >= 0 or symmetric)."""
+    m = reals(name, m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ContractError(f"{name} must be square, got shape {m.shape}")
-    if not np.isfinite(m).all() or (nonnegative and (m < 0).any()):
-        raise ContractError(f"{name} has non-finite{' or negative' if nonnegative else ''} entries")
+    if nonnegative and (m < 0).any():
+        raise ContractError(f"{name} has negative entries")
     if symmetric and not np.array_equal(m, m.T):
         raise ContractError(f"{name} is not exactly symmetric")
     return m

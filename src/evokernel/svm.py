@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, TrainingError, integers, real, square
+from .errors import ContractError, TrainingError, integers, real, reals, square
 from .kernel import EvolutionKernelMatrix
 
 KKT_TOL = 1e-3
@@ -192,12 +192,12 @@ def svm_train(
 ) -> SvmModel:
     """Train one binary SMO problem per class, or a single one for two classes.
 
-    The kernel is n x n for n integer labels and is restricted to train_idx x
-    train_idx (integer ids in [0, n)), which must be finite and exactly symmetric.
+    The kernel is n x n finite reals for n integer labels and is restricted to
+    train_idx x train_idx (integer ids in [0, n)), which must be exactly symmetric.
     Convergence is max KKT violation <= ``KKT_TOL`` or ``MAX_UPDATES``
     updates, with the cap recorded on the machine.
     """
-    k = kernel.k if isinstance(kernel, EvolutionKernelMatrix) else np.asarray(kernel, dtype=float)
+    k = reals("kernel", kernel.k if isinstance(kernel, EvolutionKernelMatrix) else kernel)
     return _train_folds(k[None], labels, [train_idx], c)[0][0]
 
 
@@ -209,13 +209,11 @@ def svm_predict(model: SvmModel, k_rows: np.ndarray) -> int | np.ndarray:
     A two-class model predicts ``classes[0]`` unless its decision value is
     negative, which is the argmax of the mirrored pair ``[f, -f]``.
     """
-    k_rows = np.asarray(k_rows, dtype=float)
+    k_rows = reals("kernel rows", k_rows)
     if k_rows.ndim not in (1, 2) or k_rows.shape[-1] != model.train_size:
         raise ContractError(
             f"kernel rows of shape {k_rows.shape}, expected rows of length {model.train_size}"
         )
-    if not np.isfinite(k_rows).all():
-        raise ContractError("kernel rows have non-finite entries")
     coef = np.stack([m.alpha * m.y for m in model.machines], axis=1)
     values = k_rows @ coef + np.array([m.bias for m in model.machines])
     best = values[..., 0] < 0 if len(model.machines) == 1 else np.argmax(values, axis=-1)

@@ -201,13 +201,19 @@ def _stream_rows(seed, graph_index, n, steps):
     seed=st.integers(0, 2**130),
     graphs=st.lists(st.tuples(st.integers(0, 2**70), st.integers(0, 60)), min_size=1, max_size=5),
     steps=st.integers(1, 12),
+    chunk=st.sampled_from([1, 7, 64, augment._CHUNK_DRAWS]),
 )
-@example(seed=2**128, graphs=[(2**32, 3), (2**32 - 1, 0), (0, 60)], steps=12)
-@example(seed=2**32 - 1, graphs=[(2**64, 1), (7, 2)], steps=1)
-def test_snapshot_draws_equal_each_snapshot_stream(seed, graphs, steps):
-    """Seeds and graph indices of one to five 32-bit words, graphs of 0 to 60 nodes."""
+@example(seed=2**128, graphs=[(2**32, 3), (2**32 - 1, 0), (0, 60)], steps=12, chunk=augment._CHUNK_DRAWS)
+@example(seed=2**32 - 1, graphs=[(2**64, 1), (7, 2)], steps=1, chunk=augment._CHUNK_DRAWS)
+@example(seed=5, graphs=[(0, 0), (1, 3), (2, 0), (3, 0), (4, 2), (5, 0)], steps=3, chunk=1)
+@example(seed=5, graphs=[(0, 0), (1, 3), (2, 0), (3, 0), (4, 2), (5, 0)], steps=3, chunk=7)
+def test_snapshot_draws_equal_each_snapshot_stream(seed, graphs, steps, chunk):
+    """Seeds and graph indices of one to five 32-bit words, graphs of 0 to 60 nodes, and
+    passes small enough to cut through rows, graphs and runs of 0-node graphs."""
     indices, counts = [i for i, _ in graphs], [n for _, n in graphs]
-    drawn = list(augment._snapshot_draws(seed, indices, counts, steps))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(augment, "_CHUNK_DRAWS", chunk)
+        drawn = list(augment._snapshot_draws(seed, indices, counts, steps))
     assert len(drawn) == len(graphs)
     for (i, n), draws in zip(graphs, drawn):
         assert draws.dtype == np.float64
@@ -215,24 +221,22 @@ def test_snapshot_draws_equal_each_snapshot_stream(seed, graphs, steps):
 
 
 def test_snapshot_draws_are_exact_across_chunks(monkeypatch):
-    """Many graphs over several passes, and two graphs larger than a pass: each takes passes
-    of its own, over as many rows as fit, or one row where a row is larger than a pass."""
-    passes, chunk_draws = [], augment._chunk_draws
+    """Many graphs over several passes, and two graphs larger than a pass: no pass computes
+    more than ``_CHUNK_DRAWS`` draws, and every draw equals its snapshot's stream."""
+    passes, pcg_draws = [], augment._pcg_draws
 
-    def spy(pool, const, jumps, chunk):
-        passes.append([(n, ks) for _, n, ks in chunk])
-        return chunk_draws(pool, const, jumps, chunk)
+    def spy(lanes, jumps):
+        passes.append(lanes.shape[1])
+        return pcg_draws(lanes, jumps)
 
-    monkeypatch.setattr(augment, "_chunk_draws", spy)
+    monkeypatch.setattr(augment, "_pcg_draws", spy)
     steps, limit = 5, augment._CHUNK_DRAWS
     counts = np.random.default_rng(3).integers(0, 40, 300).tolist()
     counts[100], counts[200] = limit // 2, limit + 5
     drawn = list(augment._snapshot_draws(42, range(len(counts)), counts, steps))
     assert len(passes) > 8
-    assert [p for p in passes if p[0][0] == limit // 2] == [[(limit // 2, range(k, min(k + 2, 5)))] for k in (0, 2, 4)]
-    assert [p for p in passes if p[0][0] == limit + 5] == [[(limit + 5, range(k, k + 1))] for k in range(5)]
-    assert all(sum(len(ks) * max(n, 1) for n, ks in p) <= limit for p in passes if p[0][0] != limit + 5)
-    assert [n for p in passes for n, ks in p if ks.start == 0] == counts
+    assert max(passes) <= limit
+    assert sum(passes) == steps * sum(counts)
     for i, (n, draws) in enumerate(zip(counts, drawn)):
         assert np.array_equal(draws, _stream_rows(42, i, n, steps))
 

@@ -256,6 +256,24 @@ CALLS = {
         ConfigError,
         lambda: ExperimentConfig(time_length=1.0, time_interval=1e-9).validate(),
     ),
+    # An array argument holds numbers numpy reads as real floats: no text, no ragged rows,
+    # no complex dtype, whose imaginary part a cast would drop.
+    "warping-text": (ContractError, lambda: gdtw_distance("x")),
+    "warping-complex": (ContractError, lambda: gdtw_distance(np.array([[1j]]))),
+    "clip-ragged": (ContractError, lambda: clip_psd([[1.0, 0.0], [0.0]])),
+    "kernel-text-distances": (ContractError, lambda: evolution_kernel("x")),
+    "laplacian-text": (ContractError, lambda: spectral_decompose("x")),
+    "laplacian-complex": (ContractError, lambda: spectral_decompose(LAP + 0j)),
+    "train-text-kernel": (ContractError, lambda: svm_train("x", LABELS, np.arange(3))),
+    "train-complex-kernel": (ContractError, lambda: svm_train(KERNEL + 0j, LABELS, np.arange(3))),
+    "row-text": (ContractError, lambda: svm_predict(_model(), "x")),
+    "row-complex": (ContractError, lambda: svm_predict(_model(), np.array([1j, 0.0, 0.0]))),
+    "heat-text": (ContractError, lambda: heat_distribution(HeatState(0.0, "x"), BoltzmannConfig())),
+    # generate_episode refuses a source that is not a Graph, and a time grid of text or
+    # complex numbers, with ConfigError before any draw.
+    "episode-no-graph": (ConfigError, lambda: generate_episode(None, [0.0])),
+    "episode-text-grid": (ConfigError, lambda: generate_episode(PATH, ["a"])),
+    "episode-complex-grid": (ConfigError, lambda: generate_episode(PATH, np.array([0.0, 0.1]) + 0j)),
 }
 
 
