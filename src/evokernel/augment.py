@@ -10,7 +10,8 @@ step's heat as vectors (``_episode_masks``); the pipeline works on those masks
 alone, and ``generate_episode`` cuts its snapshot graphs from them. Snapshot k
 of graph i reads its uniforms from the substream ``snapshot_rng(seed, i, k)``;
 ``_snapshot_draws`` computes the same values, bit for bit, for a run's graphs
-and steps: one array pass seeds every stream, then passes of fixed size draw.
+and steps: one array pass replays SeedSequence for every stream, then numpy's
+PCG64, set to each stream's seeded state, draws it.
 """
 
 from __future__ import annotations
@@ -84,10 +85,9 @@ def heat_distribution(state: HeatState, cfg: BoltzmannConfig) -> HeatDistributio
 def _rescaled(heat: np.ndarray, a: float, times=None, source: str = "") -> np.ndarray:
     """Boltzmann weights ``exp(logit - max logit)`` of each column of ``heat``, logit = -a * heat.
 
-    Logits that overflow raise ``ConfigError``, without a numpy warning; it names the
-    first such time of the columns' ``times`` when given, then ``source``."""
-    if not np.isfinite(heat).all():
-        raise ContractError("heat vector contains non-finite entries")
+    ``heat`` is finite, as ``reals`` and ``_heat_vectors`` leave it. Logits that overflow raise
+    ``ConfigError``, without a numpy warning; it names the first such time of the columns'
+    ``times`` when given, then ``source``."""
     logits = -a * heat
     finite = np.isfinite(logits).all(axis=0)
     if not finite.all():
@@ -120,9 +120,9 @@ def snapshot_rng(seed: int, graph_index: int, time_index: int) -> np.random.Gene
     )
 
 
-# numpy's SeedSequence and PCG64 (O'Neill, HMC-CS-2014-0905) replayed on uint32 values held in
-# Python ints or uint64 arrays; a 128-bit value is a list of four such limbs, lowest first.
-_MASK32, _MASK128, _CHUNK_DRAWS = 2**32 - 1, 2**128 - 1, 2048
+# numpy's SeedSequence replayed on uint32 values held in Python ints or uint64 arrays, and the
+# multiplier of PCG64's 128-bit LCG (O'Neill, HMC-CS-2014-0905), which its seeding steps twice.
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -155,11 +155,10 @@ def _mix_in(pool: list, const: int, word, skip: int = -1) -> int:
 def _snapshot_draws(seed: int, graph_indices, node_counts, steps: int):
     """Yield, per graph, the ``(steps, n)`` array whose row k is ``snapshot_rng(seed, i,
     k).random(n)``, bit for bit. One array pass seeds every (graph, step) stream, a lane; then
-    one loop draws in ``_pcg_draws`` passes of ``_CHUNK_DRAWS``, each holding 16 limb rows that long.
+    one ``PCG64`` set to each lane's seeded state draws its row in place.
 
     As in ``SeedSequence``, the seed's words, padded to four, are hashed into the pool, the
-    pool is mixed, then each further word, the seed's and then the spawn key's, is mixed in.
-    Draw j of a stream reads the PCG64 state ``M^(j+2) initstate + (1 + M + ... + M^(j+2)) inc``."""
+    pool is mixed, then each further word, the seed's and then the spawn key's, is mixed in."""
     words = _words(seed) + [0, 0, 0]
     pool, const = _hashmix(words[:4], _INIT_A)
     for src in range(4):
@@ -174,44 +173,20 @@ def _snapshot_draws(seed: int, graph_indices, node_counts, steps: int):
         mixed = list(pool)
         const = _mix_in(mixed, const, w)
         pool = [np.where(at <= lengths, new, old) for new, old in zip(mixed, pool)]
-    # generate_state(4, uint64) gives PCG64's initstate and initseq; inc = 2 * initseq + 1.
+    # generate_state(4, uint64) gives PCG64's initstate and initseq as (high, low) words; a
+    # stream starts where PCG64's srandom leaves it, with inc = 2 * initseq + 1.
     s = _hashmix([pool[at % 4] for at in range(8)], _INIT_B, _MULT_B)[0]
-    inc = [s[6] << 1 | 1, s[7] << 1 | s[6] >> 31, s[4] << 1 | s[7] >> 31, s[5] << 1 | s[4] >> 31]
-    lanes = np.array([s[2], s[3], s[0], s[1]] + inc) & _MASK32
-    counts, power, total, jumps = np.array(node_counts, dtype=np.int64), _PCG_MULT, 1 + _PCG_MULT, []
-    for _ in range(counts.max(initial=0)):
-        power, total = power * _PCG_MULT & _MASK128, total + power * _PCG_MULT & _MASK128
-        jumps.append([v >> b & _MASK32 for v in (power, total) for b in (0, 32, 64, 96)])
-    jumps, per_lane = np.array(jumps, dtype=np.uint64).reshape(-1, 8).T.copy(), np.repeat(counts, steps)
-    starts, out = np.cumsum(per_lane) - per_lane, np.empty(per_lane.sum())
-    for at in range(0, out.size, _CHUNK_DRAWS):
-        draw = np.arange(at, min(at + _CHUNK_DRAWS, out.size))
-        lane = np.searchsorted(starts, draw, side="right") - 1  # the last of lanes that share a start
-        out[at : at + draw.size] = _pcg_draws(lanes.take(lane, 1), jumps.take(draw - starts[lane], 1))
-    for part, n in zip(np.split(out, np.cumsum(counts * steps)[:-1]), counts.tolist()):
-        yield part.reshape(steps, n)
-
-
-def _pcg_draws(lanes: np.ndarray, jumps: np.ndarray) -> np.ndarray:
-    """The doubles of PCG64 states ``power * initstate + total * inc`` mod 2**128, from
-    ``(8, draws)`` limbs: ``lanes`` holds initstate and inc, ``jumps`` power and total."""
-    cols = [0] * 4
-    # Both 128-bit products summed by limb: each limb product's 32-bit halves go to their
-    # columns, except that the top column, read mod 2**32, takes whole products.
-    for at in (0, 4):
-        for i in range(4):
-            for k in range(4 - i):
-                p = jumps[at + i] * lanes[at + k]
-                cols[i + k] += p if i + k == 3 else p & _MASK32
-                if i + k < 3:
-                    cols[i + k + 1] += p >> 32
-    for at in range(3):
-        cols[at + 1] += cols[at] >> 32
-    x = [col & _MASK32 for col in cols]
-    # XSL-RR output, then the double of its top 53 bits.
-    out, rot = (x[0] ^ x[2]) | (x[1] ^ x[3]) << 32, x[3] >> 26
-    out = (out >> rot | out << (64 - rot & 63)) >> 11
-    return out * 2.0**-53
+    seeds = iter((np.array(s[0::2]) | np.array(s[1::2]) << 32).T.tolist())
+    bitgen = np.random.PCG64(0)
+    state, random = bitgen.state, np.random.Generator(bitgen).random
+    for n in node_counts:
+        draws = np.empty((steps, n))
+        for row, (s0, s1, s2, s3) in zip(draws, seeds):
+            initstate, inc = s0 << 64 | s1, (s2 << 65 | s3 << 1 | 1) & _MASK128
+            state["state"] = {"state": ((initstate + inc) * _PCG_MULT + inc) & _MASK128, "inc": inc}
+            bitgen.state = state
+            random(out=row)
+        yield draws
 
 
 def generate_episode(

@@ -91,12 +91,15 @@ def integers(name: str, values) -> np.ndarray:
 
 
 def reals(name: str, values, error: type = ContractError) -> np.ndarray:
-    """``values`` as floats; ``error`` unless numpy reads them as finite real, not complex, numbers."""
+    """``values`` as floats; ``error`` unless numpy reads them as finite real numbers, not
+    complex numbers or text. The dtype is read before any cast, which would drop an imaginary part."""
     try:
-        a = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=float)
-        if np.iscomplexobj(values):  # checked before a cast would drop the imaginary part
-            raise TypeError("complex entries")
-        a = a.astype(float, copy=False)
+        if not isinstance(values, np.ndarray):
+            np.asarray(values, dtype=complex)  # ragged rows raise; numpy < 1.24 warns without a dtype
+            values = np.asarray(values)
+        if values.dtype.kind in "cSU":
+            raise TypeError(f"{'complex' if values.dtype.kind == 'c' else 'text'} entries")
+        a = values.astype(float, copy=False)
         if not np.isfinite(a).all():
             raise ValueError("non-finite entries")
         return a

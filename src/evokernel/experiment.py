@@ -148,8 +148,9 @@ def _stage(name: str, timings: dict[str, float] | None = None):
         yield
     except StageError:
         raise
-    # ValueError: numpy's LinAlgError; MemoryError: an allocation too big for the machine.
-    except (EvoKernelError, ValueError, OSError, MemoryError) as exc:
+    # ValueError: numpy's LinAlgError; MemoryError: an allocation too big for the machine;
+    # Warning: a warning that a filter such as ``python -W error`` raises as an exception.
+    except (EvoKernelError, ValueError, OSError, MemoryError, Warning) as exc:
         raise StageError(name, exc) from exc
     if timings is not None:
         timings[name] = time.perf_counter() - tic

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericalError, choice, real, square
+from .errors import ConfigError, ContractError, NumericalError, choice, real, reals, square
 
 EIGENVALUE_CLAMP = 1e-9
 RECONSTRUCTION_TOL = 1e-8
@@ -116,12 +116,12 @@ def compute_heat_kernel(
         raise ContractError(f"the {method!r} heat kernel at t={t} needs the spectral decomposition")
     lap = square("Laplacian", lap) if lap is not None or not reads else None
     if spec is not None:
-        shape = np.shape(spec.eigenvalues) * 2 if isinstance(spec, SpectralDecomposition) else ()
-        if len(shape) != 2 or np.shape(spec.eigenvectors) != shape or lap is not None and lap.shape != shape:
+        if not isinstance(spec, SpectralDecomposition):
+            raise ContractError(f"spec must be a SpectralDecomposition, got {type(spec).__name__}")
+        w, v = reals("spec eigenvalues", spec.eigenvalues), square("spec eigenvectors", spec.eigenvectors)
+        if w.shape != v.shape[:1] or lap is not None and lap.shape != v.shape:
             raise ContractError("spec must be an n-eigenpair SpectralDecomposition of the n-node Laplacian")
-        arrays = np.asarray(spec.eigenvalues), np.asarray(spec.eigenvectors)
-        if not all(a.dtype.kind in "biuf" and np.isfinite(a).all() for a in arrays):
-            raise ContractError("spec must hold finite real numbers")
+        spec = SpectralDecomposition(w, v)
     n = len(lap) if spec is None else spec.n
     matrix = _heat_vectors(lap, spec, [t], method, np.eye(n))[..., 0]
     return HeatKernel(t=t, matrix=matrix, method=_formula(method, spec, t, n))

@@ -101,7 +101,7 @@ def test_columns_are_rescaled_as_heat_distribution_rescales_one_vector():
 def test_episode_heat_is_checked_as_heat_distribution_checks_it(p3):
     """Non-finite heat is a ContractError; logits that overflow at a = 60 are a ConfigError."""
     with pytest.raises(ContractError, match="non-finite"):
-        augment._rescaled(np.array([[1.0, 0.5], [np.nan, 0.5]]), -2.0)
+        _dist([1.0, np.nan])
     with pytest.raises(ConfigError, match="overflows"):
         _dist([1e307, 0.0], a=60.0)
     for cumulative in (False, True):
@@ -201,44 +201,33 @@ def _stream_rows(seed, graph_index, n, steps):
     seed=st.integers(0, 2**130),
     graphs=st.lists(st.tuples(st.integers(0, 2**70), st.integers(0, 60)), min_size=1, max_size=5),
     steps=st.integers(1, 12),
-    chunk=st.sampled_from([1, 7, 64, augment._CHUNK_DRAWS]),
 )
-@example(seed=2**128, graphs=[(2**32, 3), (2**32 - 1, 0), (0, 60)], steps=12, chunk=augment._CHUNK_DRAWS)
-@example(seed=2**32 - 1, graphs=[(2**64, 1), (7, 2)], steps=1, chunk=augment._CHUNK_DRAWS)
-@example(seed=5, graphs=[(0, 0), (1, 3), (2, 0), (3, 0), (4, 2), (5, 0)], steps=3, chunk=1)
-@example(seed=5, graphs=[(0, 0), (1, 3), (2, 0), (3, 0), (4, 2), (5, 0)], steps=3, chunk=7)
-def test_snapshot_draws_equal_each_snapshot_stream(seed, graphs, steps, chunk):
-    """Seeds and graph indices of one to five 32-bit words, graphs of 0 to 60 nodes, and
-    passes small enough to cut through rows, graphs and runs of 0-node graphs."""
+@example(seed=2**128, graphs=[(2**32, 3), (2**32 - 1, 0), (0, 60)], steps=12)
+@example(seed=2**32 - 1, graphs=[(2**64, 1), (7, 2)], steps=1)
+@example(seed=5, graphs=[(0, 0), (1, 3), (2, 0), (3, 0), (4, 2), (5, 0)], steps=3)
+def test_snapshot_draws_equal_each_snapshot_stream(seed, graphs, steps):
+    """Seeds and graph indices of one to five 32-bit words, and graphs of 0 to 60 nodes,
+    with runs of 0-node graphs."""
     indices, counts = [i for i, _ in graphs], [n for _, n in graphs]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(augment, "_CHUNK_DRAWS", chunk)
-        drawn = list(augment._snapshot_draws(seed, indices, counts, steps))
+    drawn = list(augment._snapshot_draws(seed, indices, counts, steps))
     assert len(drawn) == len(graphs)
     for (i, n), draws in zip(graphs, drawn):
         assert draws.dtype == np.float64
         assert np.array_equal(draws, _stream_rows(seed, i, n, steps))
 
 
-def test_snapshot_draws_are_exact_across_chunks(monkeypatch):
-    """Many graphs over several passes, and two graphs larger than a pass: no pass computes
-    more than ``_CHUNK_DRAWS`` draws, and every draw equals its snapshot's stream."""
-    passes, pcg_draws = [], augment._pcg_draws
-
-    def spy(lanes, jumps):
-        passes.append(lanes.shape[1])
-        return pcg_draws(lanes, jumps)
-
-    monkeypatch.setattr(augment, "_pcg_draws", spy)
-    steps, limit = 5, augment._CHUNK_DRAWS
+def test_snapshot_draws_are_exact_on_many_and_large_graphs():
+    """300 graphs, two of them of 1,024 and 2,053 nodes, and one 1,500-node graph over
+    401 steps: every draw equals its snapshot's stream."""
+    steps = 5
     counts = np.random.default_rng(3).integers(0, 40, 300).tolist()
-    counts[100], counts[200] = limit // 2, limit + 5
+    counts[100], counts[200] = 1024, 2053
     drawn = list(augment._snapshot_draws(42, range(len(counts)), counts, steps))
-    assert len(passes) > 8
-    assert max(passes) <= limit
-    assert sum(passes) == steps * sum(counts)
+    assert len(drawn) == len(counts)
     for i, (n, draws) in enumerate(zip(counts, drawn)):
         assert np.array_equal(draws, _stream_rows(42, i, n, steps))
+    (draws,) = augment._snapshot_draws(7, [3], [1500], 401)
+    assert np.array_equal(draws, _stream_rows(7, 3, 1500, 401))
 
 
 def test_mean_snapshot_size_trends_down(mutag):

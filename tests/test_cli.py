@@ -4,12 +4,13 @@ import contextlib
 import io
 import json
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evokernel import experiment
+from evokernel import experiment, svm
 from evokernel.cli import main
 from evokernel.experiment import ExperimentConfig
 
@@ -189,6 +190,16 @@ def test_out_of_memory_fails_at_distances(dataset_dir, monkeypatch, capsys):
     code = main(["run", "--dataset", str(dataset_dir), "--name", "TRISTAR", *FAST])
     assert code == 1
     assert capsys.readouterr().err == f"evokernel: [distances] {message}\n"
+
+
+def test_warning_raised_as_error_fails_with_stage_tag(dataset_dir, monkeypatch, capsys):
+    # Under a filter that raises warnings, the update-cap warning is a tagged failure.
+    monkeypatch.setattr(svm, "MAX_UPDATES", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--dataset", str(dataset_dir), "--name", "TRISTAR", *FAST])
+    assert code == 1
+    assert re.search(r"^evokernel: \[cv\] time length 0\.4: SMO stopped at its update cap", capsys.readouterr().err)
 
 
 def test_sweep_writes_curve(dataset_dir, tmp_path, capsys):

@@ -260,9 +260,14 @@ CALLS = {
     # no complex dtype, whose imaginary part a cast would drop.
     "warping-text": (ContractError, lambda: gdtw_distance("x")),
     "warping-complex": (ContractError, lambda: gdtw_distance(np.array([[1j]]))),
+    "warping-complex-scalars": (ContractError, lambda: gdtw_distance([[np.complex128(1j)]])),
     "clip-ragged": (ContractError, lambda: clip_psd([[1.0, 0.0], [0.0]])),
     "kernel-text-distances": (ContractError, lambda: evolution_kernel("x")),
     "laplacian-text": (ContractError, lambda: spectral_decompose("x")),
+    "laplacian-numeric-text": (
+        ContractError,
+        lambda: spectral_decompose(np.array([["1.0", "-1.0"], ["-1.0", "1.0"]])),
+    ),
     "laplacian-complex": (ContractError, lambda: spectral_decompose(LAP + 0j)),
     "train-text-kernel": (ContractError, lambda: svm_train("x", LABELS, np.arange(3))),
     "train-complex-kernel": (ContractError, lambda: svm_train(KERNEL + 0j, LABELS, np.arange(3))),

@@ -15,6 +15,7 @@ from evokernel.heat import (
     METHOD_EXACT,
     METHOD_FIEDLER,
     METHOD_TAYLOR2,
+    SpectralDecomposition,
     _heat_vectors,
     compute_heat_kernel,
     perturbation_gap,
@@ -199,6 +200,13 @@ def test_method_auto_selection(k2):
     assert select_heat_method(spec, 6.0) == METHOD_FIEDLER
     hk = compute_heat_kernel(normalized_laplacian(k2), spec, 6.0, "auto")
     assert hk.method == METHOD_FIEDLER
+
+
+def test_boolean_eigenvalues_read_as_zero_and_one():
+    """A spectrum numpy reads as real numbers is cast to floats before any arithmetic."""
+    hk = compute_heat_kernel(None, SpectralDecomposition(np.array([False, True]), np.eye(2)), 1.0)
+    assert np.array_equal(hk.matrix, np.diag(np.exp([-0.0, -1.0])))
+    assert hk.method == METHOD_EXACT
 
 
 def test_spectrum_is_optional_only_where_it_is_not_read(p3):
