@@ -12,10 +12,14 @@ graph has no labels; each later round's label is the hex BLAKE2b digest of the
 signature ``own + "|" + ",".join(sorted(neighbour labels))``, and every
 (round, label) occurrence adds one to bucket
 ``blake2b(f"{round}:{label}") mod dim``. A batch of graphs computes exactly
-this over the disjoint union of its graphs, with the labels of each round
-replaced by integer ids ranked in string order, so that sorting ids sorts
-labels: equal signatures are found with array operations, and each distinct
-signature and each distinct (round, label) pair is hashed once per batch.
+this over the disjoint union of its graphs. It holds each round's distinct
+labels as one sorted numpy byte-string array, whose byte order is the
+labels' string order since they are ASCII, and each node's label as an
+integer id into it, so that sorting ids sorts labels: equal signatures are
+found with array operations, each distinct signature is built by array
+concatenation of the labels' bytes, and each distinct signature and each
+distinct (round, label) pair is hashed once per batch. The hashed UTF-8
+text is the same as above.
 Batches take their snapshots as flat arrays of node counts, local edge ends
 and labels, which ``_wl_counts`` cuts from each graph's edge array and, in
 the pipeline, from each episode's kept masks: no snapshot graph is built.
@@ -36,6 +40,8 @@ from .graphs import Graph, _cut, _edge_array
 # stay short; 2^-128 collision odds are negligible against float tolerances.
 _LABEL_DIGEST_SIZE = 16
 _BUCKET_DIGEST_SIZE = 8
+# The two hex digits of each byte value, which spell a digest as ``hexdigest`` does.
+_HEX = np.array([b"%02x" % i for i in range(256)], dtype="S2")
 
 # Graphs are embedded in batches of at most this many nodes plus directed
 # edge entries (a larger graph is a batch of its own), which bounds the
@@ -206,7 +212,7 @@ def _embed_batch(nodes, edge_counts, ends, labelled, labels, cfg: MetricConfig, 
 
 
 def _initial_ids(labelled: np.ndarray, labels, degree: np.ndarray):
-    """Round-0 ids of the union's nodes and the labels they stand for, in string order."""
+    """Round-0 ids of the union's nodes and their decimal labels as a sorted byte-string array."""
     try:
         values = degree.copy()
         values[labelled] = labels
@@ -214,33 +220,36 @@ def _initial_ids(labelled: np.ndarray, labels, degree: np.ndarray):
         values = degree.astype(object)
         values[labelled] = labels
     distinct, inverse = np.unique(values, return_inverse=True)
-    strings = [str(v) for v in distinct.tolist()]
-    order = sorted(range(len(strings)), key=strings.__getitem__)
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    return rank[inverse], [strings[i] for i in order]
+    names, rank = np.unique(distinct.astype(str).astype("S"), return_inverse=True)
+    return rank[inverse], names
 
 
-def _refine(ids: np.ndarray, names: list[str], groups, n: int):
+def _refine(ids: np.ndarray, names: np.ndarray, groups, n: int):
     """One refinement round: hash each distinct signature once, rank the digests."""
-    digests: list[str] = []
+    digests = []
     signature_of = np.empty(n, dtype=np.int64)
+    # Each name followed by its column's separator: "|" after the own label, "," between
+    # neighbours, none after the last. Names of one width (hex digests, every round after
+    # the first) fill their cells, so a row of cells reads as its signature; the cells of
+    # ragged names carry padding, which np.char.add drops as it joins them in pairs.
+    spelled = np.stack([np.char.add(names, b"|"), np.char.add(names, b","), names])
+    ragged = np.char.str_len(names).min() < names.itemsize
     for members, neighbour_index in groups:
-        rows = np.empty((len(members), neighbour_index.shape[1] + 1), dtype=np.int64)
+        d = neighbour_index.shape[1]
+        rows = np.empty((len(members), d + 1), dtype=np.int64)
         rows[:, 0] = ids[members]
         rows[:, 1:] = np.sort(ids[neighbour_index], axis=1)
         distinct, inverse = _unique_rows(rows)
         signature_of[members] = inverse + len(digests)
-        digests.extend(
-            hashlib.blake2b(
-                (names[own] + "|" + ",".join([names[j] for j in rest])).encode("utf-8"),
-                digest_size=_LABEL_DIGEST_SIZE,
-            ).hexdigest()
-            for own, *rest in distinct.tolist()
-        )
-    refined = sorted(set(digests))
-    rank = {label: i for i, label in enumerate(refined)}
-    digest_ids = np.array([rank[label] for label in digests], dtype=np.int64)
+        text = spelled[[0] + [1] * (d - 1) + [2] * (d > 0), distinct]
+        while ragged and text.shape[1] > 1:  # np.char.add drops each operand's padding
+            if text.shape[1] % 2:
+                text = np.concatenate([text, np.zeros((len(text), 1), text.dtype)], axis=1)
+            text = np.char.add(text[:, 0::2], text[:, 1::2])
+        signatures = text.view(f"S{text.shape[1] * text.itemsize}").ravel().tolist()
+        digests.extend([hashlib.blake2b(s, digest_size=_LABEL_DIGEST_SIZE).digest() for s in signatures])
+    hexed = _HEX[np.frombuffer(b"".join(digests), np.uint8)].view(f"S{2 * _LABEL_DIGEST_SIZE}")
+    refined, digest_ids = np.unique(hexed, return_inverse=True)
     return digest_ids[signature_of], refined
 
 
@@ -255,18 +264,8 @@ def _unique_rows(rows: np.ndarray):
     return ordered[new], inverse
 
 
-def _buckets(round_index: int, names: list[str], dim: int) -> np.ndarray:
+def _buckets(round_index: int, names: np.ndarray, dim: int) -> np.ndarray:
     """Bucket of each (round, label) feature, by label id."""
-    return np.array(
-        [
-            int.from_bytes(
-                hashlib.blake2b(
-                    f"{round_index}:{name}".encode("utf-8"), digest_size=_BUCKET_DIGEST_SIZE
-                ).digest(),
-                "big",
-            )
-            % dim
-            for name in names
-        ],
-        dtype=np.int64,
-    )
+    keys = np.char.add(f"{round_index}:".encode(), names).tolist()
+    raw = b"".join([hashlib.blake2b(key, digest_size=_BUCKET_DIGEST_SIZE).digest() for key in keys])
+    return (np.frombuffer(raw, ">u8") % np.uint64(dim)).astype(np.int64)

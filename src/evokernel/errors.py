@@ -103,7 +103,7 @@ def reals(name: str, values, error: type = ContractError) -> np.ndarray:
         if not np.isfinite(a).all():
             raise ValueError("non-finite entries")
         return a
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise error(f"{name} must hold finite real numbers: {exc}") from exc
 
 

@@ -175,6 +175,11 @@ def test_batch_equals_reference_on_every_mutag_snapshot(mutag):
         assert np.array_equal(wl_embed(snap, metric).vector, vector)
 
 
+# Labels at and beyond the int64 range, and labels whose decimal strings are
+# prefixes of each other: names of every width and sign.
+EDGE_LABELS = [-2**63, 2**63 - 1, 2**64, -2**70, 1, 10, 100, -1, -10]
+
+
 @st.composite
 def wide_graphs(draw):
     """Graphs of up to 24 nodes, some with labels or degrees of 10 and more,
@@ -183,7 +188,8 @@ def wide_graphs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    labels = draw(st.none() | st.lists(st.integers(-3, 120), min_size=n, max_size=n))
+    label = st.integers(-3, 120) | st.sampled_from(EDGE_LABELS)
+    labels = draw(st.none() | st.lists(label, min_size=n, max_size=n))
     return Graph(n, edges, labels)
 
 
@@ -261,6 +267,24 @@ def test_large_inputs_are_split_into_bounded_batches(monkeypatch):
     assert all(total <= embedding._BATCH_ENTRIES or count == 1 for count, total in sizes)
     assert sum(count for count, _ in sizes) == len(rings)
 
+
+def test_snapshots_larger_than_a_batch_cut_from_masks_equal_their_subgraphs():
+    # A ring of 6,000 nodes with 1,200 chords: its first two snapshots hold more
+    # nodes plus directed edge entries than a batch, so each is a batch of its own.
+    rng = np.random.default_rng(5)
+    n = 6000
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)] + [(i, i + 3) for i in range(0, n - 3, 5)]
+    g = Graph(n, edges, rng.integers(0, 12, n).tolist())
+    masks = np.stack([np.ones(n, dtype=bool), rng.random(n) < 0.97, rng.random(n) < 0.5])
+    snapshots = [subgraph(g, row) for row in masks]
+    sizes = [s.node_count + 2 * s.edge_count for s in snapshots]
+    assert min(sizes[:2]) > embedding._BATCH_ENTRIES > sizes[2]
+    counts, sq = _wl_counts([g], MetricConfig(), [masks])
+    expected, expected_sq = _wl_counts(snapshots, MetricConfig())
+    assert counts.dtype == expected.dtype
+    assert np.array_equal(counts, expected)
+    assert np.array_equal(sq, expected_sq)
+    assert counts[0].tolist() == reference_wl_counts(g)
 
 
 @settings(max_examples=60, deadline=None)

@@ -262,6 +262,10 @@ CALLS = {
     "warping-complex": (ContractError, lambda: gdtw_distance(np.array([[1j]]))),
     "warping-complex-scalars": (ContractError, lambda: gdtw_distance([[np.complex128(1j)]])),
     "clip-ragged": (ContractError, lambda: clip_psd([[1.0, 0.0], [0.0]])),
+    # A Python int beyond float range is not a finite real either.
+    "warping-huge-int": (ContractError, lambda: gdtw_distance([[10**400]])),
+    "clip-huge-int": (ContractError, lambda: clip_psd([[10**400]])),
+    "kernel-huge-int-distances": (ContractError, lambda: evolution_kernel([[0, 10**400], [10**400, 0]])),
     "kernel-text-distances": (ContractError, lambda: evolution_kernel("x")),
     "laplacian-text": (ContractError, lambda: spectral_decompose("x")),
     "laplacian-numeric-text": (
