@@ -10,8 +10,8 @@ step's heat as vectors (``_episode_masks``); the pipeline works on those masks
 alone, and ``generate_episode`` cuts its snapshot graphs from them. Snapshot k
 of graph i reads its uniforms from the substream ``snapshot_rng(seed, i, k)``;
 ``_snapshot_draws`` computes the same values, bit for bit, for a run's graphs
-and steps: one array pass replays SeedSequence for every stream, then numpy's
-PCG64, set to each stream's seeded state, draws it.
+and steps: from the seed's numpy SeedSequence pool, one array pass seeds every
+stream, then numpy's PCG64, set to each stream's seeded state, draws it.
 """
 
 from __future__ import annotations
@@ -142,13 +142,12 @@ def _hashmix(values: list, const: int, mult: int = _MULT_A):
     return hashes, const
 
 
-def _mix_in(pool: list, const: int, word, skip: int = -1) -> int:
-    """Mix ``word`` into each word of a SeedSequence pool but ``skip``; the next constant."""
+def _mix_in(pool: list, const: int, word) -> int:
+    """Mix ``word`` into each word of a SeedSequence pool; the next constant."""
     for dst in range(4):
-        if dst != skip:
-            (h,), const = _hashmix([word], const)
-            x = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * h) & _MASK32
-            pool[dst] = x ^ x >> 16
+        (h,), const = _hashmix([word], const)
+        x = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * h) & _MASK32
+        pool[dst] = x ^ x >> 16
     return const
 
 
@@ -157,14 +156,13 @@ def _snapshot_draws(seed: int, graph_indices, node_counts, steps: int):
     k).random(n)``, bit for bit. One array pass seeds every (graph, step) stream, a lane; then
     one ``PCG64`` set to each lane's seeded state draws its row in place.
 
-    As in ``SeedSequence``, the seed's words, padded to four, are hashed into the pool, the
-    pool is mixed, then each further word, the seed's and then the spawn key's, is mixed in."""
-    words = _words(seed) + [0, 0, 0]
-    pool, const = _hashmix(words[:4], _INIT_A)
-    for src in range(4):
-        const = _mix_in(pool, const, pool[src], src)
-    # Lane steps * g + k mixes in the seed's words past the fourth, graph g's index's, then k.
-    keys = [words[4 : len(words) - 3] + _words(i) for i in graph_indices]
+    ``SeedSequence(seed).pool`` is the pool after the seed's words: numpy hashes a short seed
+    with zeros, as a spawned child pads it. Each lane then mixes in its spawn key's words, the
+    graph index's and then k, from the hash constant left by the 4 * max(4, words) hashes so far."""
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    const = _INIT_A * pow(_MULT_A, 4 * max(4, len(_words(seed))), 2**32) & _MASK32
+    # Lane steps * g + k mixes in graph g's index's words, then k.
+    keys = [_words(i) for i in graph_indices]
     width, lengths = max(map(len, keys)), np.repeat([len(w) for w in keys], steps)
     spawn = np.repeat(np.array([w + [0] * (width + 1 - len(w)) for w in keys], dtype=np.uint64), steps, axis=0)
     spawn[np.arange(lengths.size), lengths] = np.tile(np.arange(steps, dtype=np.uint64), len(keys))

@@ -40,8 +40,6 @@ from .graphs import Graph, _cut, _edge_array
 # stay short; 2^-128 collision odds are negligible against float tolerances.
 _LABEL_DIGEST_SIZE = 16
 _BUCKET_DIGEST_SIZE = 8
-# The two hex digits of each byte value, which spell a digest as ``hexdigest`` does.
-_HEX = np.array([b"%02x" % i for i in range(256)], dtype="S2")
 
 # Graphs are embedded in batches of at most this many nodes plus directed
 # edge entries (a larger graph is a batch of its own), which bounds the
@@ -248,7 +246,7 @@ def _refine(ids: np.ndarray, names: np.ndarray, groups, n: int):
             text = np.char.add(text[:, 0::2], text[:, 1::2])
         signatures = text.view(f"S{text.shape[1] * text.itemsize}").ravel().tolist()
         digests.extend([hashlib.blake2b(s, digest_size=_LABEL_DIGEST_SIZE).digest() for s in signatures])
-    hexed = _HEX[np.frombuffer(b"".join(digests), np.uint8)].view(f"S{2 * _LABEL_DIGEST_SIZE}")
+    hexed = np.frombuffer(b"".join(digests).hex().encode(), f"S{2 * _LABEL_DIGEST_SIZE}")
     refined, digest_ids = np.unique(hexed, return_inverse=True)
     return digest_ids[signature_of], refined
 

@@ -198,16 +198,21 @@ def _stream_rows(seed, graph_index, n, steps):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    seed=st.integers(0, 2**130),
+    seed=st.integers(0, 2**200),
     graphs=st.lists(st.tuples(st.integers(0, 2**70), st.integers(0, 60)), min_size=1, max_size=5),
     steps=st.integers(1, 12),
 )
+# Seeds of 4, 5 and 6 words with graph indices of 1, 2 and 3 words: the seed's word count sets
+# the hash constant each spawn key starts from.
+@example(seed=2**128 - 1, graphs=[(2**32 - 1, 3), (2**32, 2), (2**64, 4)], steps=2)
+@example(seed=2**128, graphs=[(2**32 - 1, 3), (2**32, 2), (2**64, 4)], steps=2)
+@example(seed=2**160 + 3, graphs=[(2**32 - 1, 3), (2**32, 2), (2**64, 4)], steps=2)
 @example(seed=2**128, graphs=[(2**32, 3), (2**32 - 1, 0), (0, 60)], steps=12)
 @example(seed=2**32 - 1, graphs=[(2**64, 1), (7, 2)], steps=1)
 @example(seed=5, graphs=[(0, 0), (1, 3), (2, 0), (3, 0), (4, 2), (5, 0)], steps=3)
 def test_snapshot_draws_equal_each_snapshot_stream(seed, graphs, steps):
-    """Seeds and graph indices of one to five 32-bit words, and graphs of 0 to 60 nodes,
-    with runs of 0-node graphs."""
+    """Seeds of one to seven 32-bit words, graph indices of one to three, and graphs of 0 to
+    60 nodes, with runs of 0-node graphs."""
     indices, counts = [i for i, _ in graphs], [n for _, n in graphs]
     drawn = list(augment._snapshot_draws(seed, indices, counts, steps))
     assert len(drawn) == len(graphs)

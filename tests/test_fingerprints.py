@@ -2,7 +2,9 @@
 
 ``tests/data/fingerprints.json`` holds SHA-256 digests of the loaded dataset,
 of every episode mask array under each heat method in both modes, of the
-default run's distance matrix and of the README sweep's CSV, plus the fold
+default run's distance matrix, of the distance matrix of the first
+``LONG_GRID_GRAPHS`` graphs on a 201-step grid in both modes (one episode per
+block), and of the README sweep's CSV, plus the fold
 accuracies and confusion matrices of the default run and of a
 ``--cumulative --hk auto`` run. Only platform-stable values are pinned: masks
 read ``eigh`` only through a Bernoulli threshold and distances come from an
@@ -32,10 +34,23 @@ from .conftest import DATA_DIR
 PINNED = DATA_DIR / "fingerprints.json"
 SEED = 42
 README_LENGTHS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+LONG_GRID_GRAPHS = 6
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _distances(graphs, cfg: ExperimentConfig):
+    """The pipeline's distance matrix of ``graphs``, the dataset's first, under ``cfg``."""
+    times = cfg.time_grid()
+    draws = _snapshot_draws(cfg.seed, range(len(graphs)), [g.node_count for g in graphs], len(times))
+    masks = [
+        _episode_masks(g, times, cfg.a, cfg.u0, d, cfg.heat_method, cfg.cumulative)
+        for g, d in zip(graphs, draws)
+    ]
+    counts, sq = _wl_counts(graphs, cfg.metric_config(), masks)
+    return _prefix_distance_matrices(counts, sq, len(times), [len(times)])[len(times)]
 
 
 def fingerprints(mutag_dir: Path, scratch: Path) -> dict:
@@ -53,19 +68,21 @@ def fingerprints(mutag_dir: Path, scratch: Path) -> dict:
                 for g, d in zip(dataset.graphs, draws)
             ]
             masks[f"{method}{'-cumulative' if cumulative else ''}"] = _sha(b"".join(m.tobytes() for m in graph_masks))
-            if (method, cumulative) == (cfg.heat_method, cfg.cumulative):
-                counts, sq = _wl_counts(dataset.graphs, cfg.metric_config(), graph_masks)
-                distances = _prefix_distance_matrices(counts, sq, len(times), [len(times)])[len(times)]
 
     csv = scratch / "curve.csv"
     reports = sweep_time_length(cfg, README_LENGTHS, dataset)
     write_sweep_csv(reports, csv)
     report = reports[-1]  # the default length: equal to run_experiment(cfg), as test_experiment checks
-    cumulative_auto = run_experiment(replace(cfg, cumulative=True, heat_method="auto"), dataset)
+    auto_cfg = replace(cfg, cumulative=True, heat_method="auto")
+    cumulative_auto = run_experiment(auto_cfg, dataset)
     return {
         "dataset": _sha(json.dumps(content).encode()),
         "episode_masks": masks,
-        "distance_matrix": _sha(distances.tobytes()),
+        "distance_matrix": _sha(_distances(dataset.graphs, cfg).tobytes()),
+        "long_grid_distance_matrix": {  # T = 201
+            name: _sha(_distances(dataset.graphs[:LONG_GRID_GRAPHS], replace(c, time_interval=0.005)).tobytes())
+            for name, c in (("default", cfg), ("cumulative_auto", auto_cfg))
+        },
         "sweep_csv": _sha(csv.read_bytes()),
         "fold_accuracies": report.fold_accuracies,
         "confusion": report.confusion,

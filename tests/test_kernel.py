@@ -114,12 +114,39 @@ def test_prefix_distances_equal_distances_of_cut_episodes():
     assert np.array_equal(prefixes[6], distance_matrix(episodes, CFG))
 
 
-def test_mutag_distances_match_the_per_length_reference(mutag_episodes):
-    steps = range(1, len(mutag_episodes[0].times) + 1)
-    prefixes = _prefixes(mutag_episodes, steps)
-    reference = reference_prefix_distances(mutag_episodes, CFG, steps)
+# 151 steps: past 64 a block holds one episode, and past 128 one episode's rows outnumber
+# ``_BLOCK_SNAPSHOTS``; the prefix step counts straddle both.
+LONG_GRID, LONG_STEPS = {"time_length": 1.5, "time_interval": 0.01}, [1, 63, 64, 65, 127, 128, 129, 151]
+
+
+@pytest.mark.parametrize(
+    "graphs, grid, steps",
+    [
+        (188, {}, range(1, 12)),
+        (6, LONG_GRID, LONG_STEPS),
+        (6, {**LONG_GRID, "cumulative": True, "heat_method": "auto"}, LONG_STEPS),
+    ],
+    ids=["default-grid", "long-grid", "long-grid-cumulative-auto"],
+)
+def test_mutag_distances_match_the_per_length_reference(mutag, graphs, grid, steps):
+    """The first MUTAG graphs' episodes at seed 42: the pipeline's prefix distances from masks,
+    and ``distance_matrix`` of the whole grid, against the oracle's."""
+    cfg = ExperimentConfig(seed=42, **grid)
+    times = cfg.time_grid()
+    episodes = [
+        generate_episode(
+            g, times, cfg.boltzmann_config(), cfg.u0, cfg.seed,
+            graph_index=i, method=cfg.heat_method, cumulative=cfg.cumulative,
+        )
+        for i, g in enumerate(mutag.graphs[:graphs])
+    ]
+    assert len(times) == steps[-1]
+    counts, sq = _wl_counts([e.source for e in episodes], CFG, [np.array(e.kept_masks) for e in episodes])
+    prefixes = _prefix_distance_matrices(counts, sq, len(times), steps)
+    reference = reference_prefix_distances(episodes, CFG, steps)
     for s in steps:
         assert np.max(np.abs(prefixes[s] - reference[s])) <= 1e-6
+    assert np.max(np.abs(distance_matrix(episodes, CFG) - reference[steps[-1]])) <= 1e-6
 
 
 def test_equal_mutag_snapshots_are_exactly_zero_apart(mutag_episodes):
