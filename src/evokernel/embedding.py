@@ -165,13 +165,14 @@ def _count_distances(
     exact in any blocking and summation order, so a distance depends on its
     two rows alone and is exactly symmetric; equal rows are exactly 0 apart.
     """
-    g = (a @ b.T).astype(np.float64, copy=False)
-    g *= 2.0
-    g /= np.sqrt(np.maximum(sq_a, 1.0)[:, None] * np.maximum(sq_b, 1.0))
-    d2 = (sq_a > 0)[:, None] + (sq_b > 0).astype(np.float64)
-    d2 -= g
-    np.clip(d2, 0.0, None, out=d2)
-    return np.sqrt(d2, out=d2)
+    # In place, so that beside the Gram at most one scale buffer of its size is alive.
+    g = np.multiply(a @ b.T, 2.0, dtype=np.float64)
+    scale = np.multiply(np.maximum(sq_a, 1.0)[:, None], np.maximum(sq_b, 1.0))
+    g /= np.sqrt(scale, out=scale)
+    np.add((sq_a > 0)[:, None], (sq_b > 0).astype(np.float64), out=scale)
+    np.subtract(scale, g, out=g)
+    np.clip(g, 0.0, None, out=g)
+    return np.sqrt(g, out=g)
 
 
 def _embed_batch(nodes, edge_counts, ends, labelled, labels, cfg: MetricConfig, out: np.ndarray) -> None:

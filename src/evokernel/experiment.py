@@ -36,7 +36,7 @@ _FOLD_STREAM = 0xF01D
 
 # Longest supported time grid. The alignment is quadratic in the step count:
 # at this many steps one pair of one-node episodes already needs 800 MB for
-# its snapshot distances and as much for its alignment table, and a far
+# its snapshot distances and as much for their gathered copy, and a far
 # longer grid would exhaust memory while the grid itself is being built.
 MAX_TIME_STEPS = 10_000
 

@@ -3,7 +3,9 @@
 The warping matrix holds pairwise snapshot distances; the alignment distance
 is the minimum cumulative cost over all warping paths satisfying the boundary,
 monotonicity and continuity constraints, computed by dynamic programming with
-an infinity border and recovered by backtracking.
+an infinity border and recovered by backtracking. The one DP fills a stack of
+tables by anti-diagonals and holds three of them; ``gdtw_distance`` writes
+each into its full table, the pipeline keeps gamma[s, s] alone.
 """
 
 from __future__ import annotations
@@ -67,7 +69,10 @@ def gdtw_distance(m: np.ndarray) -> WarpingResult:
         raise ContractError("warping matrix must be non-empty")
 
     n = m.shape[0]
-    gamma = _cumulative_costs(m[:, :, None])[:, :, 0]
+    gamma = np.empty((n + 1, n + 1))
+    for k, diagonal in enumerate(_cumulative_costs(m[None])):  # cell (i, k - i) is flat entry i*n + k
+        lo, hi = max(0, k - n), min(k, n)
+        gamma.flat[lo * n + k : hi * n + k + 1 : n] = diagonal[lo : hi + 1, 0]
 
     cells = [(n - 1, n - 1)]
     i = j = n
@@ -87,22 +92,28 @@ def gdtw_distance(m: np.ndarray) -> WarpingResult:
     )
 
 
-def _cumulative_costs(costs: np.ndarray) -> np.ndarray:
-    """Cumulative-cost tables of a (T, T, P) stack of warping matrices.
+def _cumulative_costs(costs: np.ndarray):
+    """Anti-diagonals of the cumulative-cost tables of a (P, T, T) stack of warping matrices.
 
-    Returns the (T+1, T+1, P) tables with gamma[0, 0] = 0 and an infinite
-    border. The pair axis is last, so each cell of the table is one
-    contiguous vector and each cell update one vector op over all P pairs.
-    Cells are filled row by row; every entry is finite or inf, never NaN, so
-    np.minimum selects exactly the value that scalar comparisons would.
+    Yields diagonal k = 0 .. 2T of the (T+1, T+1) tables (gamma[0, 0] = 0, an
+    infinite border) as an array whose row i holds cell (i, k - i) of every
+    pair, for max(0, k - T) <= i <= min(k, T). A cell reads only the two
+    diagonals before its own, so a diagonal is two np.minimum calls and one
+    add over all its cells and pairs, and a yielded array is overwritten
+    three diagonals later. Its costs are a slice of each pair's flat T*T row
+    with step T - 1. No entry is NaN, so np.minimum is exact in any order.
     """
-    t = costs.shape[0]
-    gamma = np.full((t + 1, t + 1) + costs.shape[2:], np.inf)
-    gamma[0, 0] = 0.0
-    for i in range(1, t + 1):
-        prev, row = gamma[i - 1], gamma[i]
-        diag_or_up = np.minimum(prev[:-1], prev[1:])
-        for j in range(1, t + 1):
-            np.minimum(diag_or_up[j - 1], row[j - 1], out=row[j])
-            row[j] += costs[i - 1, j - 1]
-    return gamma
+    t = costs.shape[1]
+    flat = costs.reshape(len(costs), t * t)
+    diagonals = np.full((3, t + 1, len(costs)), np.inf)
+    before = np.zeros((1, len(costs)))  # diagonal 0: gamma[0, 0]
+    yield from (before, diagonals[1])
+    for k in range(2, 2 * t + 1):
+        last, cells = diagonals[(k - 1) % 3], diagonals[k % 3]
+        lo, hi = max(1, k - t), min(t, k - 1)
+        inner = cells[lo : hi + 1]
+        np.minimum(before[lo - 1 : hi], last[lo - 1 : hi], out=inner)
+        np.minimum(inner, last[lo : hi + 1], out=inner)
+        inner += flat[:, (lo - 1) * (t - 1) + k - 2 :: max(t - 1, 1)][:, : hi - lo + 1].T
+        yield cells
+        before = last

@@ -40,14 +40,14 @@ def distance_matrix(
     Entry (i, j) equals ``gdtw_distance(build_warping_matrix(e_i, e_j, cfg))``
     bit for bit. Every snapshot is embedded exactly once; each unordered pair
     is aligned once and mirrored, so symmetry is exact by construction.
-    Snapshot distances and alignment tables are built for a block of whole
-    episodes, about ``_BLOCK_SNAPSHOTS`` snapshot rows at a time, against all
-    later snapshots. Beyond the (n * T, dim) count matrix and the result the
-    working memory grows as O(n * T) for T <= ``_BLOCK_SNAPSHOTS``, not
-    (n * T)^2. A longer grid has one episode per block, T rows against
-    (n - 1) * T columns plus n - 1 tables of (T + 1)^2 cells, so the memory
-    grows as O(n * T^2): 358 MiB for the (501, 93687) distance block of
-    MUTAG's 188 graphs at 501 steps.
+    Snapshot distances are built for a block of whole episodes, about
+    ``_BLOCK_SNAPSHOTS`` snapshot rows at a time, against all later snapshots,
+    and aligned three table diagonals at a time. Beyond the (n * T, dim) count
+    matrix and the result the working memory grows as O(n * T) for
+    T <= ``_BLOCK_SNAPSHOTS``, not (n * T)^2. A longer grid has one episode per
+    block, T rows against (n - 1) * T columns plus the pairs' copy of them, so
+    the memory grows as O(n * T^2): 358 MiB for the (501, 93687) distance
+    block of MUTAG's 188 graphs at 501 steps.
     """
     if not episodes:
         return np.zeros((0, 0))
@@ -72,7 +72,8 @@ def _prefix_distance_matrices(
     depend on which other snapshots share its product: one product over the
     longest grid serves every s. The alignment recurrence only looks back, so
     gamma[s, s] of each pair's one full-length table is the distance of the
-    s-snapshot prefixes, bit for bit.
+    s-snapshot prefixes, bit for bit; only those cells are kept, and a block
+    is freed once its pairs' costs are copied out.
     """
     if any(not 1 <= s <= steps for s in step_counts):
         raise ContractError(f"step counts {sorted(step_counts)} are not all within 1..{steps}")
@@ -85,13 +86,15 @@ def _prefix_distance_matrices(
         # Rows of episodes lo..hi-1 against every episode after lo; the pairs
         # (i, j > i) among them are aligned in one stack of tables.
         rows, cols = slice(lo * steps, hi * steps), slice((lo + 1) * steps, None)
-        block = _count_distances(counts[rows], counts[cols], sq[rows], sq[cols])
-        block = block.reshape(hi - lo, steps, n - lo - 1, steps)
         r, c = np.triu_indices(hi - lo, 0, n - lo - 1)
-        gamma = _cumulative_costs(block[r, :, c, :].transpose(1, 2, 0))
+        block = _count_distances(counts[rows], counts[cols], sq[rows], sq[cols])
+        diagonals = _cumulative_costs(block.reshape(hi - lo, steps, n - lo - 1, steps)[r, :, c, :])
+        del block
         i, j = r + lo, c + lo + 1
-        for s in step_counts:
-            d[s][i, j] = d[s][j, i] = gamma[s, s]
+        for k, diagonal in enumerate(diagonals):
+            if k % 2 == 0 and k // 2 in d:
+                d[k // 2][i, j] = d[k // 2][j, i] = diagonal[k // 2]
+        del diagonal  # the DP's buffers go before the next block's distances
     return d
 
 

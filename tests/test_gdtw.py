@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evokernel import embedding
 from evokernel.augment import TemporalEpisode
 from evokernel.embedding import MetricConfig, _count_distances, _wl_counts, delta, wl_embed
 from evokernel.errors import ContractError
 from evokernel.gdtw import (
+    _cumulative_costs,
     build_warping_matrix,
     cross_distances,
     gdtw_distance,
@@ -194,6 +197,29 @@ def test_table_equals_scalar_recurrence():
         m = rng.random((11, 11))
         m[rng.random((11, 11)) < 0.3] = 0.0
         assert np.array_equal(gdtw_distance(m).cumulative, scalar_gdtw_table(m))
+
+
+@st.composite
+def pair_major_stacks(draw):
+    """(P, T, T) cost stacks whose cells come from a few values, zero among them."""
+    steps, pairs = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    values = [0.0] + draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return np.array(values)[rng.integers(0, len(values), (pairs, steps, steps))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(costs=pair_major_stacks())
+@example(costs=np.array([[[0.0]], [[0.5]]]))
+@example(costs=np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]]]))
+def test_diagonal_dp_equals_the_scalar_table_pair_by_pair(costs):
+    steps = costs.shape[1]
+    tables = [scalar_gdtw_table(m) for m in costs]
+    for k, diagonal in enumerate(_cumulative_costs(costs)):
+        rows = np.arange(max(0, k - steps), min(k, steps) + 1)
+        for p, table in enumerate(tables):
+            assert np.array_equal(diagonal[rows, p], table[rows, k - rows])
+    assert k == 2 * steps
 
 
 def test_recovered_path_cost_equals_distance():

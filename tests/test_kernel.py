@@ -172,6 +172,34 @@ def test_distance_matrix_memory_stays_below_one_cross_block(mutag_episodes):
     assert peak < rows * rows * 8  # 34,212,992 bytes: one float64 (n*T)^2 block
 
 
+@pytest.fixture(scope="module")
+def mutag_counts(mutag_episodes):
+    return _wl_counts([snap for e in mutag_episodes for snap in e.snapshots], CFG)
+
+
+def test_prefix_distances_hold_less_than_the_count_matrix(mutag_counts):
+    counts, sq = mutag_counts
+    tracemalloc.start()
+    try:
+        _prefix_distance_matrices(counts, sq, 11, [11])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The (2,068, 1,024) float32 counts are 8.08 MiB; the distance blocks and
+    # alignment buffers must stay below them.
+    assert peak <= 7 * 2 ** 20
+
+
+def test_float64_counts_give_the_float32_prefix_distances(mutag_counts):
+    counts, sq = mutag_counts
+    assert counts.dtype == np.float32
+    steps = range(1, 12)
+    narrow = _prefix_distance_matrices(counts, sq, 11, steps)
+    wide = _prefix_distance_matrices(counts.astype(np.float64), sq, 11, steps)
+    for s in steps:
+        assert np.array_equal(narrow[s], wide[s])
+
+
 def test_prefix_step_counts_outside_the_grid_rejected(three_episodes):
     for steps in ([0], [4]):
         with pytest.raises(ContractError):
