@@ -7,11 +7,13 @@ episode of snapshots of the source graph.
 
 An episode is drawn as one ``(T, n)`` bool array of kept masks, with each
 step's heat as vectors (``_episode_masks``); the pipeline works on those masks
-alone, and ``generate_episode`` cuts its snapshot graphs from them. Snapshot k
-of graph i reads its uniforms from the substream ``snapshot_rng(seed, i, k)``;
-``_snapshot_draws`` computes the same values, bit for bit, for a run's graphs
-and steps: from the seed's numpy SeedSequence pool, one array pass seeds every
-stream, then numpy's PCG64, set to each stream's seeded state, draws it.
+alone, and ``generate_episode`` cuts its snapshot graphs from them. A run draws
+all its episodes in one call, step by step, in stacks of equal-size graphs.
+Snapshot k of graph i reads its uniforms from the substream
+``snapshot_rng(seed, i, k)``; ``_snapshot_draws`` computes the same values, bit
+for bit, for a run's graphs and steps: from the seed's numpy SeedSequence pool,
+one array pass seeds every stream, then numpy's PCG64, set to each stream's
+seeded state, draws it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, choice, integer, real, reals
 from .graphs import Graph, _cut, _edge_array, _normalized_laplacian, _subgraphs, subgraph
-from .heat import HEAT_METHODS, METHOD_EXACT, HeatState, _heat_vectors, reads_spectrum, spectral_decompose
+from .heat import HEAT_METHODS, METHOD_EXACT, HeatState, _decompose, _heat_vectors, reads_spectrum
 
 
 @dataclass(frozen=True)
@@ -76,24 +78,25 @@ def heat_distribution(state: HeatState, cfg: BoltzmannConfig) -> HeatDistributio
     """
     a = real("energy weight a", cfg.a)
     real("energy bias b", cfg.b)
-    weights = _rescaled(reals("heat vector", state.heat), a)
+    weights = _rescaled(reals("heat vector", state.heat)[:, None], a)[:, 0]
     probs = weights / weights.sum()
     return HeatDistribution(t=state.t, probs=probs, normed=weights)
 
 
 @np.errstate(over="ignore")
 def _rescaled(heat: np.ndarray, a: float, times=None, source: str = "") -> np.ndarray:
-    """Boltzmann weights ``exp(logit - max logit)`` of each column of ``heat``, logit = -a * heat.
+    """Boltzmann weights ``exp(logit - max logit)`` of each column of ``heat``, logit = -a * heat,
+    with nodes on axis -2 of an ``(..., n, T)`` array.
 
     ``heat`` is finite, as ``reals`` and ``_heat_vectors`` leave it. Logits that overflow raise
     ``ConfigError``, without a numpy warning; it names the first such time of the columns'
     ``times`` when given, then ``source``."""
     logits = -a * heat
-    finite = np.isfinite(logits).all(axis=0)
+    finite = np.isfinite(logits).reshape(-1, logits.shape[-1]).all(axis=0)
     if not finite.all():
         at = "" if times is None else f" at t={times[np.argmin(finite)]:g}"
         raise ConfigError(f"energy weight a={a} overflows the heat logits{at}{source}")
-    return np.exp(logits - logits.max(axis=0, initial=-np.inf))
+    return np.exp(logits - logits.max(axis=-2, keepdims=True, initial=-np.inf))
 
 
 def drop_node(g: Graph, dist: HeatDistribution, rng: np.random.Generator):
@@ -243,32 +246,46 @@ def generate_episode(
     if not isinstance(cumulative, (bool, np.bool_)):
         raise ConfigError(f"cumulative must be a boolean, got {cumulative!r}")
 
-    draws = next(_snapshot_draws(seed, [graph_index], [g.node_count], times.size))
-    masks = _episode_masks(g, times, a, u0, draws, method, cumulative)
+    draws = list(_snapshot_draws(seed, [graph_index], [g.node_count], times.size))
+    (masks,) = _episode_masks([g], times, a, u0, draws, method, cumulative)
     return TemporalEpisode(
         source=g, times=times, snapshots=_subgraphs(g, masks), seed=seed, kept_masks=list(masks)
     )
 
 
-def _episode_masks(g: Graph, times: np.ndarray, a, u0, draws: np.ndarray, method, cumulative) -> np.ndarray:
-    """The ``(T, n)`` kept masks of ``generate_episode`` on checked arguments and the graph's
-    ``(T, n)`` uniforms ``draws`` (``_snapshot_draws``). One heat call on the source serves
-    every step; under ``cumulative`` one per step on the Laplacian of the nodes the previous
-    step kept, cut from the source edge array, and the step reads its row's first draws."""
-    edges, grid = _edge_array(g), times.tolist()
-    masks = np.zeros((len(grid), g.node_count), dtype=bool)
-    ids, local = np.arange(g.node_count), edges
+# Most Laplacian or heat entries in one stack of equal-size graphs: 2 MiB of float64 per array.
+_STACK_ENTRIES = 2**18
+
+
+def _episode_masks(graphs: list, times: np.ndarray, a, u0, draws: list, method, cumulative) -> list:
+    """The ``(T, n)`` kept masks of ``generate_episode`` for each of ``graphs``, on checked
+    arguments and each graph's ``(T, n)`` uniforms in ``draws`` (``_snapshot_draws``).
+
+    Step by step, the graphs that still have nodes go in stacks of equal node count, each of at
+    most ``_STACK_ENTRIES`` Laplacian or heat entries and at least one graph; a stack takes one
+    Laplacian build, decomposition, heat call and threshold. One step on the sources serves
+    every time; under ``cumulative`` each step works on the Laplacians of the nodes the previous
+    step kept, cut from the source edge arrays, and reads its row's first draws."""
+    grid, edges = times.tolist(), [_edge_array(g) for g in graphs]
+    masks = [np.zeros((len(grid), g.node_count), dtype=bool) for g in graphs]
+    ids, local = [np.arange(g.node_count) for g in graphs], list(edges)
+    source = f" from u0={u0:g} under the {method!r} heat method"
     for k, t in enumerate(grid if cumulative else grid[:1]):
         if k:
-            ids, local, t = np.flatnonzero(masks[k - 1]), _cut(edges, masks[k - 1 : k])[1], t - grid[k - 1]
-        if not ids.size:
-            break
-        steps = [t] if cumulative else grid
-        lap = _normalized_laplacian(ids.size, local)
-        spec = spectral_decompose(lap) if any(reads_spectrum(method, s) for s in steps) else None
-        heat = _heat_vectors(lap, spec, steps, method, u0)
-        normed = _rescaled(heat, a, steps, f" from u0={u0:g} under the {method!r} heat method")
-        if not cumulative:
-            return draws < normed.T
-        masks[k, ids[draws[k, : ids.size] < normed[:, 0]]] = True
+            ids = [np.flatnonzero(m[k - 1]) for m in masks]
+            local = [_cut(e, m[k - 1 : k])[1] for e, m in zip(edges, masks)]
+            t -= grid[k - 1]
+        steps, rows = ([t], slice(k, k + 1)) if cumulative else (grid, slice(None))
+        sizes = np.array([i.size for i in ids])
+        for n in np.unique(sizes[sizes > 0]).tolist():
+            group = np.flatnonzero(sizes == n).tolist()
+            per = max(1, _STACK_ENTRIES // (n * max(n, len(steps))))
+            for members in (group[at : at + per] for at in range(0, len(group), per)):
+                stacked = np.concatenate([local[i] + b * n for b, i in enumerate(members)])
+                lap = _normalized_laplacian(n, stacked, len(members))
+                spec = _decompose(lap) if any(reads_spectrum(method, s) for s in steps) else None
+                normed = _rescaled(_heat_vectors(lap, spec, steps, method, u0), a, steps, source)
+                kept = np.array([draws[i][rows, :n] for i in members]) < normed.swapaxes(-1, -2)
+                for i, keep in zip(members, kept):
+                    masks[i][rows, ids[i]] = keep
     return masks

@@ -237,16 +237,14 @@ def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) 
         folds = stratified_folds(dataset.labels, cfg.folds, cfg.seed)
 
     with _stage("episodes", timings):
-        a, u0, seed = float(cfg.a), float(cfg.u0), int(cfg.seed)
-        graphs, counts = dataset.graphs, [g.node_count for g in dataset.graphs]
-        masks = [
-            _episode_masks(g, times, a, u0, draws, cfg.heat_method, cfg.cumulative)
-            for g, draws in zip(graphs, _snapshot_draws(seed, range(len(graphs)), counts, len(times)))
-        ]
+        a, u0, seed, graphs = float(cfg.a), float(cfg.u0), int(cfg.seed), dataset.graphs
+        draws = _snapshot_draws(seed, range(len(graphs)), [g.node_count for g in graphs], len(times))
+        masks = _episode_masks(graphs, times, a, u0, list(draws), cfg.heat_method, cfg.cumulative)
 
     with _stage("distances", timings):
-        counts, sq = _wl_counts(dataset.graphs, cfg.metric_config(), masks)
+        counts, sq = _wl_counts(graphs, cfg.metric_config(), masks)
         distances = _prefix_distance_matrices(counts, sq, len(times), {len(grid) for grid in grids})
+        del counts, sq, masks  # the kernel and cv stages read only the distances
 
     n = len(dataset.labels)
     kernels, sigmas, length_timings = np.empty((len(configs), n, n)), [], []

@@ -95,17 +95,20 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
     ``-1.0 / sqrt(deg_i * deg_j)`` float64 operation of the textbook per-edge
     loop.
     """
-    return _normalized_laplacian(g.node_count, _edge_array(g))
+    return _normalized_laplacian(g.node_count, _edge_array(g))[0]
 
 
-def _normalized_laplacian(n: int, edges: np.ndarray) -> np.ndarray:
-    """``normalized_laplacian`` of the graph on ``n`` nodes with the ``(m, 2)`` edge array ``edges``."""
-    deg = np.bincount(edges.ravel(), minlength=n).astype(float)
-    lap = np.diag((deg > 0).astype(float))
+def _normalized_laplacian(n: int, edges: np.ndarray, stack: int = 1) -> np.ndarray:
+    """The ``(stack, n, n)`` ``normalized_laplacian`` of ``stack`` graphs on ``n`` nodes each, from
+    one ``(m, 2)`` edge array in which node j of graph b is ``b * n + j``."""
+    deg = np.bincount(edges.ravel(), minlength=stack * n).astype(float)
+    lap = np.zeros((stack, n, n))
+    lap.reshape(stack, n * n)[:, :: n + 1] = (deg > 0).reshape(stack, n)
     i, j = edges[:, 0], edges[:, 1]
     w = -1.0 / np.sqrt(deg[i] * deg[j])
-    lap[i, j] = w
-    lap[j, i] = w
+    rows = lap.reshape(stack * n, n)  # row b * n + i is row i of graph b
+    rows[i, j % n] = w
+    rows[j, i % n] = w
     return lap
 
 

@@ -8,8 +8,10 @@ three from t and lambda_1. All operations are pure functions of immutable
 inputs.
 
 ``_heat_vectors`` states each method's formula once and applies it to a start
-for a whole time grid. Episodes start it from the uniform vector, so no n x n
-kernel is built; ``compute_heat_kernel`` is ``_heat_vectors`` on the identity.
+for a whole time grid, on one Laplacian or a stack of equal-size ones (episodes
+heat stacks of graphs from the uniform vector, so no n x n kernel is built);
+``spectral_decompose`` and ``compute_heat_kernel`` (``_heat_vectors`` on the
+identity) are the one-matrix case of ``_decompose`` and ``_heat_vectors``.
 """
 
 from __future__ import annotations
@@ -38,14 +40,14 @@ FIEDLER_TIME_FACTOR = 10.0
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues and the matching orthonormal eigenvector columns."""
+    """Ascending eigenvalues and matching orthonormal eigenvector columns, of one matrix or a stack."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.eigenvalues)
+        return np.shape(self.eigenvalues)[-1]
 
 
 @dataclass(frozen=True)
@@ -71,19 +73,28 @@ def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:
     of the reconstruction Phi Lambda Phi^T must be within RECONSTRUCTION_TOL;
     orthonormality of the eigenvectors is left to ``eigh`` and not checked.
     """
-    lap = square("Laplacian", lap)
+    return _decompose(square("Laplacian", lap))
+
+
+def _decompose(lap: np.ndarray) -> SpectralDecomposition:
+    """``spectral_decompose`` of each matrix of a ``(..., n, n)`` stack of checked Laplacians, in
+    one ``eigh``: ``eigh`` gives each matrix the bits of a one-matrix call. Each matrix is
+    checked; an error names the first that fails."""
     try:
         w, v = np.linalg.eigh(lap)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    if len(w) and w[0] < -EIGENVALUE_CLAMP:
+    low = w[..., :1][w[..., :1] < -EIGENVALUE_CLAMP]
+    if low.size:
         raise NumericalError(
-            f"eigenvalue {w[0]:.3e} below zero beyond tolerance; input is not a normalized Laplacian"
+            f"eigenvalue {low[0]:.3e} below zero beyond tolerance; input is not a normalized Laplacian"
         )
     w = np.where(w < 0.0, 0.0, w)
-    residual = float(np.linalg.norm((v * w) @ v.T - lap))
-    if residual > RECONSTRUCTION_TOL:
-        raise NumericalError(f"eigendecomposition residual {residual:.3e} exceeds {RECONSTRUCTION_TOL}")
+    r = ((v * w[..., None, :]) @ v.swapaxes(-1, -2) - lap).reshape(*lap.shape[:-2], 1, -1)
+    residual = np.sqrt(r @ r.swapaxes(-1, -2))[..., 0, 0]  # Frobenius norms as dot products
+    high = residual[residual > RECONSTRUCTION_TOL]
+    if high.size:
+        raise NumericalError(f"eigendecomposition residual {high[0]:.3e} exceeds {RECONSTRUCTION_TOL}")
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
@@ -124,51 +135,63 @@ def compute_heat_kernel(
         spec = SpectralDecomposition(w, v)
     n = len(lap) if spec is None else spec.n
     matrix = _heat_vectors(lap, spec, [t], method, np.eye(n))[..., 0]
-    return HeatKernel(t=t, matrix=matrix, method=_formula(method, spec, t, n))
+    return HeatKernel(t=t, matrix=matrix, method=str(_formulas(method, spec, [t])[0]))
 
 
-def _formula(method: str, spec: SpectralDecomposition | None, t: float, n: int) -> str:
-    """The formula ``method`` uses at t on n nodes: ``auto`` picks by :func:`select_heat_method`,
-    and the Fiedler form gives way to the exact one below 2 nodes."""
-    method = select_heat_method(spec, t) if method == METHOD_AUTO else method
-    return METHOD_EXACT if method == METHOD_FIEDLER and n < 2 else method
+def _formulas(method: str, spec: SpectralDecomposition | None, times) -> np.ndarray:
+    """The formula ``method`` uses at each of ``times`` for each matrix of ``spec``: shape
+    ``spec.eigenvalues.shape[:-1] + (len(times),)``, or ``(len(times),)`` where every matrix
+    uses the same. ``auto`` picks by :func:`select_heat_method`, each matrix from its own
+    lambda_1 (``spec`` may be None where every time is below ``SMALL_TIME_DEFAULT``); the
+    Fiedler form gives way to the exact one below 2 nodes."""
+    t = np.asarray(times, dtype=float)
+    if method != METHOD_AUTO:
+        return np.full(t.shape, METHOD_EXACT if method == METHOD_FIEDLER and spec.n < 2 else method)
+    lam1 = spec.eigenvalues[..., 1:2] if spec is not None and spec.n >= 2 else np.zeros(1)
+    # A lambda_1 at most EIGENVALUE_CLAMP never takes fiedler; the maximum only keeps 0 from dividing.
+    fiedler = (lam1 > EIGENVALUE_CLAMP) & (t > FIEDLER_TIME_FACTOR / np.maximum(lam1, EIGENVALUE_CLAMP))
+    return np.where(t < SMALL_TIME_DEFAULT, METHOD_TAYLOR2, np.where(fiedler, METHOD_FIEDLER, METHOD_EXACT))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _heat_vectors(lap: np.ndarray | None, spec: SpectralDecomposition | None, times: list, method: str, u):
-    """Heat ``e^{-tL} u`` of the start ``u`` at each of ``times``, on checked arguments.
+    """Heat ``e^{-tL} u`` of the start ``u`` at each of ``times``, on checked arguments, for one
+    n-node Laplacian or each of a stack (leading axes of ``lap`` and ``spec``).
 
-    ``u`` is the float u0 on every node or an ``(n, k)`` matrix, and the heat has shape
-    ``(n, len(times))`` or ``(n, k, len(times))``. Each time takes its formula from
-    :func:`_formula`: ``Phi (e^{-Lambda t} * Phi^T u)`` for all exact times in one product,
-    ``u - t L u + t^2 L (L u) / 2`` for taylor2 and ``u - e^{-lambda_1 t} phi_1 (phi_1 . u)``
-    for fiedler (u at t = 0).
+    ``u`` is the float u0 on every node, whose heat has shape ``(..., n, len(times))``, or, for
+    one Laplacian at one time, an ``(n, k)`` matrix, whose heat has shape ``(n, k, 1)``. Each
+    matrix takes each time's formula from :func:`_formulas`: ``Phi (e^{-Lambda t} * Phi^T u)``
+    for all exact times in one product, ``u - t L u + t^2 L (L u) / 2`` for taylor2 and
+    ``u - e^{-lambda_1 t} phi_1 (phi_1 . u)`` for fiedler (u at t = 0). Each formula runs once,
+    over the times any matrix takes it; ``matmul`` over a stack gives each matrix the bits of a
+    one-matrix call.
 
     Heat that overflows raises ``ConfigError`` naming the first such time, the method and
     a float ``u``; numpy's overflow and invalid-value warnings are silenced here."""
     u0 = u if np.ndim(u) == 0 else None
-    u = u if u0 is None else np.full(len(lap), u0, dtype=float)
-    picked = [_formula(method, spec, t, len(u)) for t in times]
-    heat = np.empty(u.shape + (len(times),))
-    for m in set(picked):
-        cols = [k for k, p in enumerate(picked) if p == m]
-        t = np.array([times[k] for k in cols])
+    u = u if u0 is None else np.full((lap if spec is None else spec.eigenvectors).shape[:-1] + (1,), u0)
+    picked, grid = _formulas(method, spec, times), np.asarray(times, dtype=float)
+    heat = np.empty(u.shape + grid.shape)
+    for m in set(picked.ravel().tolist()):
+        takes = picked == m
+        cols = takes.reshape(-1, grid.size).any(axis=0)
+        takes, t = takes[..., None, None, cols], grid[cols]
+        # Each part is (..., n, times) from a u0 start and (n, k) from a matrix start at one time.
         if m == METHOD_EXACT:
             w, v = spec.eigenvalues, spec.eigenvectors
-            decay = np.exp(-w.reshape(w.shape + (1,) * u.ndim) * t)
-            # axes 0 and 1 are the matrix axes, so a matrix start is one product per time
-            heat[..., cols] = np.matmul(v, decay * (v.T @ u)[..., None], axes=[(0, 1)] * 3)
+            part = v @ (np.exp(-w[..., None] * t) * (v.swapaxes(-1, -2) @ u))
         elif m == METHOD_TAYLOR2:
             lu = lap @ u
-            heat[..., cols] = u[..., None] - lu[..., None] * t + (lap @ lu)[..., None] * (t * t / 2)
+            part = u - lu * t + (lap @ lu) * (t * t / 2)
         else:
-            phi = spec.eigenvectors[:, 1]
-            decay = np.where(t == 0, 0.0, np.exp(-spec.eigenvalues[1] * t))
-            heat[..., cols] = u[..., None] - np.multiply.outer(phi, phi @ u)[..., None] * decay
-    finite = np.isfinite(heat).reshape(-1, len(times)).all(axis=0)
+            phi = spec.eigenvectors[..., 1]
+            decay = np.where(t == 0, 0.0, np.exp(-spec.eigenvalues[..., 1, None, None] * t))
+            part = u - phi[..., None] * (phi[..., None, :] @ u) * decay
+        heat[..., cols] = np.where(takes, part.reshape(u.shape + t.shape), heat[..., cols])
+    finite = np.isfinite(heat).reshape(-1, grid.size).all(axis=0)
     if not finite.all():
         raise _overflow(times[np.argmin(finite)], u0, method)
-    return heat
+    return heat if u0 is None else heat[..., 0, :]
 
 
 def _overflow(t: float, u0: float | None, method: str) -> ConfigError:
@@ -185,13 +208,7 @@ def reads_spectrum(method: str, t: float) -> bool:
 def select_heat_method(spec: SpectralDecomposition | None, t: float) -> str:
     """``taylor2`` below ``SMALL_TIME_DEFAULT`` (``spec`` unread, may be None), else
     ``fiedler`` once t is past ``FIEDLER_TIME_FACTOR / lambda_1``, else ``exact``."""
-    if t < SMALL_TIME_DEFAULT:
-        return METHOD_TAYLOR2
-    if spec.n >= 2:
-        lam1 = spec.eigenvalues[1]
-        if lam1 > EIGENVALUE_CLAMP and t > FIEDLER_TIME_FACTOR / lam1:
-            return METHOD_FIEDLER
-    return METHOD_EXACT
+    return str(_formulas(METHOD_AUTO, spec, [t])[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")

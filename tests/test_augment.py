@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evokernel import augment
+from evokernel import augment, heat
 from evokernel.augment import (
     BoltzmannConfig,
     HeatDistribution,
@@ -15,7 +15,7 @@ from evokernel.augment import (
     snapshot_rng,
 )
 from evokernel.errors import ConfigError, ContractError
-from evokernel.graphs import Graph
+from evokernel.graphs import Graph, normalized_laplacian
 from evokernel.heat import SMALL_TIME_DEFAULT, HeatState
 
 from . import oracles
@@ -356,17 +356,63 @@ def test_random_episode_equals_the_reference(seed, n, p, a, method, cumulative, 
             assert all(s.node_count == 0 for s in episode.snapshots[wipe_at:])
 
 
+def assert_stacked_equals_the_oracle(graphs, times, seed, a, method, cumulative):
+    """One ``_episode_masks`` call over ``graphs`` gives each graph the oracle's masks."""
+    draws = augment._snapshot_draws(seed, range(len(graphs)), [g.node_count for g in graphs], len(times))
+    masks = augment._episode_masks(graphs, np.asarray(times), a, 1.0, list(draws), method, cumulative)
+    assert len(masks) == len(graphs)
+    for i, (g, mask) in enumerate(zip(graphs, masks)):
+        kwargs = dict(graph_index=i, method=method, cumulative=cumulative)
+        reference = reference_generate_episode(g, times, BoltzmannConfig(a=a), 1.0, seed, **kwargs)
+        assert mask.dtype == bool and mask.shape == (len(times), g.node_count)
+        assert np.array_equal(mask, np.reshape(reference.kept_masks, mask.shape))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    sizes=st.lists(st.sampled_from([0, 1, 2, 3, 4, 6]), min_size=1, max_size=4),
+    a=st.sampled_from([-2.0, 2.0, 60.0]),
+    method=st.sampled_from(METHODS),
+    cumulative=st.booleans(),
+    long_grid=st.booleans(),
+    cap=st.sampled_from([1, 40, augment._STACK_ENTRIES]),
+)
+def test_stacked_masks_equal_the_oracle(seed, sizes, a, method, cumulative, long_grid, cap):
+    """Three random graphs of each size, so every size repeats, with 0- and 1-node graphs among
+    them. The long grid reaches past 10 / lambda_1, where ``auto`` takes ``fiedler`` for some
+    graphs of a size and ``exact`` for others; a cap of 1 or 40 entries splits a size's graphs
+    into several stacks."""
+    rng = np.random.default_rng(seed)
+    graphs = [random_graph(rng, n, rng.uniform(0.2, 0.9), labels=True) for n in sizes for _ in range(3)]
+    times = [0.0, 0.05, 0.3, 10.0, 30.0] if long_grid else [0.0, 0.05, 0.3, 0.35, 2.0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(augment, "_STACK_ENTRIES", cap)
+        assert_stacked_equals_the_oracle(graphs, times, seed, a, method, cumulative)
+
+
+@pytest.mark.parametrize("cumulative", [False, True])
+def test_auto_picks_each_graph_its_own_formula_within_a_stack(cumulative):
+    """At t = 10, past 10 / lambda_1 on K4 (lambda_1 = 4/3) but not on the 4-node path
+    (lambda_1 = 1/2), one stack of both takes ``fiedler`` for one and ``exact`` for the other;
+    under ``cumulative`` step 0 keeps every node, so step 1 heats the sources for t = 10."""
+    k4, p4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]), Graph(4, [(0, 1), (1, 2), (2, 3)])
+    spec = heat._decompose(np.stack([normalized_laplacian(k4), normalized_laplacian(p4)]))
+    assert heat._formulas("auto", spec, [10.0]).ravel().tolist() == ["fiedler", "exact"]
+    assert_stacked_equals_the_oracle([k4, p4, p4, k4], [0.0, 10.0], 3, -2.0, "auto", cumulative)
+
+
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Counts the calls generate_episode makes to spectral_decompose."""
+    """The size of each matrix generate_episode decomposes, one entry per matrix of a stack."""
     calls = []
-    original = augment.spectral_decompose
+    original = augment._decompose
 
     def spy(lap):
-        calls.append(lap.shape[0])
+        calls.extend([lap.shape[-1]] * len(lap))
         return original(lap)
 
-    monkeypatch.setattr(augment, "spectral_decompose", spy)
+    monkeypatch.setattr(augment, "_decompose", spy)
     return calls
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -267,6 +268,30 @@ def test_infeasible_fold_count_fails_before_the_episodes(monkeypatch):
         run_experiment(fast_config(folds=64), dataset=synthetic_dataset())
     with pytest.raises(StageError, match=r"\[cv\].*reduce folds to at most 3"):
         sweep_time_length(fast_config(folds=4), [0.5, 1.0], dataset=synthetic_dataset())
+
+
+@pytest.mark.parametrize("sweep", [False, True])
+def test_count_matrix_is_freed_before_the_kernel(monkeypatch, sweep):
+    """The distance stage drops the WL count matrix once the distances are read from it, so
+    it is not held through the kernel and cv stages."""
+    counts = []
+    prefix, build = experiment_module._prefix_distance_matrices, experiment_module.evolution_kernel
+
+    def distances(matrix, *args):
+        counts.append(weakref.ref(matrix))
+        return prefix(matrix, *args)
+
+    def kernel(*args):
+        assert counts[0]() is None, "the count matrix is alive at the kernel stage"
+        return build(*args)
+
+    monkeypatch.setattr(experiment_module, "_prefix_distance_matrices", distances)
+    monkeypatch.setattr(experiment_module, "evolution_kernel", kernel)
+    if sweep:
+        sweep_time_length(fast_config(), [0.5, 1.0], dataset=synthetic_dataset())
+    else:
+        run_experiment(fast_config(), dataset=synthetic_dataset())
+    assert len(counts) == 1
 
 
 def test_default_mutag_run_warns_nothing(mutag):

@@ -43,30 +43,28 @@ def _sha(data: bytes) -> str:
 
 def _distances(graphs, cfg: ExperimentConfig):
     """The pipeline's distance matrix of ``graphs``, the dataset's first, under ``cfg``."""
+    steps = len(cfg.time_grid())
+    counts, sq = _wl_counts(graphs, cfg.metric_config(), _masks(graphs, cfg))
+    return _prefix_distance_matrices(counts, sq, steps, [steps])[steps]
+
+
+def _masks(graphs, cfg: ExperimentConfig) -> list:
+    """The pipeline's episode masks of ``graphs``, the dataset's first, under ``cfg``: one call
+    over all of them, as a run makes."""
     times = cfg.time_grid()
     draws = _snapshot_draws(cfg.seed, range(len(graphs)), [g.node_count for g in graphs], len(times))
-    masks = [
-        _episode_masks(g, times, cfg.a, cfg.u0, d, cfg.heat_method, cfg.cumulative)
-        for g, d in zip(graphs, draws)
-    ]
-    counts, sq = _wl_counts(graphs, cfg.metric_config(), masks)
-    return _prefix_distance_matrices(counts, sq, len(times), [len(times)])[len(times)]
+    return _episode_masks(graphs, times, cfg.a, cfg.u0, list(draws), cfg.heat_method, cfg.cumulative)
 
 
 def fingerprints(mutag_dir: Path, scratch: Path) -> dict:
     dataset = load_tu_dataset(mutag_dir, "MUTAG")
     content = [[g.node_count, g.edges, g.node_labels] for g in dataset.graphs], dataset.labels.tolist()
     cfg = ExperimentConfig(dataset_dir=str(mutag_dir), dataset_name="MUTAG", seed=SEED)
-    times = cfg.time_grid()
 
-    masks, sizes = {}, [g.node_count for g in dataset.graphs]
+    masks = {}
     for cumulative in (False, True):
         for method in HEAT_METHODS:
-            draws = _snapshot_draws(SEED, range(len(dataset.graphs)), sizes, len(times))
-            graph_masks = [
-                _episode_masks(g, times, cfg.a, cfg.u0, d, method, cumulative)
-                for g, d in zip(dataset.graphs, draws)
-            ]
+            graph_masks = _masks(dataset.graphs, replace(cfg, heat_method=method, cumulative=cumulative))
             masks[f"{method}{'-cumulative' if cumulative else ''}"] = _sha(b"".join(m.tobytes() for m in graph_masks))
 
     csv = scratch / "curve.csv"
