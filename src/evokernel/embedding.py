@@ -21,8 +21,9 @@ concatenation of the labels' bytes, and each distinct signature and each
 distinct (round, label) pair is hashed once per batch. The hashed UTF-8
 text is the same as above.
 Batches take their snapshots as flat arrays of node counts, local edge ends
-and labels, which ``_wl_counts`` cuts from each graph's edge array and, in
-the pipeline, from each episode's kept masks: no snapshot graph is built.
+and labels, which ``_wl_counts`` cuts from a source graph's edge array and
+its kept masks: no snapshot graph is built. The pipeline's snapshots are the
+rows of each episode's masks; a graph embedded whole is one all-true row.
 """
 
 from __future__ import annotations
@@ -77,50 +78,37 @@ class WlEmbedding:
 
 def wl_embed(g: Graph, cfg: MetricConfig = MetricConfig()) -> WlEmbedding:
     """The graph's WL count row over its L2 norm."""
-    counts, sq = _wl_counts([g], cfg)
+    counts, sq = _graph_counts([g], cfg)
     return WlEmbedding(vector=counts[0] / np.sqrt(np.maximum(sq[0], 1.0)))
 
 
 def delta(g1: Graph, g2: Graph, cfg: MetricConfig = MetricConfig()) -> float:
     """Euclidean distance between the two embeddings by the pipeline's formula; 0 if isomorphic."""
-    counts, sq = _wl_counts([g1, g2], cfg)
+    counts, sq = _graph_counts([g1, g2], cfg)
     return float(_count_distances(counts[:1], counts[1:], sq[:1], sq[1:])[0, 0])
 
 
-def _wl_counts(graphs, cfg: MetricConfig, masks=None):
+def _graph_counts(graphs, cfg: MetricConfig):
+    """``_wl_counts`` of each graph of a list whole: one all-true mask row, with no per-node memory."""
+    return _wl_counts(graphs, cfg, [np.broadcast_to(True, (1, g.node_count)) for g in graphs])
+
+
+def _wl_counts(graphs, cfg: MetricConfig, masks):
     """WL bucket counts, one row per snapshot, and the rows' squared norms.
 
-    The snapshots are the graphs or, given one ``(T, n)`` bool array of ``masks`` per graph,
-    ``subgraph(g, row)`` for every row of them, graph after graph, cut from the graph's
+    Each graph comes with one ``(T, n)`` bool array of ``masks``, and the snapshots are
+    ``subgraph(g, row)`` for every row of it, graph after graph, cut from the graph's
     edge array without building a snapshot graph.
 
     A row depends only on its snapshot. It sums to nodes * (wl_iterations + 1),
     so every entry of a Gram of such rows, and every partial sum of one, is
     an integer of at most (max nodes * (wl_iterations + 1))^2: the counts are
     float32 below 2^24 and float64 below 2^53, where their Grams and squared
-    norms are exact. The type is settled from the node counts alone, before
-    the counts are allocated or anything is embedded.
+    norms are exact. The type is settled from the masks' node counts alone,
+    before the counts are allocated or anything is cut or embedded.
     """
     cfg = cfg.validate()
-    graphs = list(graphs)
-    if masks is None:  # one snapshot per graph, read from its edge tuple
-        nodes = np.array([g.node_count for g in graphs], dtype=np.int64)
-        edge_counts = np.array([g.edge_count for g in graphs], dtype=np.int64)
-        ends = np.fromiter(
-            chain.from_iterable(chain.from_iterable(g.edges for g in graphs)), np.int64, 2 * int(edge_counts.sum())
-        ).reshape(-1, 2)
-        labels = [g.node_labels or () for g in graphs]
-        steps = 1
-    else:  # each whole episode cut from its graph's edge array
-        cuts = [_cut(_edge_array(g), m) for g, m in zip(graphs, masks)]
-        nodes = np.concatenate([np.zeros(0, np.int64)] + [m.sum(axis=1) for m in masks])
-        edge_counts = np.concatenate([np.zeros(0, np.int64)] + [c[0] for c in cuts])
-        ends = np.concatenate([np.zeros((0, 2), np.int64)] + [c[1] for c in cuts])
-        labels = [compress((g.node_labels or ()) * len(m), m.ravel().tolist()) for g, m in zip(graphs, masks)]
-        steps = [len(m) for m in masks]
-    # Nodes of unlabelled snapshots count by their degree.
-    labelled = np.repeat(np.array([g.node_labels is not None for g in graphs], dtype=bool), steps)
-    labels = list(chain.from_iterable(labels))
+    nodes = np.concatenate([np.zeros(0, np.int64)] + [m.sum(axis=1) for m in masks])
     bound = (int(nodes.max(initial=0)) * (cfg.wl_iterations + 1)) ** 2
     if bound < 2 ** 24:
         dtype = np.float32
@@ -137,6 +125,14 @@ def _wl_counts(graphs, cfg: MetricConfig, masks=None):
         raise ContractError(
             f"cannot allocate WL counts of {len(nodes)} rows x {cfg.dim} buckets: {exc}"
         ) from None
+    cuts = [_cut(_edge_array(g), m) for g, m in zip(graphs, masks)]
+    edge_counts = np.concatenate([np.zeros(0, np.int64)] + [c[0] for c in cuts])
+    ends = np.concatenate([np.zeros((0, 2), np.int64)] + [c[1] for c in cuts])
+    steps = [len(m) for m in masks]
+    # Nodes of unlabelled snapshots count by their degree.
+    labelled = np.repeat(np.array([g.node_labels is not None for g in graphs], dtype=bool), steps)
+    labels = [compress((g.node_labels or ()) * t, m.ravel().tolist()) for g, m, t in zip(graphs, masks, steps)]
+    labels = list(chain.from_iterable(labels))
     sizes = (nodes + 2 * edge_counts).tolist()
     edge_at = np.concatenate([[0], np.cumsum(edge_counts)])
     label_at = np.concatenate([[0], np.cumsum(nodes * labelled)])

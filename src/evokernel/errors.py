@@ -16,9 +16,9 @@ class EvoKernelError(Exception):
 
 class GraphConstructionError(EvoKernelError):
     """Invalid graph input: a node count, endpoint or label that is not an integer
-    or out of range, an edge that is not a pair, a self-loop, a repeated edge, or
-    a label list or mask of the wrong length, or a non-empty mask that is not of
-    bool dtype."""
+    or out of range, an edge that is not a pair, a self-loop, a repeated edge, a
+    label list or mask of the wrong length, a non-empty mask not of bool dtype, or
+    a mask that is no array, such as ragged rows."""
 
 
 class DatasetError(EvoKernelError):
@@ -56,7 +56,7 @@ class StageError(EvoKernelError):
 def integer(name: str, value, minimum: int = 0) -> int:
     """``value`` as an int; ``ConfigError`` unless it is an integer, not a bool, and >= ``minimum``."""
     try:
-        number = None if isinstance(value, bool) else operator.index(value)
+        number = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
     except TypeError:
         number = None
     if number is None or number < minimum:
@@ -68,7 +68,7 @@ def real(name: str, value, minimum: float = -math.inf, *, above: bool = False) -
     """``value`` as a float; ``ConfigError`` unless a finite real, not a bool, >= (``above``: >) ``minimum``."""
     number = math.nan
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        with suppress(OverflowError):
+        with suppress(OverflowError, TypeError):  # TypeError: np.timedelta64, a Real float() refuses
             number = float(value)
     if not (math.isfinite(number) and (number > minimum if above else number >= minimum)):
         bound = "" if minimum == -math.inf else f" {'>' if above else '>='} {minimum}"
@@ -84,7 +84,7 @@ def choice(name: str, value, allowed: tuple) -> None:
 
 def integers(name: str, values) -> np.ndarray:
     """``values`` as int64; ``ContractError`` unless 1-d and empty or of an integer (not bool) dtype."""
-    a = np.asarray(values)
+    a = _array(name, values, ContractError)
     if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
         raise ContractError(f"{name} must be a 1-d array of integers, got {a.dtype} of shape {a.shape}")
     return a.astype(np.int64, copy=False)
@@ -93,10 +93,8 @@ def integers(name: str, values) -> np.ndarray:
 def reals(name: str, values, error: type = ContractError) -> np.ndarray:
     """``values`` as floats; ``error`` unless numpy reads them as finite real numbers, not
     complex numbers or text. The dtype is read before any cast, which would drop an imaginary part."""
+    values = _array(name, values, error)
     try:
-        if not isinstance(values, np.ndarray):
-            np.asarray(values, dtype=complex)  # ragged rows raise; numpy < 1.24 warns without a dtype
-            values = np.asarray(values)
         if values.dtype.kind in "cSU":
             raise TypeError(f"{'complex' if values.dtype.kind == 'c' else 'text'} entries")
         a = values.astype(float, copy=False)
@@ -105,6 +103,17 @@ def reals(name: str, values, error: type = ContractError) -> np.ndarray:
         return a
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise error(f"{name} must hold finite real numbers: {exc}") from exc
+
+
+def _array(name: str, values, error: type) -> np.ndarray:
+    """``values`` as an array; ``error`` where numpy reads none from them, as from ragged rows.
+    numpy < 1.24 raises for those only under a given dtype, so they are read as complex first."""
+    try:
+        if not isinstance(values, np.ndarray):
+            np.asarray(values, dtype=complex)
+        return np.asarray(values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name} must be an array of numbers: {exc}") from exc
 
 
 def square(name: str, m, *, nonnegative: bool = False, symmetric: bool = False) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import TemporalEpisode
-from .embedding import MetricConfig, _count_distances, _wl_counts
+from .embedding import MetricConfig, _count_distances, _graph_counts
 from .errors import ContractError, square
 
 
@@ -36,7 +36,7 @@ def build_warping_matrix(
     """M[i, j] = ``delta`` between snapshot i of e1 and snapshot j of e2."""
     if len(e1) != len(e2):
         raise ContractError(f"episode lengths differ: {len(e1)} vs {len(e2)}")
-    counts, sq = _wl_counts(e1.snapshots + e2.snapshots, cfg)
+    counts, sq = _graph_counts(e1.snapshots + e2.snapshots, cfg)
     t = len(e1)
     return _count_distances(counts[:t], counts[t:], sq[:t], sq[t:])
 

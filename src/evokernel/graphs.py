@@ -7,7 +7,7 @@ from operator import index
 
 import numpy as np
 
-from .errors import GraphConstructionError
+from .errors import GraphConstructionError, _array
 
 
 class Graph:
@@ -26,7 +26,7 @@ class Graph:
         # Counts, endpoints and labels follow ``errors.integer``'s rule inline, for
         # speed: ``operator.index`` refuses floats, a class test refuses bools.
         try:
-            if node_count.__class__ is bool:
+            if node_count.__class__ in (bool, np.bool_):
                 raise TypeError
             n = self.node_count = index(node_count)
         except TypeError:
@@ -118,7 +118,7 @@ def subgraph(g: Graph, kept: np.ndarray) -> Graph:
     Surviving nodes are re-packed to contiguous 0-based ids in ascending
     source order; labels follow their nodes.
     """
-    kept = np.asarray(kept)
+    kept = _array("mask", kept, GraphConstructionError)
     if kept.size and kept.dtype != bool:
         raise GraphConstructionError(f"mask of dtype {kept.dtype} is not boolean")
     kept = kept.astype(bool, copy=False)

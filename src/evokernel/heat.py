@@ -233,11 +233,5 @@ def perturbation_gap(lap: np.ndarray, f: np.ndarray, t: float) -> float:
     if f.shape != lap.shape:
         raise ContractError(f"perturbation of shape {f.shape} for a Laplacian of shape {lap.shape}")
     exact = compute_heat_kernel(lap, spectral_decompose(lap), t, METHOD_EXACT)
-    perturbed = _symmetric_expm(-exact.t * (lap + f))
-    return float(np.linalg.norm(exact.matrix - perturbed))
-
-
-def _symmetric_expm(s: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix via eigh, no Laplacian-specific clamping."""
-    w, v = np.linalg.eigh(s)
-    return (v * np.exp(w)) @ v.T
+    w, v = np.linalg.eigh(-exact.t * (lap + f))  # its exponential, without the Laplacian clamp
+    return float(np.linalg.norm(exact.matrix - (v * np.exp(w)) @ v.T))

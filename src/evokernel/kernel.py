@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import TemporalEpisode
-from .embedding import MetricConfig, _count_distances, _wl_counts
+from .embedding import MetricConfig, _count_distances, _graph_counts
 from .errors import ContractError, choice, real, square
 from .gdtw import _cumulative_costs
 
@@ -57,7 +57,7 @@ def distance_matrix(
             raise ContractError("episodes are not on a common time grid with one snapshot per time")
     if not len(grid):
         raise ContractError("episodes have no snapshots")
-    counts, sq = _wl_counts([snap for e in episodes for snap in e.snapshots], cfg)
+    counts, sq = _graph_counts([snap for e in episodes for snap in e.snapshots], cfg)
     return _prefix_distance_matrices(counts, sq, len(grid), [len(grid)])[len(grid)]
 
 

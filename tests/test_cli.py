@@ -244,6 +244,18 @@ def test_sweep_rejects_descending_lengths(dataset_dir, tmp_path, capsys):
     assert "ascending" in capsys.readouterr().err
 
 
+def test_sweep_rejects_equal_lengths(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(
+        ["sweep", "--dataset", str(dataset_dir), "--name", "TRISTAR", *FAST,
+         "--lengths", "0.2,0.2", "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "[config]" in err and "strictly ascending" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lengths", [",", "0.1,nan"])
 def test_sweep_rejects_empty_or_non_finite_lengths_before_loading(tmp_path, capsys, lengths):
     out = tmp_path / "x.csv"

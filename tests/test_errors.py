@@ -1,7 +1,8 @@
 """Every argument check of the library raises an ``EvoKernelError`` subclass.
 
 A bad scalar option raises ``ConfigError`` and a bad array or graph raises
-``ContractError``; both are also ``ValueError``s.
+``ContractError``; both are also ``ValueError``s. A mask that ``subgraph``
+cannot read raises ``GraphConstructionError``, as every bad graph input does.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from evokernel.augment import (
     heat_distribution,
 )
 from evokernel.embedding import MAX_WL_ITERATIONS, MetricConfig, wl_embed
-from evokernel.errors import ConfigError, ContractError, EvoKernelError, StageError
+from evokernel.errors import ConfigError, ContractError, EvoKernelError, GraphConstructionError, StageError
 from evokernel.experiment import ExperimentConfig, stratified_folds, sweep_time_length
 from evokernel.gdtw import build_warping_matrix, gdtw_distance
-from evokernel.graphs import Graph, normalized_laplacian
+from evokernel.graphs import Graph, normalized_laplacian, subgraph
 from evokernel.heat import (
     HEAT_METHODS,
     HeatKernel,
@@ -169,6 +170,11 @@ CALLS = {
     ),
     "folds-2d-labels": (ContractError, lambda: stratified_folds([[0, 0], [1, 1]], 2, 0)),
     "train-2d-labels": (ContractError, lambda: svm_train(KERNEL, [[0], [1], [1]], [0, 1, 2])),
+    # Ragged rows are no array, whatever numpy's version.
+    "folds-ragged-labels": (ContractError, lambda: stratified_folds([[1.0], [1.0, 2.0]], 2, 1)),
+    "train-ragged-labels": (ContractError, lambda: svm_train(KERNEL, [[0], [1, 1], [1]], [0, 1, 2])),
+    "train-ragged-ids": (ContractError, lambda: svm_train(KERNEL, LABELS, [[0], [1, 2]])),
+    "subgraph-ragged-mask": (GraphConstructionError, lambda: subgraph(PATH, [[True], [True, False]])),
     # Sweep lengths are numbers, never bools.
     "sweep-bool-length": (ConfigError, lambda: _at_config(lambda: sweep_time_length(ExperimentConfig(), [True]))),
     "sweep-numpy-bool-length": (
@@ -266,6 +272,8 @@ CALLS = {
     "warping-huge-int": (ContractError, lambda: gdtw_distance([[10**400]])),
     "clip-huge-int": (ContractError, lambda: clip_psd([[10**400]])),
     "kernel-huge-int-distances": (ContractError, lambda: evolution_kernel([[0, 10**400], [10**400, 0]])),
+    # numpy registers timedelta64 as a real number, but float() refuses it.
+    "taylor-timedelta-time": (ConfigError, lambda: compute_heat_kernel(LAP, None, np.timedelta64(1, "D"), "taylor2")),
     "kernel-text-distances": (ContractError, lambda: evolution_kernel("x")),
     "laplacian-text": (ContractError, lambda: spectral_decompose("x")),
     "laplacian-numeric-text": (
@@ -292,4 +300,4 @@ def test_library_checks_raise_package_errors(site):
     with pytest.raises(EvoKernelError) as info:
         call()
     assert isinstance(info.value, expected)
-    assert isinstance(info.value, ValueError)
+    assert isinstance(info.value, ValueError) == (expected is not GraphConstructionError)

@@ -354,6 +354,12 @@ def test_sweep_requires_ascending_lengths():
         sweep_time_length(fast_config(), [0.4, 0.2], dataset=synthetic_dataset())
 
 
+def test_sweep_refuses_equal_lengths_at_config():
+    with pytest.raises(StageError, match="strictly ascending") as info:
+        sweep_time_length(fast_config(), [0.2, 0.2], dataset=synthetic_dataset())
+    assert info.value.stage == "config"
+
+
 def mixed_dataset() -> GraphDataset:
     graphs = [triangle(), star(3), star(4), triangle(), star(2), star(5), star(3), triangle()]
     labels = np.array([0, 1, 1, 0, 1, 1, 0, 0])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from evokernel import embedding
 from evokernel.augment import TemporalEpisode
-from evokernel.embedding import MetricConfig, _count_distances, _wl_counts, delta, wl_embed
+from evokernel.embedding import MetricConfig, _count_distances, _graph_counts, delta, wl_embed
 from evokernel.errors import ContractError
 from evokernel.gdtw import (
     _cumulative_costs,
@@ -106,7 +106,7 @@ def test_count_grams_equal_python_int_grams(isolated, dtype):
     if isolated:
         # (1,100 nodes * 4 rounds)^2 > 2^24: the bound asks for float64.
         graphs.append(Graph(isolated, []))
-    counts, sq = _wl_counts(graphs, CFG)
+    counts, sq = _graph_counts(graphs, CFG)
     assert counts.dtype == dtype
     rows = [reference_wl_counts(g, CFG.wl_iterations, CFG.dim) for g in graphs]
     gram = [[sum(x * y for x, y in zip(r, s)) for s in rows] for r in rows]
@@ -120,7 +120,7 @@ def test_count_distances_are_the_embedding_distances():
     rng = np.random.default_rng(82)
     graphs = [Graph(0, [])]
     graphs += [random_graph(rng, int(rng.integers(1, 15)), 0.4) for _ in range(12)]
-    counts, sq = _wl_counts(graphs, CFG)
+    counts, sq = _graph_counts(graphs, CFG)
     d = _count_distances(counts, counts, sq, sq)
     emb = np.stack([wl_embed(g, CFG).vector for g in graphs])
     assert np.allclose(d, cross_distances(emb, emb), rtol=0.0, atol=1e-7)
@@ -151,6 +151,17 @@ def test_identical_episodes_align_on_the_diagonal(p3, k2, c4):
     result = gdtw_distance(build_warping_matrix(e, e))
     assert result.distance == 0.0
     assert result.path == ((0, 0), (1, 1), (2, 2))
+
+
+def test_equal_costs_align_on_the_diagonal():
+    # Every path costs 0: a tie between all three moves goes to the diagonal.
+    assert gdtw_distance(np.zeros((3, 3))).path == ((0, 0), (1, 1), (2, 2))
+
+
+def test_up_wins_a_tie_with_left():
+    # From (2, 2) up and left both lead back at cost 0, and the diagonal costs 1.
+    m = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    assert gdtw_distance(m).path == ((0, 0), (0, 1), (1, 2), (2, 2))
 
 
 def test_two_by_two_prefers_free_diagonal():

@@ -11,7 +11,11 @@ values of the kind its valid value has, substituted one at a time:
   non-contiguous view, and one entry replaced by NaN or an infinity (float
   arrays) or by a fraction or a bool (integer arrays);
 - a config (``BoltzmannConfig``, ``MetricConfig``, ``ExperimentConfig``):
-  each numeric field, by the rules above.
+  each numeric field, by the rules above;
+- and, whatever the kind, a value of another kind (``HOSTILE``): ints beyond
+  int64 and float64 range, complex values, text and bytes (numeric or not),
+  numpy scalars of every dtype kind, 0-d and object arrays, ragged nested
+  lists, ``None``, and empty and one-element sequences.
 
 Graphs, episodes, spectra, kernels and the other values the library itself
 produces are passed valid, as are strings and bool flags. Each call must
@@ -24,6 +28,7 @@ looks for the unknown ones.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import inspect
 import math
@@ -138,6 +143,36 @@ def _bad_reals():
     return st.one_of(never.map(_refused), negatives.map(_either))
 
 
+HOSTILE = [
+    2**63, -(2**63) - 1, 2**64, 10**400, -(10**400),
+    1j, complex(1.0, 0.0), np.complex64(1.0), np.complex128(0.5 + 1j),
+    "x", "1", "1.5", "", b"1", b"x",
+    np.bool_(True), np.int8(1), np.uint64(2**64 - 1), np.float16(0.5), np.longdouble(2.5),
+    np.str_("1"), np.bytes_(b"1"), np.datetime64(1, "D"), np.timedelta64(1, "D"), np.void(b"\x01"),
+    np.array(1), np.array(1.5), np.array(True), np.array("1"),
+    np.array([1, None], dtype=object), np.array([1.0, 2.0], dtype=object),
+    [[1.0], [1.0, 2.0]], [[0], [1, 1]], [[True], [True, False]],
+    None, [], (), [1], [1.0], (True,),
+]
+# In place of an integer or a real these are always refused: no bool, text, complex
+# number, None, sequence or object array is one.
+_NEVER_NUMBERS = (
+    type(None), str, bytes, complex, list, tuple,
+    np.bool_, np.complexfloating, np.str_, np.bytes_, np.void, np.datetime64,
+)
+
+
+def _hostile(scalar: bool):
+    """A fresh copy of each ``HOSTILE`` value, refused in place of a scalar if it is never a number."""
+
+    def draw(i):
+        value = HOSTILE[i]
+        never = isinstance(value, _NEVER_NUMBERS) or getattr(value, "dtype", None) == object
+        return copy.deepcopy(value), scalar and never
+
+    return st.sampled_from(range(len(HOSTILE))).map(draw)
+
+
 def _strided(a: np.ndarray) -> np.ndarray:
     """A non-contiguous view equal to ``a``."""
     wide = np.zeros(tuple(2 * s for s in a.shape), dtype=a.dtype)
@@ -178,11 +213,11 @@ def _kind(value):
     if isinstance(value, (bool, np.bool_, str, Path)):
         return None
     if isinstance(value, (int, np.integer)):
-        return _bad_integers()
+        return st.one_of(_bad_integers(), _hostile(scalar=True))
     if isinstance(value, (float, np.floating)):
-        return _bad_reals()
+        return st.one_of(_bad_reals(), _hostile(scalar=True))
     if isinstance(value, np.ndarray) and value.dtype.kind in "biuf" and value.size:
-        return _bad_arrays(value).map(_either)
+        return st.one_of(_bad_arrays(value).map(_either), _hostile(scalar=False))
     return None
 
 

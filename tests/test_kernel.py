@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from evokernel.augment import TemporalEpisode, generate_episode
-from evokernel.embedding import MetricConfig, _count_distances, _wl_counts, wl_embed
+from evokernel.embedding import MetricConfig, _count_distances, _graph_counts, _wl_counts, wl_embed
 from evokernel.errors import ContractError
 from evokernel.experiment import ExperimentConfig
 from evokernel.gdtw import build_warping_matrix, gdtw_distance
@@ -25,7 +25,7 @@ CFG = MetricConfig()
 
 def _prefixes(episodes, step_counts):
     """``_prefix_distance_matrices`` of the episodes' snapshot count rows."""
-    counts, sq = _wl_counts([snap for e in episodes for snap in e.snapshots], CFG)
+    counts, sq = _graph_counts([snap for e in episodes for snap in e.snapshots], CFG)
     return _prefix_distance_matrices(counts, sq, len(episodes[0].times), step_counts)
 
 
@@ -157,7 +157,7 @@ def test_equal_mutag_snapshots_are_exactly_zero_apart(mutag_episodes):
     equal = group[:, None] == group[None, :]
     # 2,068 snapshots on the diagonal plus 394 ordered pairs of distinct ones
     assert equal.sum() == 2462
-    counts, sq = _wl_counts(snapshots, CFG)
+    counts, sq = _graph_counts(snapshots, CFG)
     assert np.all(_count_distances(counts, counts, sq, sq)[equal] == 0.0)
 
 
@@ -174,7 +174,7 @@ def test_distance_matrix_memory_stays_below_one_cross_block(mutag_episodes):
 
 @pytest.fixture(scope="module")
 def mutag_counts(mutag_episodes):
-    return _wl_counts([snap for e in mutag_episodes for snap in e.snapshots], CFG)
+    return _graph_counts([snap for e in mutag_episodes for snap in e.snapshots], CFG)
 
 
 def test_prefix_distances_hold_less_than_the_count_matrix(mutag_counts):

@@ -85,6 +85,13 @@ def test_graph_id_beyond_the_labels_is_refused_before_sizing(tmp_path):
         load_tu_dataset(directory, "TINY")
 
 
+def test_graph_id_against_an_empty_labels_file_exceeds_them(tmp_path):
+    directory = _two_graph_dir(tmp_path)
+    (directory / "TINY_graph_labels.txt").write_text("")
+    with pytest.raises(DatasetError, match=r"indicator\.txt line 1: graph id 1 exceeds the 0 graph labels"):
+        load_tu_dataset(directory, "TINY")
+
+
 def test_malformed_integer_reports_line_number(tmp_path):
     directory = _two_graph_dir(tmp_path)
     (directory / "TINY_graph_labels.txt").write_text("7\nbanana\n")
