@@ -24,6 +24,8 @@ Batches take their snapshots as flat arrays of node counts, local edge ends
 and labels, which ``_wl_counts`` cuts from a source graph's edge array and
 its kept masks: no snapshot graph is built. The pipeline's snapshots are the
 rows of each episode's masks; a graph embedded whole is one all-true row.
+Counts are held as the smallest unsigned integers that hold them, and cast
+to floats only as operands of a Gram.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ class WlEmbedding:
 def wl_embed(g: Graph, cfg: MetricConfig = MetricConfig()) -> WlEmbedding:
     """The graph's WL count row over its L2 norm."""
     counts, sq = _graph_counts([g], cfg)
-    return WlEmbedding(vector=counts[0] / np.sqrt(np.maximum(sq[0], 1.0)))
+    # Over an array, not a scalar: numpy 1.x would give a uint8 row over a float scalar as float16.
+    return WlEmbedding(vector=counts[0] / np.sqrt(np.maximum(sq[:1], 1.0)))
 
 
 def delta(g1: Graph, g2: Graph, cfg: MetricConfig = MetricConfig()) -> float:
@@ -90,6 +93,9 @@ def delta(g1: Graph, g2: Graph, cfg: MetricConfig = MetricConfig()) -> float:
 
 def _graph_counts(graphs, cfg: MetricConfig):
     """``_wl_counts`` of each graph of a list whole: one all-true mask row, with no per-node memory."""
+    for g in graphs:
+        if not isinstance(g, Graph):
+            raise ContractError(f"WL counts are of Graph objects, got {type(g).__name__}")
     return _wl_counts(graphs, cfg, [np.broadcast_to(True, (1, g.node_count)) for g in graphs])
 
 
@@ -101,30 +107,29 @@ def _wl_counts(graphs, cfg: MetricConfig, masks):
     edge array without building a snapshot graph.
 
     A row depends only on its snapshot. It sums to nodes * (wl_iterations + 1),
-    so every entry of a Gram of such rows, and every partial sum of one, is
-    an integer of at most (max nodes * (wl_iterations + 1))^2: the counts are
-    float32 below 2^24 and float64 below 2^53, where their Grams and squared
-    norms are exact. The type is settled from the masks' node counts alone,
-    before the counts are allocated or anything is cut or embedded.
+    so no count exceeds that sum, and the counts are the smallest unsigned
+    integers that hold it: uint8, uint16 or uint32. Every entry of a Gram of
+    such rows, and every partial sum of one, is an integer of at most
+    (max nodes * (wl_iterations + 1))^2, which must be below 2^53, where
+    float64 holds it and the float64 squared norms exactly. The type and the
+    bound are settled from the masks' node counts alone, before the counts
+    are allocated or anything is cut or embedded.
     """
     cfg = cfg.validate()
     nodes = np.concatenate([np.zeros(0, np.int64)] + [m.sum(axis=1) for m in masks])
-    bound = (int(nodes.max(initial=0)) * (cfg.wl_iterations + 1)) ** 2
-    if bound < 2 ** 24:
-        dtype = np.float32
-    elif bound < 2 ** 53:
-        dtype = np.float64
-    else:
+    top = int(nodes.max(initial=0)) * (cfg.wl_iterations + 1)
+    if top ** 2 >= 2 ** 53:
         raise ContractError(
             f"WL counts of a {int(nodes.max())}-node graph at {cfg.wl_iterations} iterations "
-            f"reach Gram entries of up to {bound}, beyond exact float64 (2^53)"
+            f"reach Gram entries of up to {top ** 2}, beyond exact float64 (2^53)"
         )
     try:
-        out = np.zeros((len(nodes), cfg.dim), dtype=dtype)
+        out = np.zeros((len(nodes), cfg.dim), dtype=np.min_scalar_type(top))
     except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an array can hold
         raise ContractError(
             f"cannot allocate WL counts of {len(nodes)} rows x {cfg.dim} buckets: {exc}"
         ) from None
+    sq = np.zeros(len(nodes))
     cuts = [_cut(_edge_array(g), m) for g, m in zip(graphs, masks)]
     edge_counts = np.concatenate([np.zeros(0, np.int64)] + [c[0] for c in cuts])
     ends = np.concatenate([np.zeros((0, 2), np.int64)] + [c[1] for c in cuts])
@@ -144,10 +149,10 @@ def _wl_counts(graphs, cfg: MetricConfig, masks):
             hi += 1
         _embed_batch(
             nodes[lo:hi], edge_counts[lo:hi], ends[edge_at[lo] : edge_at[hi]],
-            labelled[lo:hi], labels[label_at[lo] : label_at[hi]], cfg, out[lo:hi],
+            labelled[lo:hi], labels[label_at[lo] : label_at[hi]], cfg, out[lo:hi], sq[lo:hi],
         )
         lo = hi
-    return out, np.einsum("ij,ij->i", out, out).astype(np.float64)
+    return out, sq
 
 
 def _count_distances(
@@ -160,9 +165,15 @@ def _count_distances(
     d^2 = u_a + u_b - 2 * G / sqrt(sq_a * sq_b) for the integer Gram G. G is
     exact in any blocking and summation order, so a distance depends on its
     two rows alone and is exactly symmetric; equal rows are exactly 0 apart.
+
+    The operands are cast to float32 while max sq_a * max sq_b < 2^48: by
+    Cauchy-Schwarz every Gram entry of the non-negative rows, and every
+    partial sum of one, is then an integer below 2^24, which float32 holds.
+    Otherwise they are cast to float64, exact below ``_wl_counts``' 2^53.
     """
+    exact = np.float32 if sq_a.max(initial=0) * sq_b.max(initial=0) < 2.0 ** 48 else np.float64
     # In place, so that beside the Gram at most one scale buffer of its size is alive.
-    g = np.multiply(a @ b.T, 2.0, dtype=np.float64)
+    g = np.multiply(a.astype(exact, copy=False) @ b.astype(exact, copy=False).T, 2.0, dtype=np.float64)
     scale = np.multiply(np.maximum(sq_a, 1.0)[:, None], np.maximum(sq_b, 1.0))
     g /= np.sqrt(scale, out=scale)
     np.add((sq_a > 0)[:, None], (sq_b > 0).astype(np.float64), out=scale)
@@ -171,9 +182,9 @@ def _count_distances(
     return np.sqrt(g, out=g)
 
 
-def _embed_batch(nodes, edge_counts, ends, labelled, labels, cfg: MetricConfig, out: np.ndarray) -> None:
+def _embed_batch(nodes, edge_counts, ends, labelled, labels, cfg: MetricConfig, out, sq) -> None:
     """Write the WL bucket counts of a batch of snapshots, given as ``_wl_counts``
-    cuts them, into the zeroed rows of ``out``."""
+    cuts them, into the zeroed rows of ``out``, and their squared norms into ``sq``."""
     n = int(nodes.sum())
     if n == 0:
         return
@@ -204,6 +215,7 @@ def _embed_batch(nodes, edge_counts, ends, labelled, labels, cfg: MetricConfig, 
 
     cell, count = np.unique(np.concatenate(cells), return_counts=True)
     out.flat[cell] = count
+    sq[:] = np.bincount(cell // cfg.dim, weights=count.astype(np.float64) ** 2, minlength=len(nodes))
 
 
 def _initial_ids(labelled: np.ndarray, labels, degree: np.ndarray):

@@ -41,13 +41,14 @@ def distance_matrix(
     bit for bit. Every snapshot is embedded exactly once; each unordered pair
     is aligned once and mirrored, so symmetry is exact by construction.
     Snapshot distances are built for a block of whole episodes, about
-    ``_BLOCK_SNAPSHOTS`` snapshot rows at a time, against all later snapshots,
-    and aligned three table diagonals at a time. Beyond the (n * T, dim) count
-    matrix and the result the working memory grows as O(n * T) for
-    T <= ``_BLOCK_SNAPSHOTS``, not (n * T)^2. A longer grid has one episode per
-    block, T rows against (n - 1) * T columns plus the pairs' copy of them, so
-    the memory grows as O(n * T^2): 358 MiB for the (501, 93687) distance
-    block of MUTAG's 188 graphs at 501 steps.
+    ``_BLOCK_SNAPSHOTS`` snapshot rows at a time, against the later snapshots
+    in column chunks of about twice as many, each written straight into its
+    pairs' cost stack, and aligned three table diagonals at a time. Beyond the
+    (n * T, dim) count matrix, of one to four bytes a count, and the result,
+    the working memory grows as O(n * T) for T <= ``_BLOCK_SNAPSHOTS``, not
+    (n * T)^2. A longer grid has one episode per block, whose (n - 1, T, T)
+    cost stack is whole, so the memory grows as O(n * T^2): 358 MiB for the
+    187 pairs of MUTAG's first graph at 501 steps.
     """
     if not episodes:
         return np.zeros((0, 0))
@@ -72,29 +73,41 @@ def _prefix_distance_matrices(
     depend on which other snapshots share its product: one product over the
     longest grid serves every s. The alignment recurrence only looks back, so
     gamma[s, s] of each pair's one full-length table is the distance of the
-    s-snapshot prefixes, bit for bit; only those cells are kept, and a block
-    is freed once its pairs' costs are copied out.
+    s-snapshot prefixes, bit for bit; only those cells are kept. Pair (i, j)
+    has j's snapshots as its table's rows, the transpose of
+    ``build_warping_matrix(e_i, e_j)``, whose gamma[s, s] is the same bits:
+    each cell adds the same cost to an exact minimum.
     """
     if any(not 1 <= s <= steps for s in step_counts):
         raise ContractError(f"step counts {sorted(step_counts)} are not all within 1..{steps}")
     step_counts = sorted({int(s) for s in step_counts})
     n = len(counts) // steps
     d = {s: np.zeros((n, n)) for s in step_counts}
-    per_block = max(1, _BLOCK_SNAPSHOTS // steps)
+    per_block, per_chunk = max(1, _BLOCK_SNAPSHOTS // steps), max(1, 2 * _BLOCK_SNAPSHOTS // steps)
+    # Count columns are cast a chunk at a time into one buffer, exactly: uint8 and uint16 fit float32.
+    buffer = np.empty((min(per_chunk, n) * steps, counts.shape[1]), np.promote_types(counts.dtype, np.float32))
     for lo in range(0, n - 1, per_block):
         hi = min(lo + per_block, n - 1)
-        # Rows of episodes lo..hi-1 against every episode after lo; the pairs
-        # (i, j > i) among them are aligned in one stack of tables.
-        rows, cols = slice(lo * steps, hi * steps), slice((lo + 1) * steps, None)
-        r, c = np.triu_indices(hi - lo, 0, n - lo - 1)
-        block = _count_distances(counts[rows], counts[cols], sq[rows], sq[cols])
-        diagonals = _cumulative_costs(block.reshape(hi - lo, steps, n - lo - 1, steps)[r, :, c, :])
-        del block
-        i, j = r + lo, c + lo + 1
-        for k, diagonal in enumerate(diagonals):
+        # Rows of episodes lo..hi-1 against the m episodes after lo, in one stack of tables:
+        # table (c, r) is pair (lo + r, lo + 1 + c). Pairs with c < r (j <= i), all in the
+        # first column chunk, are aligned too, and dropped.
+        rows, m = slice(lo * steps, hi * steps), n - lo - 1
+        block = counts[rows].astype(buffer.dtype)
+        costs = np.empty((m, hi - lo, steps, steps))
+        for c0 in range(0, m, per_chunk):
+            c1 = min(c0 + per_chunk, m)
+            cols = slice((lo + 1 + c0) * steps, (lo + 1 + c1) * steps)
+            chunk = buffer[: cols.stop - cols.start]
+            np.copyto(chunk, counts[cols])
+            part = _count_distances(chunk, block, sq[cols], sq[rows])
+            np.copyto(costs[c0:c1], part.reshape(c1 - c0, steps, hi - lo, steps).transpose(0, 2, 1, 3))
+        c, r = np.divmod(np.arange(m * (hi - lo)), hi - lo)
+        keep = c >= r
+        i, j = r[keep] + lo, c[keep] + lo + 1
+        for k, diagonal in enumerate(_cumulative_costs(costs.reshape(-1, steps, steps))):
             if k % 2 == 0 and k // 2 in d:
-                d[k // 2][i, j] = d[k // 2][j, i] = diagonal[k // 2]
-        del diagonal  # the DP's buffers go before the next block's distances
+                d[k // 2][i, j] = d[k // 2][j, i] = diagonal[k // 2][keep]
+        del diagonal, costs  # the DP's buffers go before the next block's distances
     return d
 
 

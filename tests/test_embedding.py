@@ -271,11 +271,11 @@ def test_large_inputs_are_split_into_bounded_batches(monkeypatch):
 
 def _equal_reference_rows(counts, sq, snapshots) -> bool:
     """Default-config counts and squared norms equal the oracle's on each snapshot, in the
-    type that the exact-Gram rule gives the largest snapshot."""
+    smallest unsigned type that holds the largest snapshot's row sum."""
     rows = [reference_wl_counts(s) for s in snapshots]
-    bound = (max(s.node_count for s in snapshots) * (MetricConfig().wl_iterations + 1)) ** 2
+    top = max(s.node_count for s in snapshots) * (MetricConfig().wl_iterations + 1)
     return (
-        counts.dtype == (np.float32 if bound < 2 ** 24 else np.float64)
+        counts.dtype == (np.uint8 if top < 2 ** 8 else np.uint16 if top < 2 ** 16 else np.uint32)
         and counts.tolist() == rows
         and sq.tolist() == [sum(x * x for x in r) for r in rows]
     )

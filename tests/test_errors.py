@@ -18,7 +18,7 @@ from evokernel.augment import (
     generate_episode,
     heat_distribution,
 )
-from evokernel.embedding import MAX_WL_ITERATIONS, MetricConfig, wl_embed
+from evokernel.embedding import MAX_WL_ITERATIONS, MetricConfig, delta, wl_embed
 from evokernel.errors import ConfigError, ContractError, EvoKernelError, GraphConstructionError, StageError
 from evokernel.experiment import ExperimentConfig, stratified_folds, sweep_time_length
 from evokernel.gdtw import build_warping_matrix, gdtw_distance
@@ -291,6 +291,17 @@ CALLS = {
     "episode-no-graph": (ConfigError, lambda: generate_episode(None, [0.0])),
     "episode-text-grid": (ConfigError, lambda: generate_episode(PATH, ["a"])),
     "episode-complex-grid": (ConfigError, lambda: generate_episode(PATH, np.array([0.0, 0.1]) + 0j)),
+    # WL counts are of graphs only: a whole graph, or an episode's snapshots.
+    "embed-no-graph": (ContractError, lambda: wl_embed("x")),
+    "delta-no-graph": (ContractError, lambda: delta(PATH, None)),
+    "warping-no-graph-snapshot": (
+        ContractError,
+        lambda: build_warping_matrix(TemporalEpisode(PATH, np.zeros(1), ["x"], 0), generate_episode(PATH, [0.0])),
+    ),
+    "distances-no-graph-snapshot": (
+        ContractError,
+        lambda: distance_matrix([generate_episode(PATH, [0.0]), TemporalEpisode(PATH, np.zeros(1), [None], 0)]),
+    ),
 }
 
 

@@ -97,23 +97,29 @@ def test_cross_distances_equal_the_plain_expression():
         assert np.array_equal(cross_distances(a, b), plain)
 
 
-@pytest.mark.parametrize("isolated, dtype", [(0, np.float32), (1100, np.float64)])
+@pytest.mark.parametrize("isolated, dtype", [(0, np.uint8), (1100, np.uint16), (4201, np.uint16)])
 def test_count_grams_equal_python_int_grams(isolated, dtype):
     rng = np.random.default_rng(81)
     graphs = [
         random_graph(rng, int(rng.integers(0, 30)), 0.3, labels=bool(k % 2)) for k in range(8)
     ]
     if isolated:
-        # (1,100 nodes * 4 rounds)^2 > 2^24: the bound asks for float64.
+        # 1,100 or 4,201 nodes * 4 rounds > 255: the counts need uint16. At 4,201 each
+        # square, 4,201^2, is odd and above 2^24, so float32 operands would round the Gram.
         graphs.append(Graph(isolated, []))
     counts, sq = _graph_counts(graphs, CFG)
     assert counts.dtype == dtype
     rows = [reference_wl_counts(g, CFG.wl_iterations, CFG.dim) for g in graphs]
     gram = [[sum(x * y for x, y in zip(r, s)) for s in rows] for r in rows]
-    assert (counts @ counts.T).tolist() == gram
+    wide = counts.astype(np.int64)
+    assert (wide @ wide.T).tolist() == gram
     assert sq.tolist() == [gram[k][k] for k in range(len(rows))]
-    wide = counts.astype(np.float64)
-    assert np.array_equal(_count_distances(counts, counts, sq, sq), _count_distances(wide, wide, sq, sq))
+    # The distance formula's float64 operations on the exact Gram, one at a time.
+    norms = np.sqrt(np.maximum(sq, 1.0)[:, None] * np.maximum(sq, 1.0))
+    nonempty = (sq > 0).astype(np.float64)
+    d2 = nonempty[:, None] + nonempty - 2.0 * np.array(gram, dtype=np.float64) / norms
+    exact = np.sqrt(np.clip(d2, 0.0, None))
+    assert np.array_equal(_count_distances(counts, counts, sq, sq), exact)
 
 
 def test_count_distances_are_the_embedding_distances():

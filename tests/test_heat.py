@@ -12,6 +12,7 @@ from evokernel import heat as heat_module
 from evokernel.errors import ConfigError, NumericalError
 from evokernel.graphs import Graph, normalized_laplacian
 from evokernel.heat import (
+    EIGENVALUE_CLAMP,
     METHOD_EXACT,
     METHOD_FIEDLER,
     METHOD_TAYLOR2,
@@ -224,6 +225,23 @@ def test_spectrum_is_optional_only_where_it_is_not_read(p3):
     assert not reads_spectrum("bogus", 1.0)
     with pytest.raises(ValueError, match="heat method must be one of"):
         compute_heat_kernel(lap, None, 1.0, "bogus")
+
+
+def test_eigenvalues_down_to_minus_the_clamp_are_clamped():
+    """``spectral_decompose`` clamps an eigenvalue of exactly -EIGENVALUE_CLAMP to 0 and
+    refuses one below it."""
+    spec = spectral_decompose(np.diag([-EIGENVALUE_CLAMP, 1.0]))
+    assert spec.eigenvalues.tolist() == [0.0, 1.0]
+    with pytest.raises(NumericalError, match="below zero"):
+        spectral_decompose(np.diag([-2 * EIGENVALUE_CLAMP, 1.0]))
+
+
+def test_auto_takes_fiedler_only_above_the_clamp():
+    """A lambda_1 of exactly EIGENVALUE_CLAMP never takes fiedler, even at t = 1e12, past
+    FIEDLER_TIME_FACTOR / lambda_1; twice the clamp does."""
+    for lam1, method in ((EIGENVALUE_CLAMP, METHOD_EXACT), (2 * EIGENVALUE_CLAMP, METHOD_FIEDLER)):
+        spec = SpectralDecomposition(np.array([0.0, lam1]), np.eye(2))
+        assert select_heat_method(spec, 1e12) == method
 
 
 def test_auto_never_picks_fiedler_on_disconnected():

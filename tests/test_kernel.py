@@ -161,14 +161,18 @@ def test_equal_mutag_snapshots_are_exactly_zero_apart(mutag_episodes):
     assert np.all(_count_distances(counts, counts, sq, sq)[equal] == 0.0)
 
 
-def test_distance_matrix_memory_stays_below_one_cross_block(mutag_episodes):
-    rows = sum(len(e) for e in mutag_episodes)
+def _traced_peak(call):
+    """``call()`` and the tracemalloc peak of the bytes it allocated."""
     tracemalloc.start()
     try:
-        distance_matrix(mutag_episodes, CFG)
-        peak = tracemalloc.get_traced_memory()[1]
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_distance_matrix_memory_stays_below_one_cross_block(mutag_episodes):
+    rows = sum(len(e) for e in mutag_episodes)
+    _, peak = _traced_peak(lambda: distance_matrix(mutag_episodes, CFG))
     assert peak < rows * rows * 8  # 34,212,992 bytes: one float64 (n*T)^2 block
 
 
@@ -177,27 +181,27 @@ def mutag_counts(mutag_episodes):
     return _graph_counts([snap for e in mutag_episodes for snap in e.snapshots], CFG)
 
 
-def test_prefix_distances_hold_less_than_the_count_matrix(mutag_counts):
-    counts, sq = mutag_counts
-    tracemalloc.start()
-    try:
-        _prefix_distance_matrices(counts, sq, 11, [11])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # The (2,068, 1,024) float32 counts are 8.08 MiB; the distance blocks and
-    # alignment buffers must stay below them.
-    assert peak <= 7 * 2 ** 20
+def test_counts_and_the_distance_stage_stay_below_float32_counts(mutag_episodes):
+    """MUTAG's (2,068, 1,024) counts as float32 were 8.08 MiB. Counting peaks at 6 MiB at most,
+    and the counts plus the peak of the distance blocks and alignment buffers stay within 8 MiB."""
+    masks = [np.array(e.kept_masks) for e in mutag_episodes]
+    (counts, sq), counting = _traced_peak(lambda: _wl_counts([e.source for e in mutag_episodes], CFG, masks))
+    _, distances = _traced_peak(lambda: _prefix_distance_matrices(counts, sq, 11, [11]))
+    assert counting <= 6 * 2 ** 20
+    assert counts.nbytes + distances <= 8 * 2 ** 20
 
 
-def test_float64_counts_give_the_float32_prefix_distances(mutag_counts):
+def test_wider_counts_give_the_uint8_prefix_distances(mutag_counts):
+    """MUTAG's counts are uint8 (at most 28 nodes * 4 rounds); held as uint32, whose chunks
+    are cast to float64, or as float64, they give the same prefix distances bit for bit."""
     counts, sq = mutag_counts
-    assert counts.dtype == np.float32
+    assert counts.dtype == np.uint8
     steps = range(1, 12)
     narrow = _prefix_distance_matrices(counts, sq, 11, steps)
-    wide = _prefix_distance_matrices(counts.astype(np.float64), sq, 11, steps)
-    for s in steps:
-        assert np.array_equal(narrow[s], wide[s])
+    for wide in (counts.astype(np.uint32), counts.astype(np.float64)):
+        prefixes = _prefix_distance_matrices(wide, sq, 11, steps)
+        for s in steps:
+            assert np.array_equal(narrow[s], prefixes[s])
 
 
 def test_prefix_step_counts_outside_the_grid_rejected(three_episodes):

@@ -92,6 +92,43 @@ def test_ufunc_dtype_and_out_widen_before_computing():
     assert out.tolist() == [[2.0, 1.0, 2.0], [1.0, 0.0, 1.0]]
 
 
+def test_copyto_casts_unsigned_counts_to_float32_exactly():
+    """``kernel._prefix_distance_matrices`` casts each column chunk of the unsigned WL counts
+    into one reused float32 buffer with ``np.copyto``: below 2^24 every count keeps its value."""
+    buffer = np.empty((3, 4), np.float32)
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        top = min(int(np.iinfo(dtype).max), 2 ** 24 - 1)
+        counts = np.array([[0, 1, top // 2, top - 1], [top, 3, 0, 7]], dtype=dtype)
+        np.copyto(buffer[:2], counts)
+        assert buffer[:2].tolist() == counts.tolist()
+
+
+def test_float32_integer_grams_are_equal_in_column_chunks():
+    """``kernel._prefix_distance_matrices`` multiplies a block's float32 rows by the later
+    columns one chunk at a time, the chunk as the left operand: while the Gram of the
+    integer-valued operands is below 2^24, every chunking and either order give its bits."""
+    rng = np.random.default_rng(9)
+    a = rng.integers(0, 112, (21, 1024)).astype(np.float32)
+    b = rng.integers(0, 112, (300, 1024)).astype(np.float32)
+    whole = a @ b.T
+    assert whole.max() < 2 ** 24
+    assert whole.tolist() == (a.astype(np.int64) @ b.astype(np.int64).T).tolist()
+    for width in (1, 7, 64, 256):
+        chunks = [b[k : k + width] for k in range(0, len(b), width)]
+        assert np.array_equal(np.concatenate([a @ c.T for c in chunks], axis=1), whole)
+        assert np.array_equal(np.concatenate([c @ a.T for c in chunks]), whole.T)
+
+
+def test_uint8_row_over_a_float64_array_is_float64():
+    """``embedding.wl_embed`` divides a uint8 count row by its norm as a one-element float64
+    array, which promotes by dtype on every numpy (a float scalar gave float16 before 2.0)."""
+    row = np.array([0, 3, 112], dtype=np.uint8)
+    vector = row / np.sqrt(np.array([12553.0]))
+    assert vector.dtype == np.float64
+    norm = float(np.sqrt(12553.0))
+    assert vector.tolist() == [0.0, 3 / norm, 112 / norm]
+
+
 def test_stacked_eigh_and_matmul_give_each_matrix_its_own_bits():
     """``augment._episode_masks`` decomposes and heats equal-size graphs as one stack through
     ``heat._decompose`` and ``heat._heat_vectors``: each matrix must get the bits of a
