@@ -35,13 +35,14 @@ from .tu_io import GraphDataset, load_tu_dataset
 _FOLD_STREAM = 0xF01D
 
 # Longest supported time grid. The alignment is quadratic in the step count:
-# at this many steps one pair of one-node episodes already needs 800 MB for
-# its snapshot distances and as much for their gathered copy, and a far
-# longer grid would exhaust memory while the grid itself is being built.
+# at this many steps one pair of one-node episodes holds its cost table, its
+# snapshot-distance chunk and its scale buffer, each a float64 matrix of
+# 10,000^2 entries (800 MB), and a far longer grid would exhaust memory while
+# the grid itself is being built.
 MAX_TIME_STEPS = 10_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     dataset_dir: str = ""
     dataset_name: str = ""
@@ -59,27 +60,30 @@ class ExperimentConfig:
     cumulative: bool = False
     heat_method: str = METHOD_EXACT
 
-    def validate(self) -> None:
+    def validate(self) -> ExperimentConfig:
+        """This config in plain Python values; ``ConfigError`` at the first field that breaks its rule."""
         for name in ("dataset_dir", "dataset_name", "cumulative"):
             kind, what = ((bool, np.bool_), "a boolean") if name == "cumulative" else (str, "a string")
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name.replace('_', ' ')} must be {what}, got {getattr(self, name)!r}")
         length = real("time length", self.time_length, 0)
-        steps = length / real("time interval", self.time_interval, 0, above=True)
-        if not steps <= MAX_TIME_STEPS:
+        interval = real("time interval", self.time_interval, 0, above=True)
+        if not length / interval <= MAX_TIME_STEPS:
             raise ConfigError(
-                f"time length over time interval gives {steps:.3g} steps; "
+                f"time length over time interval gives {length / interval:.3g} steps; "
                 f"at most {MAX_TIME_STEPS} are supported"
             )
-        real("a", self.a)
-        real("initial heat", self.u0, 0, above=True)
-        real("gamma scale", self.gamma_scale, 0, above=True)
-        real("regularization c", self.c, 0, above=True)
-        integer("folds", self.folds, 2)
-        integer("seed", self.seed)
+        a, u0 = real("a", self.a), real("initial heat", self.u0, 0, above=True)
+        gamma_scale = real("gamma scale", self.gamma_scale, 0, above=True)
+        c = real("regularization c", self.c, 0, above=True)
+        folds, seed = integer("folds", self.folds, 2), integer("seed", self.seed)
         choice("psd repair", self.psd_repair, PSD_REPAIRS)
         choice("heat method", self.heat_method, HEAT_METHODS)
-        self.metric_config().validate()
+        metric = self.metric_config().validate()
+        return replace(
+            self, time_length=length, time_interval=interval, a=a, u0=u0, gamma_scale=gamma_scale, c=c, folds=folds,
+            seed=seed, cumulative=bool(self.cumulative), wl_iterations=metric.wl_iterations, embedding_dim=metric.dim,
+        )
 
     def time_grid(self) -> np.ndarray:
         """Grid {0, dt, 2*dt, ...} up to time_length; always contains 0."""
@@ -93,8 +97,7 @@ class ExperimentConfig:
         return BoltzmannConfig(a=self.a)
 
     def to_dict(self) -> dict:
-        # numpy scalars pass validate(); echo them as numbers json can write.
-        return {k: v.item() if isinstance(v, np.generic) else v for k, v in asdict(self).items()}
+        return asdict(self)
 
 
 @dataclass
@@ -146,8 +149,6 @@ def _stage(name: str, timings: dict[str, float] | None = None):
     tic = time.perf_counter()
     try:
         yield
-    except StageError:
-        raise
     # ValueError: numpy's LinAlgError; MemoryError: an allocation too big for the machine;
     # Warning: a warning that a filter such as ``python -W error`` raises as an exception.
     except (EvoKernelError, ValueError, OSError, MemoryError, Warning) as exc:
@@ -222,10 +223,8 @@ def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) 
     with _stage("config"):
         if any(b.time_length <= a.time_length for a, b in zip(configs, configs[1:])):
             raise ConfigError("sweep lengths must be strictly ascending")
-        grids = []
-        for c in configs:
-            c.validate()
-            grids.append(c.time_grid())
+        configs = [c.validate() for c in configs]
+        grids = [c.time_grid() for c in configs]
     cfg, times = configs[-1], grids[-1]
 
     with _stage("load", timings):
@@ -237,9 +236,9 @@ def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) 
         folds = stratified_folds(dataset.labels, cfg.folds, cfg.seed)
 
     with _stage("episodes", timings):
-        a, u0, seed, graphs = float(cfg.a), float(cfg.u0), int(cfg.seed), dataset.graphs
-        draws = _snapshot_draws(seed, range(len(graphs)), [g.node_count for g in graphs], len(times))
-        masks = _episode_masks(graphs, times, a, u0, list(draws), cfg.heat_method, cfg.cumulative)
+        graphs = dataset.graphs
+        draws = _snapshot_draws(cfg.seed, range(len(graphs)), [g.node_count for g in graphs], len(times))
+        masks = _episode_masks(graphs, times, cfg.a, cfg.u0, list(draws), cfg.heat_method, cfg.cumulative)
 
     with _stage("distances", timings):
         counts, sq = _wl_counts(graphs, cfg.metric_config(), masks)
@@ -327,10 +326,10 @@ def _cross_validate(
     config_echo = cfg.to_dict()
     config_echo.update(
         {
-            "times": [float(t) for t in times],
+            "times": times.tolist(),
             "sigma": sigma,
             "dataset_graphs": len(dataset.graphs),
-            "dataset_classes": int(dataset.class_count),
+            "dataset_classes": dataset.class_count,
         }
     )
     return CvReport(

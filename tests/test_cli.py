@@ -31,6 +31,16 @@ def dataset_dir(tmp_path):
     return write_tu_fixture(tmp_path / "TRISTAR", "TRISTAR", graphs, labels=[0, 0, 0, 1, 1, 1])
 
 
+def test_help_prints_defaults_but_none_for_required_flags(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # no help text wraps
+    with pytest.raises(SystemExit) as done:
+        main(["run", "--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert re.search(r"--time-interval TIME_INTERVAL\s+time grid step \(default: 0\.1\)\n", out)
+    assert re.search(r"--dataset DATASET_DIR\s+directory holding the benchmark text files\n", out)
+
+
 def test_run_writes_report_and_prints_table(dataset_dir, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(

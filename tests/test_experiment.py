@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -484,6 +484,35 @@ def test_numpy_integer_embedding_size_gives_the_same_report():
     report = run_experiment(typed, dataset=synthetic_dataset())
     plain = run_experiment(fast_config(embedding_dim=64, wl_iterations=2), dataset=synthetic_dataset())
     assert report.canonical_json() == plain.canonical_json()
+
+
+_REALS = (np.float16, np.float32, np.float64, np.longdouble)
+_INTEGERS = (np.int8, np.int32, np.uint64)
+
+
+@pytest.mark.parametrize(
+    "field, kind",
+    [(f, kind) for f in ("time_length", "time_interval", "a", "u0", "gamma_scale", "c") for kind in _REALS]
+    + [(f, kind) for f in ("wl_iterations", "embedding_dim", "folds", "seed") for kind in _INTEGERS]
+    + [("cumulative", np.bool_)],
+)
+def test_numpy_field_reruns_from_its_echo(field, kind):
+    """A numpy field runs as its Python value, so the report serializes and the config it
+    echoes reruns to the same report, a float32 time grid included."""
+    base = fast_config(embedding_dim=64)  # an int8 holds it
+    report = run_experiment(replace(base, **{field: kind(getattr(base, field))}), dataset=synthetic_dataset())
+    echoed = ExperimentConfig(**{f.name: report.config[f.name] for f in fields(ExperimentConfig)})
+    assert report.canonical_json() == run_experiment(echoed, dataset=synthetic_dataset()).canonical_json()
+
+
+def test_validate_returns_the_plain_config():
+    typed = fast_config(time_interval=np.float32(0.1), seed=np.uint64(1), cumulative=np.True_)
+    plain = typed.validate()
+    assert [type(getattr(plain, f.name)) for f in fields(plain)] == [type(f.default) for f in fields(plain)]
+    assert (plain.time_interval, plain.seed, plain.cumulative) == (float(np.float32(0.1)), 1, True)
+    assert plain.validate() == plain
+    with pytest.raises(FrozenInstanceError):
+        plain.seed = 2
 
 
 def test_report_roundtrips_through_json():

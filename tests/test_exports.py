@@ -48,3 +48,33 @@ def test_no_unused_module_imports(path):
     ]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported if name not in used | exported] == []
+
+
+def test_every_private_module_name_is_read():
+    """Every module-level private function, class and constant of the package is read, as a
+    name or an attribute outside its own definition, somewhere in ``src/``; an import or a
+    docstring's mention is no read. Dunder names are left out."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    definitions = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            definitions += [(module, name, node) for name in names if name.startswith("_") and not name.endswith("__")]
+    reads = [
+        (getattr(node, "id", None) or node.attr, node)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)) or isinstance(node, ast.Attribute)
+    ]
+    unread = []
+    for module, name, definition in definitions:
+        own = {id(node) for node in ast.walk(definition)}
+        if not any(read == name and id(node) not in own for read, node in reads):
+            unread.append(f"{module}:{name}")
+    assert unread == []

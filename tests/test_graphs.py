@@ -123,6 +123,10 @@ def test_subgraph_repacks_and_keeps_labels():
 def test_graph_value_equality(k2):
     assert k2 == Graph(2, [(0, 1)])
     assert k2 != Graph(2, [])
+    assert k2 != "x" and (k2 == "x") is False
+    assert hash(k2) == hash(Graph(2, [(0, 1)]))
+    assert len({k2, Graph(2, [(0, 1)]), Graph(2, [])}) == 2
+    assert repr(Graph(3, [(0, 1), (1, 2)])) == "Graph(n=3, m=2)"
 
 
 @settings(max_examples=60, deadline=None)

@@ -73,6 +73,30 @@ def test_decompose_rejects_non_laplacian():
         spectral_decompose(np.array([[-1.0, 0.0], [0.0, 1.0]]))
 
 
+def test_reconstruction_residual_up_to_the_tolerance_passes(p3, monkeypatch):
+    """``spectral_decompose`` takes a residual equal to RECONSTRUCTION_TOL and refuses one
+    just above it, as its docstring's "within" states."""
+    lap = normalized_laplacian(p3)
+    w, v = np.linalg.eigh(lap)
+    r = ((v * np.where(w < 0.0, 0.0, w)[None, :]) @ v.T - lap).reshape(1, -1)
+    residual = np.sqrt(r @ r.T)[0, 0]  # the Frobenius norm as _decompose computes it
+    assert residual > 0
+    monkeypatch.setattr(heat_module, "RECONSTRUCTION_TOL", residual)
+    spectral_decompose(lap)
+    monkeypatch.setattr(heat_module, "RECONSTRUCTION_TOL", np.nextafter(residual, 0))
+    with pytest.raises(NumericalError, match="residual"):
+        spectral_decompose(lap)
+
+
+def test_eigh_failure_is_a_numerical_error(k2, monkeypatch):
+    def fails(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    with pytest.raises(NumericalError, match="eigendecomposition failed: Eigenvalues did not converge"):
+        _spec(k2)
+
+
 def test_exact_kernel_at_time_zero(c4):
     hk = compute_heat_kernel(None, _spec(c4), 0.0, METHOD_EXACT)
     assert np.allclose(hk.matrix, np.eye(4), atol=1e-12)

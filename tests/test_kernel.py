@@ -79,6 +79,10 @@ def test_episodes_without_snapshots_rejected():
         distance_matrix([empty, empty], CFG)
 
 
+def test_no_episodes_give_an_empty_matrix():
+    assert distance_matrix([]).shape == (0, 0)
+
+
 def test_matrix_equals_alignment_of_each_block(three_episodes):
     times = np.array([0.0, 0.5, 1.0])
     episodes = three_episodes + [

@@ -70,6 +70,22 @@ def test_tiny_c_pushes_all_duals_to_the_box():
         assert np.allclose(machine.alpha, c, atol=1e-9)
 
 
+def test_a_violation_equal_to_the_kkt_tolerance_has_converged(monkeypatch):
+    """Convergence is violation <= KKT_TOL: at alpha = 0 the violation is 1 - (-1) = 2, so a
+    tolerance of 2 takes no update and one just below it takes at least one."""
+    monkeypatch.setattr(svm, "KKT_TOL", 2.0)
+    assert svm_train(BLOCK_KERNEL, BLOCK_LABELS, np.arange(4), c=1.0).machines[0].updates == 0
+    monkeypatch.setattr(svm, "KKT_TOL", np.nextafter(2.0, 0))
+    assert svm_train(BLOCK_KERNEL, BLOCK_LABELS, np.arange(4), c=1.0).machines[0].updates >= 1
+
+
+def test_a_box_narrower_than_its_epsilon_centers_the_bias():
+    """With c below the box epsilon no entry is in the up or low set, so the bias is the mean
+    KKT target at alpha = 0: the mean of y = (+1, -1, -1)."""
+    machine = svm_train(np.eye(3), np.array([0, 1, 1]), [0, 1, 2], c=1e-13).machines[0]
+    assert (machine.bias, machine.updates, machine.kkt_residual) == (-1 / 3, 0, 0.0)
+
+
 def test_training_is_deterministic():
     rng = np.random.default_rng(56)
     raw = rng.standard_normal((10, 3))

@@ -92,6 +92,13 @@ def test_graph_id_against_an_empty_labels_file_exceeds_them(tmp_path):
         load_tu_dataset(directory, "TINY")
 
 
+def test_empty_indicator_file_lists_no_nodes(tmp_path):
+    directory = _two_graph_dir(tmp_path)
+    (directory / "TINY_graph_indicator.txt").write_text("")
+    with pytest.raises(DatasetError, match=r"^TINY_graph_indicator\.txt: no nodes listed$"):
+        load_tu_dataset(directory, "TINY")
+
+
 def test_malformed_integer_reports_line_number(tmp_path):
     directory = _two_graph_dir(tmp_path)
     (directory / "TINY_graph_labels.txt").write_text("7\nbanana\n")
