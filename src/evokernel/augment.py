@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, choice, integer, real, reals
+from .errors import ConfigError, ContractError, choice, instance, integer, real, reals
 from .graphs import Graph, _cut, _edge_array, _normalized_laplacian, _subgraphs, subgraph
 from .heat import HEAT_METHODS, METHOD_EXACT, HeatState, _decompose, _heat_vectors, reads_spectrum
 
@@ -74,8 +74,11 @@ def heat_distribution(state: HeatState, cfg: BoltzmannConfig) -> HeatDistributio
     arithmetic and the probabilities are bit-identical for any b.
     Exponentiation happens after subtracting the maximum logit (log-sum-exp),
     which guards overflow and makes the hottest node's rescaled probability
-    exactly 1.
+    exactly 1. ``state`` may be any object with a ``HeatState``'s ``t`` and ``heat``.
     """
+    if not (hasattr(state, "t") and hasattr(state, "heat")):
+        instance("state", state, HeatState)
+    instance("cfg", cfg, BoltzmannConfig)
     a = real("energy weight a", cfg.a)
     real("energy bias b", cfg.b)
     weights = _rescaled(reals("heat vector", state.heat)[:, None], a)[:, 0]
@@ -105,6 +108,9 @@ def drop_node(g: Graph, dist: HeatDistribution, rng: np.random.Generator):
     Returns the surviving induced subgraph and the boolean keep mask over the
     source nodes. A node with normed probability 1 is always kept.
     """
+    instance("g", g, Graph)
+    instance("dist", dist, HeatDistribution)
+    instance("rng", rng, np.random.Generator)
     if len(dist.normed) != g.node_count:
         raise ContractError(
             f"distribution over {len(dist.normed)} nodes for a graph with {g.node_count}"
@@ -227,8 +233,7 @@ def generate_episode(
     of the 10 increments come out just below 0.1 and take ``taylor2``, the
     other 4 take ``exact`` (or ``fiedler``).
     """
-    if not isinstance(g, Graph):
-        raise ConfigError(f"g must be a Graph, got {g!r}")
+    instance("g", g, Graph, ConfigError)
     times = reals("time grid", times, ConfigError)
     if times.ndim != 1 or times.size == 0:
         raise ConfigError("time grid must be a non-empty 1-d sequence")
@@ -238,8 +243,7 @@ def generate_episode(
         raise ConfigError("time grid must be strictly ascending")
     seed, graph_index = integer("seed", seed), integer("graph index", graph_index)
     cfg = BoltzmannConfig() if cfg is None else cfg
-    if not isinstance(cfg, BoltzmannConfig):
-        raise ConfigError(f"cfg must be a BoltzmannConfig or None, got {cfg!r}")
+    instance("cfg", cfg, BoltzmannConfig)
     real("energy bias b", cfg.b)
     a, u0 = real("energy weight a", cfg.a), real("initial heat", u0, 0, above=True)
     choice("heat method", method, HEAT_METHODS)

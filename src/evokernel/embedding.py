@@ -16,10 +16,11 @@ this over the disjoint union of its graphs. It holds each round's distinct
 labels as one sorted numpy byte-string array, whose byte order is the
 labels' string order since they are ASCII, and each node's label as an
 integer id into it, so that sorting ids sorts labels: equal signatures are
-found with array operations, each distinct signature is built by array
-concatenation of the labels' bytes, and each distinct signature and each
-distinct (round, label) pair is hashed once per batch. The hashed UTF-8
-text is the same as above.
+found with array operations, each distinct signature is read as one byte
+string from a row of its labels' fixed-width cells, whose NUL padding is
+dropped (a label never holds a NUL byte), and each distinct signature and
+each distinct (round, label) pair is hashed once per batch. The hashed
+UTF-8 text is the same as above.
 Batches take their snapshots as flat arrays of node counts, local edge ends
 and labels, which ``_wl_counts`` cuts from a source graph's edge array and
 its kept masks: no snapshot graph is built. The pipeline's snapshots are the
@@ -36,7 +37,7 @@ from itertools import chain, compress
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, integer
+from .errors import ConfigError, ContractError, instance, integer
 from .graphs import Graph, _cut, _edge_array
 
 # Refined labels are compressed to a 16-byte digest each round so signatures
@@ -93,9 +94,9 @@ def delta(g1: Graph, g2: Graph, cfg: MetricConfig = MetricConfig()) -> float:
 
 def _graph_counts(graphs, cfg: MetricConfig):
     """``_wl_counts`` of each graph of a list whole: one all-true mask row, with no per-node memory."""
+    instance("cfg", cfg, MetricConfig)
     for g in graphs:
-        if not isinstance(g, Graph):
-            raise ContractError(f"WL counts are of Graph objects, got {type(g).__name__}")
+        instance("graph", g, Graph)
     return _wl_counts(graphs, cfg, [np.broadcast_to(True, (1, g.node_count)) for g in graphs])
 
 
@@ -236,11 +237,10 @@ def _refine(ids: np.ndarray, names: np.ndarray, groups, n: int):
     digests = []
     signature_of = np.empty(n, dtype=np.int64)
     # Each name followed by its column's separator: "|" after the own label, "," between
-    # neighbours, none after the last. Names of one width (hex digests, every round after
-    # the first) fill their cells, so a row of cells reads as its signature; the cells of
-    # ragged names carry padding, which np.char.add drops as it joins them in pairs.
+    # neighbours, none after the last. A row of these cells, read as one byte string, is
+    # the signature with each shorter name's cell padded by NULs; labels never hold a NUL,
+    # so dropping them leaves the signature.
     spelled = np.stack([np.char.add(names, b"|"), np.char.add(names, b","), names])
-    ragged = np.char.str_len(names).min() < names.itemsize
     for members, neighbour_index in groups:
         d = neighbour_index.shape[1]
         rows = np.empty((len(members), d + 1), dtype=np.int64)
@@ -249,12 +249,8 @@ def _refine(ids: np.ndarray, names: np.ndarray, groups, n: int):
         distinct, inverse = _unique_rows(rows)
         signature_of[members] = inverse + len(digests)
         text = spelled[[0] + [1] * (d - 1) + [2] * (d > 0), distinct]
-        while ragged and text.shape[1] > 1:  # np.char.add drops each operand's padding
-            if text.shape[1] % 2:
-                text = np.concatenate([text, np.zeros((len(text), 1), text.dtype)], axis=1)
-            text = np.char.add(text[:, 0::2], text[:, 1::2])
         signatures = text.view(f"S{text.shape[1] * text.itemsize}").ravel().tolist()
-        digests.extend([hashlib.blake2b(s, digest_size=_LABEL_DIGEST_SIZE).digest() for s in signatures])
+        digests.extend([hashlib.blake2b(s.replace(b"\0", b""), digest_size=_LABEL_DIGEST_SIZE).digest() for s in signatures])
     hexed = np.frombuffer(b"".join(digests).hex().encode(), f"S{2 * _LABEL_DIGEST_SIZE}")
     refined, digest_ids = np.unique(hexed, return_inverse=True)
     return digest_ids[signature_of], refined

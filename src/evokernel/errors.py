@@ -1,6 +1,6 @@
 """Exception taxonomy shared across the package, and the one rule for each kind of
-argument: scalar integers and reals, named choices, integer label or id arrays,
-real arrays and square matrices."""
+argument: scalar integers and reals, named choices, objects of a given class,
+integer label or id arrays, real arrays and square matrices."""
 
 import math
 import numbers
@@ -80,6 +80,15 @@ def choice(name: str, value, allowed: tuple) -> None:
     """``ConfigError`` unless ``value`` is one of the strings in ``allowed``."""
     if not (isinstance(value, str) and value in allowed):
         raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
+
+
+def instance(name: str, value, kind: type, error: type | None = None) -> None:
+    """``error`` unless ``value`` is a ``kind``; by default ``ConfigError`` for a config
+    class (one named ``...Config``) and ``ContractError`` for any other."""
+    if not isinstance(value, kind):
+        if error is None:
+            error = ConfigError if kind.__name__.endswith("Config") else ContractError
+        raise error(f"{name} must be a {kind.__name__}, got a {type(value).__name__}")
 
 
 def integers(name: str, values) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .augment import BoltzmannConfig, _episode_masks, _snapshot_draws
 from .embedding import MetricConfig, _wl_counts
-from .errors import ConfigError, DatasetError, EvoKernelError, StageError, choice, integer, integers, real
+from .errors import ConfigError, DatasetError, EvoKernelError, StageError, choice, instance, integer, integers, real
 from .graphs import Graph
 from .heat import HEAT_METHODS, METHOD_EXACT
 from .kernel import PSD_REPAIRS, _prefix_distance_matrices, evolution_kernel
@@ -86,9 +86,10 @@ class ExperimentConfig:
         )
 
     def time_grid(self) -> np.ndarray:
-        """Grid {0, dt, 2*dt, ...} up to time_length; always contains 0."""
-        steps = int(np.floor(self.time_length / self.time_interval + 1e-9))
-        return np.array([k * self.time_interval for k in range(steps + 1)])
+        """Grid {0, dt, 2*dt, ...} up to time_length, of the ``validate()``d fields; always contains 0."""
+        cfg = self.validate()
+        steps = int(np.floor(cfg.time_length / cfg.time_interval + 1e-9))
+        return np.array([k * cfg.time_interval for k in range(steps + 1)])
 
     def metric_config(self) -> MetricConfig:
         return MetricConfig(wl_iterations=self.wl_iterations, dim=self.embedding_dim)
@@ -167,6 +168,8 @@ def stratified_folds(labels, folds: int, seed: int) -> list[tuple[np.ndarray, np
     folds, seed = integer("folds", folds, 2), integer("seed", seed)
     labels = integers("labels", labels)
     n = len(labels)
+    if not n:
+        raise ConfigError("no labels to split into folds")
     classes, counts = np.unique(labels, return_counts=True)
     for cls, count in zip(classes, counts):
         if count < folds:
@@ -199,6 +202,7 @@ def sweep_time_length(
     the kernel and the predictions are per length.
     """
     with _stage("config"):
+        instance("cfg", cfg, ExperimentConfig)
         try:
             lengths = [real("sweep length", t) for t in lengths]
         except TypeError as exc:  # not iterable
@@ -221,6 +225,8 @@ def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) 
     timings: dict[str, float] = {}
 
     with _stage("config"):
+        for c in configs:
+            instance("cfg", c, ExperimentConfig)
         if any(b.time_length <= a.time_length for a, b in zip(configs, configs[1:])):
             raise ConfigError("sweep lengths must be strictly ascending")
         configs = [c.validate() for c in configs]
@@ -268,17 +274,17 @@ def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) 
 
 
 def _check_dataset(dataset) -> None:
-    """``DatasetError`` unless ``dataset`` is a ``GraphDataset`` whose graphs are a list or
-    tuple of ``Graph`` and whose labels are a numpy array with one label per graph;
+    """``DatasetError`` unless ``dataset`` is a ``GraphDataset`` whose graphs are a non-empty
+    list or tuple of ``Graph`` and whose labels are a numpy array with one label per graph;
     ``ContractError`` unless the labels are integers."""
-    if not isinstance(dataset, GraphDataset):
-        raise DatasetError(f"dataset must be a GraphDataset, got a {type(dataset).__name__}")
+    instance("dataset", dataset, GraphDataset, DatasetError)
     graphs, labels = dataset.graphs, dataset.labels
     if not isinstance(graphs, (list, tuple)):
         raise DatasetError(f"dataset graphs must be a list of Graph, got a {type(graphs).__name__}")
+    if not graphs:
+        raise DatasetError("dataset has no graphs")
     for i, g in enumerate(graphs):
-        if not isinstance(g, Graph):
-            raise DatasetError(f"dataset graph {i} is a {type(g).__name__}, not a Graph")
+        instance(f"dataset graph {i}", g, Graph, DatasetError)
     if not isinstance(labels, np.ndarray):
         raise DatasetError(f"dataset labels must be a numpy array, got a {type(labels).__name__}")
     if len(integers("dataset labels", labels)) != len(graphs):
@@ -345,6 +351,7 @@ def write_sweep_csv(reports: list[CvReport], path) -> None:
     """CSV of (time_length, mean, std), one row per report; fully deterministic."""
     lines = ["time_length,mean_accuracy,std_accuracy"]
     for report in reports:
+        instance("report", report, CvReport)
         lines.append(
             f"{report.config['time_length']!r},{report.mean_accuracy!r},{report.std_accuracy!r}"
         )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .augment import TemporalEpisode
 from .embedding import MetricConfig, _count_distances, _graph_counts
-from .errors import ContractError, square
+from .errors import ContractError, instance, square
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ def build_warping_matrix(
     e1: TemporalEpisode, e2: TemporalEpisode, cfg: MetricConfig = MetricConfig()
 ) -> np.ndarray:
     """M[i, j] = ``delta`` between snapshot i of e1 and snapshot j of e2."""
+    instance("e1", e1, TemporalEpisode)
+    instance("e2", e2, TemporalEpisode)
     if len(e1) != len(e2):
         raise ContractError(f"episode lengths differ: {len(e1)} vs {len(e2)}")
     counts, sq = _graph_counts(e1.snapshots + e2.snapshots, cfg)

@@ -7,7 +7,7 @@ from operator import index
 
 import numpy as np
 
-from .errors import GraphConstructionError, _array
+from .errors import GraphConstructionError, _array, instance
 
 
 class Graph:
@@ -95,6 +95,7 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
     ``-1.0 / sqrt(deg_i * deg_j)`` float64 operation of the textbook per-edge
     loop.
     """
+    instance("g", g, Graph)
     return _normalized_laplacian(g.node_count, _edge_array(g))[0]
 
 
@@ -118,6 +119,7 @@ def subgraph(g: Graph, kept: np.ndarray) -> Graph:
     Surviving nodes are re-packed to contiguous 0-based ids in ascending
     source order; labels follow their nodes.
     """
+    instance("g", g, Graph)
     kept = _array("mask", kept, GraphConstructionError)
     if kept.size and kept.dtype != bool:
         raise GraphConstructionError(f"mask of dtype {kept.dtype} is not boolean")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericalError, choice, real, reals, square
+from .errors import ConfigError, ContractError, NumericalError, choice, instance, real, reals, square
 
 EIGENVALUE_CLAMP = 1e-9
 RECONSTRUCTION_TOL = 1e-8
@@ -127,8 +127,7 @@ def compute_heat_kernel(
         raise ContractError(f"the {method!r} heat kernel at t={t} needs the spectral decomposition")
     lap = square("Laplacian", lap) if lap is not None or not reads else None
     if spec is not None:
-        if not isinstance(spec, SpectralDecomposition):
-            raise ContractError(f"spec must be a SpectralDecomposition, got {type(spec).__name__}")
+        instance("spec", spec, SpectralDecomposition)
         w, v = reals("spec eigenvalues", spec.eigenvalues), square("spec eigenvectors", spec.eigenvectors)
         if w.shape != v.shape[:1] or lap is not None and lap.shape != v.shape:
             raise ContractError("spec must be an n-eigenpair SpectralDecomposition of the n-node Laplacian")
@@ -216,6 +215,7 @@ def propagate_heat(hk: HeatKernel, u0: float) -> HeatState:
     """Evolve the uniform initial condition u0 on every node through the kernel.
 
     Heat that overflows raises ``ConfigError``, without a numpy warning."""
+    instance("hk", hk, HeatKernel)
     u0 = real("initial heat", u0, 0, above=True)
     n = hk.matrix.shape[0]
     heat = hk.matrix @ np.full(n, u0)

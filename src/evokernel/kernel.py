@@ -13,7 +13,7 @@ import numpy as np
 
 from .augment import TemporalEpisode
 from .embedding import MetricConfig, _count_distances, _graph_counts
-from .errors import ContractError, choice, real, square
+from .errors import ContractError, choice, instance, real, square
 from .gdtw import _cumulative_costs
 
 # Snapshot distances are computed and aligned for blocks of episode rows of
@@ -50,6 +50,8 @@ def distance_matrix(
     cost stack is whole, so the memory grows as O(n * T^2): 358 MiB for the
     187 pairs of MUTAG's first graph at 501 steps.
     """
+    for e in episodes:
+        instance("episode", e, TemporalEpisode)
     if not episodes:
         return np.zeros((0, 0))
     grid = episodes[0].times

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, TrainingError, integers, real, reals, square
+from .errors import ContractError, TrainingError, instance, integers, real, reals, square
 from .kernel import EvolutionKernelMatrix
 
 KKT_TOL = 1e-3
@@ -209,6 +209,7 @@ def svm_predict(model: SvmModel, k_rows: np.ndarray) -> int | np.ndarray:
     A two-class model predicts ``classes[0]`` unless its decision value is
     negative, which is the argmax of the mirrored pair ``[f, -f]``.
     """
+    instance("model", model, SvmModel)
     k_rows = reals("kernel rows", k_rows)
     if k_rows.ndim not in (1, 2) or k_rows.shape[-1] != model.train_size:
         raise ContractError(

@@ -1,11 +1,14 @@
 """Every argument check of the library raises an ``EvoKernelError`` subclass.
 
-A bad scalar option raises ``ConfigError`` and a bad array or graph raises
-``ContractError``; both are also ``ValueError``s. A mask that ``subgraph``
-cannot read raises ``GraphConstructionError``, as every bad graph input does.
+A bad scalar option or config object raises ``ConfigError`` and a bad array,
+graph or other object raises ``ContractError``; both are also ``ValueError``s.
+A mask that ``subgraph`` cannot read raises ``GraphConstructionError``, as every
+bad graph input does, and a dataset a run cannot read raises ``DatasetError``.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -19,8 +22,21 @@ from evokernel.augment import (
     heat_distribution,
 )
 from evokernel.embedding import MAX_WL_ITERATIONS, MetricConfig, delta, wl_embed
-from evokernel.errors import ConfigError, ContractError, EvoKernelError, GraphConstructionError, StageError
-from evokernel.experiment import ExperimentConfig, stratified_folds, sweep_time_length
+from evokernel.errors import (
+    ConfigError,
+    ContractError,
+    DatasetError,
+    EvoKernelError,
+    GraphConstructionError,
+    StageError,
+)
+from evokernel.experiment import (
+    ExperimentConfig,
+    run_experiment,
+    stratified_folds,
+    sweep_time_length,
+    write_sweep_csv,
+)
 from evokernel.gdtw import build_warping_matrix, gdtw_distance
 from evokernel.graphs import Graph, normalized_laplacian, subgraph
 from evokernel.heat import (
@@ -35,6 +51,7 @@ from evokernel.heat import (
 )
 from evokernel.kernel import clip_psd, distance_matrix, evolution_kernel
 from evokernel.svm import svm_predict, svm_train
+from evokernel.tu_io import GraphDataset
 
 PATH = Graph(3, [(0, 1), (1, 2)])
 EMPTY = Graph(0, [])
@@ -50,12 +67,12 @@ def _model():
     return svm_train(KERNEL, LABELS, np.arange(3))
 
 
-def _at_config(call):
-    """Call ``call``; raise the cause of its ``[config]`` stage error."""
+def _at(stage, call):
+    """Call ``call``; raise the cause of its ``stage`` error."""
     try:
         call()
     except StageError as exc:
-        if exc.stage != "config":
+        if exc.stage != stage:
             raise
         raise exc.cause from exc
 
@@ -176,10 +193,10 @@ CALLS = {
     "train-ragged-ids": (ContractError, lambda: svm_train(KERNEL, LABELS, [[0], [1, 2]])),
     "subgraph-ragged-mask": (GraphConstructionError, lambda: subgraph(PATH, [[True], [True, False]])),
     # Sweep lengths are numbers, never bools.
-    "sweep-bool-length": (ConfigError, lambda: _at_config(lambda: sweep_time_length(ExperimentConfig(), [True]))),
+    "sweep-bool-length": (ConfigError, lambda: _at("config", lambda: sweep_time_length(ExperimentConfig(), [True]))),
     "sweep-numpy-bool-length": (
         ConfigError,
-        lambda: _at_config(lambda: sweep_time_length(ExperimentConfig(), [0.5, np.True_])),
+        lambda: _at("config", lambda: sweep_time_length(ExperimentConfig(), [0.5, np.True_])),
     ),
     # generate_episode checks every argument before its first step, so a graph
     # with no node to draw from refuses them too.
@@ -231,11 +248,11 @@ CALLS = {
     ),
     "train-kernel-shape": (ContractError, lambda: svm_train(np.eye(2), LABELS, np.arange(3))),
     # Sweep lengths are a non-empty ascending sequence.
-    "sweep-no-length": (ConfigError, lambda: _at_config(lambda: sweep_time_length(ExperimentConfig(), []))),
-    "sweep-scalar-lengths": (ConfigError, lambda: _at_config(lambda: sweep_time_length(ExperimentConfig(), 0.5))),
+    "sweep-no-length": (ConfigError, lambda: _at("config", lambda: sweep_time_length(ExperimentConfig(), []))),
+    "sweep-scalar-lengths": (ConfigError, lambda: _at("config", lambda: sweep_time_length(ExperimentConfig(), 0.5))),
     "sweep-descending-lengths": (
         ConfigError,
-        lambda: _at_config(lambda: sweep_time_length(ExperimentConfig(), [0.2, 0.1])),
+        lambda: _at("config", lambda: sweep_time_length(ExperimentConfig(), [0.2, 0.1])),
     ),
     # Heat and its logits that overflow name u0, t and the method, with no numpy warning.
     "heat-kernel-overflow": (ConfigError, lambda: compute_heat_kernel(LAP, None, 1e300, "taylor2")),
@@ -302,6 +319,44 @@ CALLS = {
         ContractError,
         lambda: distance_matrix([generate_episode(PATH, [0.0]), TemporalEpisode(PATH, np.zeros(1), [None], 0)]),
     ),
+    # An object argument is of its class: a config raises ConfigError, any other ContractError.
+    "warping-no-first-episode": (ContractError, lambda: build_warping_matrix(None, generate_episode(PATH, [0.0]))),
+    "warping-no-second-episode": (
+        ContractError,
+        lambda: build_warping_matrix(generate_episode(PATH, [0.0]), object()),
+    ),
+    "warping-string-cfg": (
+        ConfigError,
+        lambda: build_warping_matrix(generate_episode(PATH, [0.0]), generate_episode(PATH, [0.0]), "x"),
+    ),
+    "delta-no-cfg": (ConfigError, lambda: delta(PATH, PATH, None)),
+    "distances-no-episode": (ContractError, lambda: distance_matrix([object()])),
+    "distances-string-cfg": (ConfigError, lambda: distance_matrix([generate_episode(PATH, [0.0])], "x")),
+    "drop-no-graph": (
+        ContractError,
+        lambda: drop_node("x", HeatDistribution(0.0, np.ones(3), np.ones(3)), np.random.default_rng(0)),
+    ),
+    "drop-no-distribution": (ContractError, lambda: drop_node(PATH, None, np.random.default_rng(0))),
+    "drop-no-generator": (
+        ContractError,
+        lambda: drop_node(PATH, HeatDistribution(0.0, np.ones(3), np.ones(3)), object()),
+    ),
+    "heat-no-state": (ContractError, lambda: heat_distribution("x", BoltzmannConfig())),
+    "heat-no-cfg": (ConfigError, lambda: heat_distribution(HeatState(0.0, np.ones(3)), None)),
+    "laplacian-no-graph": (ContractError, lambda: normalized_laplacian(None)),
+    "propagate-no-kernel": (ContractError, lambda: propagate_heat(object(), 1.0)),
+    "run-no-cfg": (ConfigError, lambda: _at("config", lambda: run_experiment("x"))),
+    "subgraph-no-graph": (ContractError, lambda: subgraph(object(), [True])),
+    "predict-no-model": (ContractError, lambda: svm_predict(None, np.ones(3))),
+    "sweep-no-cfg": (ConfigError, lambda: _at("config", lambda: sweep_time_length(None, [0.5]))),
+    "embed-string-cfg": (ConfigError, lambda: wl_embed(PATH, "x")),
+    "sweep-csv-no-report": (ContractError, lambda: write_sweep_csv([object()], os.devnull)),
+    # A run needs a graph, and a split a label.
+    "run-empty-dataset": (
+        DatasetError,
+        lambda: _at("load", lambda: run_experiment(ExperimentConfig(), GraphDataset([], np.zeros(0, np.int64), "x"))),
+    ),
+    "folds-no-labels": (ConfigError, lambda: stratified_folds([], 2, 0)),
 }
 
 
@@ -311,4 +366,4 @@ def test_library_checks_raise_package_errors(site):
     with pytest.raises(EvoKernelError) as info:
         call()
     assert isinstance(info.value, expected)
-    assert isinstance(info.value, ValueError) == (expected is not GraphConstructionError)
+    assert isinstance(info.value, ValueError) == (expected not in (GraphConstructionError, DatasetError))

@@ -136,6 +136,26 @@ def test_time_grid_construction():
     assert fast_config(time_length=2.0, time_interval=0.2).time_grid().size == 11
 
 
+def test_time_grid_is_the_runs_grid():
+    # A float32 interval runs as the float it holds, just above 0.1: 10 steps, not 11.
+    cfg = fast_config(time_interval=np.float32(0.1))
+    assert cfg.time_grid().size == 10
+    assert cfg.time_grid().tolist() == run_experiment(cfg, dataset=synthetic_dataset()).config["times"]
+
+
+BAD_GRIDS = {
+    "zero-interval": dict(time_interval=0.0),
+    "text-interval": dict(time_interval="0.1"),
+    "infinite-length": dict(time_length=float("inf")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRIDS))
+def test_time_grid_of_a_bad_config_raises_config_error(case):
+    with pytest.raises(ConfigError):
+        fast_config(**BAD_GRIDS[case]).time_grid()
+
+
 def test_report_is_deterministic():
     first = run_experiment(fast_config(), dataset=synthetic_dataset())
     second = run_experiment(fast_config(), dataset=synthetic_dataset())
@@ -198,7 +218,8 @@ BAD_DATASETS = {
     "fewer-graphs": (lambda d: replace(d, graphs=d.graphs[1:]), "has 5 graphs but 6 labels"),
     "tuple": (lambda d: (d.graphs, d.labels), "must be a GraphDataset, got a tuple"),
     "graph-generator": (lambda d: replace(d, graphs=(g for g in d.graphs)), "list of Graph, got a generator"),
-    "graph-pair": (lambda d: replace(d, graphs=d.graphs[:5] + [(3, [])]), "graph 5 is a tuple, not a Graph"),
+    "graph-pair": (lambda d: replace(d, graphs=d.graphs[:5] + [(3, [])]), "graph 5 must be a Graph, got a tuple"),
+    "no-graphs": (lambda d: replace(d, graphs=[], labels=d.labels[:0]), "dataset has no graphs"),
 }
 
 

@@ -12,15 +12,18 @@ values of the kind its valid value has, substituted one at a time:
   arrays) or by a fraction or a bool (integer arrays);
 - a config (``BoltzmannConfig``, ``MetricConfig``, ``ExperimentConfig``):
   each numeric field, by the rules above;
-- and, whatever the kind, a value of another kind (``HOSTILE``): ints beyond
-  int64 and float64 range, complex values, text and bytes (numeric or not),
-  numpy scalars of every dtype kind, 0-d and object arrays, ragged nested
-  lists, ``None``, and empty and one-element sequences.
+- an object of the package (a config, graph, episode, spectrum, heat kernel
+  or state, distribution, dataset, model or report) or a numpy ``Generator``:
+  text, ``None`` and a bare ``object()`` (``OBJECTS``), and in place of a list
+  of such objects a list holding one of them;
+- and, whatever the kind of a number or array, a value of another kind
+  (``HOSTILE``): ints beyond int64 and float64 range, complex values, text and
+  bytes (numeric or not), numpy scalars of every dtype kind, 0-d and object
+  arrays, ragged nested lists, ``None``, and empty and one-element sequences.
 
-Graphs, episodes, spectra, kernels and the other values the library itself
-produces are passed valid, as are strings and bool flags. Each call must
-return a finite result or raise an ``EvoKernelError`` subclass, never a raw
-Python or numpy error. A scalar that is never valid (a bool or a non-finite
+Strings, paths and bool flags are passed valid. Each call must return a
+finite result or raise an ``EvoKernelError`` subclass, never a raw Python or
+numpy error. A scalar that is never valid (a bool or a non-finite
 real, a bool or a non-integer where an integer is expected) must raise.
 ``tests/test_errors.py::CALLS`` lists the known cases one by one; this test
 looks for the unknown ones.
@@ -208,10 +211,22 @@ def _bad_arrays(draw, a):
     return bad if a.dtype.kind == "f" else np.array(bad.tolist())
 
 
+# In place of an object of the package, or a list of them.
+OBJECTS = ("x", None, object())
+
+
+def _is_object(value) -> bool:
+    return type(value).__module__.startswith("evokernel.") or isinstance(value, np.random.Generator)
+
+
 def _kind(value):
     """The strategy of bad values for ``value``, or None where it is passed valid."""
     if isinstance(value, (bool, np.bool_, str, Path)):
         return None
+    if _is_object(value):
+        return st.sampled_from(OBJECTS).map(_either)
+    if isinstance(value, list) and value and all(map(_is_object, value)):
+        return st.sampled_from(OBJECTS).map(lambda bad: _either([bad]))
     if isinstance(value, (int, np.integer)):
         return st.one_of(_bad_integers(), _hostile(scalar=True))
     if isinstance(value, (float, np.floating)):
@@ -237,7 +252,7 @@ def _substitutions():
                     if _kind(getattr(value, f.name)) is not None
                     and (name, param, f.name) not in OVERRIDDEN
                 ]
-            elif _kind(value) is not None:
+            if _kind(value) is not None:
                 cases.append((name, param, None))
     return cases
 

@@ -52,15 +52,19 @@ def test_ragged_rows_raise_under_a_fixed_dtype():
     assert np.asarray([[1, 2], [3, 4]], dtype=complex).shape == (2, 2)
 
 
-def test_char_add_and_str_len_on_byte_strings():
-    """``embedding._refine`` joins label bytes with ``np.char.add``, which drops each operand's
-    padding, and reads names' lengths with ``np.char.str_len`` (``np.char``: numpy 1.23 has no
-    ``np.strings``)."""
+def test_char_add_and_padded_cell_views_on_byte_strings():
+    """``embedding._refine`` appends a separator to each label with ``np.char.add`` (``np.char``:
+    numpy 1.23 has no ``np.strings``) and reads a row of those ragged ``S`` cells as one wider
+    cell: the view keeps each short cell's NUL padding inside, ``.tolist()`` drops only the
+    trailing NULs, and ``_refine`` removes the rest."""
     names = np.array([b"1", b"10", b"a3f"])
     assert names.dtype == np.dtype("S3")
-    assert np.char.add(names, b"|").tolist() == [b"1|", b"10|", b"a3f|"]
-    assert np.char.add(names[:, None], names[None, :2]).tolist()[1] == [b"101", b"1010"]
-    assert np.char.str_len(names).tolist() == [1, 2, 3]
+    spelled = np.char.add(names, b"|")
+    assert spelled.dtype == np.dtype("S4") and spelled.tolist() == [b"1|", b"10|", b"a3f|"]
+    row = np.array([[b"1|", b"10,", b"a3f"]], dtype="S4")
+    (signature,) = row.view("S12").ravel().tolist()
+    assert signature == b"1|\x00\x0010,\x00a3f"  # 12 bytes less the last cell's one trailing NUL
+    assert signature.replace(b"\x00", b"") == b"1|10,a3f"
 
 
 def test_unique_inverse_on_byte_strings_and_wide_cell_views():
