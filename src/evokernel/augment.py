@@ -70,20 +70,20 @@ class TemporalEpisode:
 def heat_distribution(state: HeatState, cfg: BoltzmannConfig) -> HeatDistribution:
     """Boltzmann distribution of the heat vector under energy a*x + b.
 
-    The bias cancels algebraically in the ratio, so it never enters the
-    arithmetic and the probabilities are bit-identical for any b.
-    Exponentiation happens after subtracting the maximum logit (log-sum-exp),
-    which guards overflow and makes the hottest node's rescaled probability
-    exactly 1. ``state`` may be any object with a ``HeatState``'s ``t`` and ``heat``.
+    The bias cancels algebraically in the ratio, so it never enters the arithmetic and the
+    probabilities are bit-identical for any b. Exponentiation happens after subtracting the
+    maximum logit (log-sum-exp), which guards overflow and makes the hottest node's rescaled
+    probability exactly 1.
     """
-    if not (hasattr(state, "t") and hasattr(state, "heat")):
-        instance("state", state, HeatState)
+    instance("state", state, HeatState)
     instance("cfg", cfg, BoltzmannConfig)
     a = real("energy weight a", cfg.a)
     real("energy bias b", cfg.b)
-    weights = _rescaled(reals("heat vector", state.heat)[:, None], a)[:, 0]
-    probs = weights / weights.sum()
-    return HeatDistribution(t=state.t, probs=probs, normed=weights)
+    heat = reals("heat vector", state.heat)
+    if heat.ndim != 1:
+        raise ContractError(f"heat vector must be 1-d, got shape {heat.shape}")
+    weights = _rescaled(heat[:, None], a)[:, 0]
+    return HeatDistribution(t=state.t, probs=weights / weights.sum(), normed=weights)
 
 
 @np.errstate(over="ignore")
@@ -111,11 +111,10 @@ def drop_node(g: Graph, dist: HeatDistribution, rng: np.random.Generator):
     instance("g", g, Graph)
     instance("dist", dist, HeatDistribution)
     instance("rng", rng, np.random.Generator)
-    if len(dist.normed) != g.node_count:
-        raise ContractError(
-            f"distribution over {len(dist.normed)} nodes for a graph with {g.node_count}"
-        )
-    keep = rng.random(len(dist.normed)) < dist.normed
+    normed = reals("normed probabilities", dist.normed)
+    if normed.shape != (g.node_count,):
+        raise ContractError(f"distribution of shape {normed.shape} for a graph with {g.node_count} nodes")
+    keep = rng.random(g.node_count) < normed
     return subgraph(g, keep), keep
 
 

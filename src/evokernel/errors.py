@@ -1,5 +1,5 @@
 """Exception taxonomy shared across the package, and the one rule for each kind of
-argument: scalar integers and reals, named choices, objects of a given class,
+argument: scalar integers and reals, named choices, objects of a given class, lists,
 integer label or id arrays, real arrays and square matrices."""
 
 import math
@@ -89,6 +89,14 @@ def instance(name: str, value, kind: type, error: type | None = None) -> None:
         if error is None:
             error = ConfigError if kind.__name__.endswith("Config") else ContractError
         raise error(f"{name} must be a {kind.__name__}, got a {type(value).__name__}")
+
+
+def sequence(name: str, values, error: type = ContractError) -> list:
+    """``values`` as a list; ``error`` unless they are iterable."""
+    try:
+        return list(values)
+    except TypeError as exc:
+        raise error(f"{name} must be a sequence, got a {type(values).__name__}") from exc
 
 
 def integers(name: str, values) -> np.ndarray:

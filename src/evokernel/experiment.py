@@ -13,6 +13,7 @@ substreams.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 import warnings
@@ -23,7 +24,9 @@ import numpy as np
 
 from .augment import BoltzmannConfig, _episode_masks, _snapshot_draws
 from .embedding import MetricConfig, _wl_counts
-from .errors import ConfigError, DatasetError, EvoKernelError, StageError, choice, instance, integer, integers, real
+from .errors import (
+    ConfigError, DatasetError, EvoKernelError, StageError, choice, instance, integer, integers, real, sequence,
+)
 from .graphs import Graph
 from .heat import HEAT_METHODS, METHOD_EXACT
 from .kernel import PSD_REPAIRS, _prefix_distance_matrices, evolution_kernel
@@ -111,8 +114,10 @@ class CvReport:
     ``timings`` holds the seconds of the ``load``, ``episodes``, ``distances``,
     ``kernel`` and ``cv`` stages in that order, each measured by the stage
     context that tags the stage's errors. ``canonical_json`` drops this
-    (nondeterministic) block, so it is byte-identical across reruns of the
-    same config and seed. In a sweep every stage but ``kernel`` runs once,
+    (nondeterministic) block and the echo's ``dataset_dir``, so it is
+    byte-identical across reruns of the same config and seed on the same
+    data, read from any path: the echo's ``dataset_sha256`` names the data.
+    In a sweep every stage but ``kernel`` runs once,
     for all lengths together, and its time is echoed on every report; ``cv``
     is the one SVM solve plus every length's predictions.
     """
@@ -139,7 +144,9 @@ class CvReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def canonical_json(self) -> str:
-        return json.dumps({k: v for k, v in self.to_dict().items() if k != "timings"}, sort_keys=True, indent=2)
+        report = {k: v for k, v in self.to_dict().items() if k != "timings"}
+        report["config"] = {k: v for k, v in self.config.items() if k != "dataset_dir"}
+        return json.dumps(report, sort_keys=True, indent=2)
 
 
 @contextmanager
@@ -203,10 +210,7 @@ def sweep_time_length(
     """
     with _stage("config"):
         instance("cfg", cfg, ExperimentConfig)
-        try:
-            lengths = [real("sweep length", t) for t in lengths]
-        except TypeError as exc:  # not iterable
-            raise ConfigError(f"sweep lengths must be a sequence of numbers: {exc}") from exc
+        lengths = [real("sweep length", t) for t in sequence("sweep lengths", lengths, ConfigError)]
         if not lengths:
             raise ConfigError("sweep needs at least one time length")
     return _run_lengths([replace(cfg, time_length=t) for t in lengths], dataset)
@@ -237,6 +241,7 @@ def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) 
         if dataset is None:
             dataset = load_tu_dataset(cfg.dataset_dir, cfg.dataset_name)
         _check_dataset(dataset)
+        digest = _dataset_sha256(dataset)
 
     with _stage("cv"):  # the split reads only the labels, fold count and seed
         folds = stratified_folds(dataset.labels, cfg.folds, cfg.seed)
@@ -270,6 +275,7 @@ def _run_lengths(configs: list[ExperimentConfig], dataset: GraphDataset | None) 
         ]
     for report, t in zip(reports, length_timings):
         report.timings = dict(t, cv=timings["cv"])
+        report.config["dataset_sha256"] = digest
     return reports
 
 
@@ -289,6 +295,13 @@ def _check_dataset(dataset) -> None:
         raise DatasetError(f"dataset labels must be a numpy array, got a {type(labels).__name__}")
     if len(integers("dataset labels", labels)) != len(graphs):
         raise DatasetError(f"dataset has {len(graphs)} graphs but {len(labels)} labels")
+
+
+def _dataset_sha256(dataset: GraphDataset) -> str:
+    """SHA-256 of a checked dataset's JSON content: each graph's node count, edges and node
+    labels, then the graph labels."""
+    content = [[g.node_count, g.edges, g.node_labels] for g in dataset.graphs], dataset.labels.tolist()
+    return hashlib.sha256(json.dumps(content).encode()).hexdigest()
 
 
 def _cross_validate(
@@ -350,7 +363,7 @@ def _cross_validate(
 def write_sweep_csv(reports: list[CvReport], path) -> None:
     """CSV of (time_length, mean, std), one row per report; fully deterministic."""
     lines = ["time_length,mean_accuracy,std_accuracy"]
-    for report in reports:
+    for report in sequence("reports", reports):
         instance("report", report, CvReport)
         lines.append(
             f"{report.config['time_length']!r},{report.mean_accuracy!r},{report.std_accuracy!r}"

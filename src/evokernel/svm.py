@@ -215,6 +215,8 @@ def svm_predict(model: SvmModel, k_rows: np.ndarray) -> int | np.ndarray:
         raise ContractError(
             f"kernel rows of shape {k_rows.shape}, expected rows of length {model.train_size}"
         )
+    if not model.machines:
+        raise ContractError("model has no machines")
     coef = np.stack([m.alpha * m.y for m in model.machines], axis=1)
     values = k_rows @ coef + np.array([m.bias for m in model.machines])
     best = values[..., 0] < 0 if len(model.machines) == 1 else np.argmax(values, axis=-1)

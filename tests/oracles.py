@@ -20,6 +20,22 @@ original n x n matrix formula of each kernel and the original method pick, so
 neither routes through the library's one formula per method. The TU loader
 reference keeps the original per-line reader, which parses and checks every
 line and every edge in Python and collects each graph's edges in a set.
+
+The episode reference shares no heat or Boltzmann code with the library: it
+decomposes each Laplacian with numpy's ``eigh`` as it comes, without the
+library's eigenvalue clamp and residual check, and computes each node's
+rescaled Boltzmann weight ``exp(-a h - max(-a h))`` in Python floats, one node
+at a time. The oracles take only these names from ``evokernel``:
+
+- ``Graph``, ``GraphDataset``, ``TemporalEpisode`` and ``BoltzmannConfig``,
+  which are data: the inputs and results the oracles build and compare;
+- ``snapshot_rng``, which defines each snapshot's draws, so the episode
+  reference and the library read the same uniforms;
+- ``DatasetError``, which the loader reference raises where the library must;
+- the ``METHOD_*`` names, which name the heat methods.
+
+``tests/test_heat.py`` parses this module and fails if it imports any other
+name from ``evokernel.heat`` or ``evokernel.augment``.
 """
 
 from __future__ import annotations
@@ -34,15 +50,10 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.linalg
 
-from evokernel.augment import (
-    BoltzmannConfig,
-    TemporalEpisode,
-    heat_distribution,
-    snapshot_rng,
-)
+from evokernel.augment import BoltzmannConfig, TemporalEpisode, snapshot_rng
 from evokernel.errors import DatasetError
 from evokernel.graphs import Graph
-from evokernel.heat import METHOD_AUTO, METHOD_EXACT, METHOD_FIEDLER, METHOD_TAYLOR2, spectral_decompose
+from evokernel.heat import METHOD_AUTO, METHOD_EXACT, METHOD_FIEDLER, METHOD_TAYLOR2
 from evokernel.tu_io import GraphDataset
 
 
@@ -144,7 +155,7 @@ def dict_wl_histograms(graphs: list[Graph], iterations: int) -> list[Counter]:
         if g.node_labels is not None:
             raw = [str(lab) for lab in g.node_labels]
         else:
-            raw = [str(int(d)) for d in g.degrees()]
+            raw = [str(len(ns)) for ns in neighbour_lists(g)]
         ids = []
         for r in raw:
             key = "raw:" + r
@@ -181,12 +192,12 @@ def dict_wl_histograms(graphs: list[Graph], iterations: int) -> list[Counter]:
 def reference_wl_labels(g: Graph, iterations: int) -> list[list[str]]:
     """Per-round node label strings: round 0 is the raw label (or degree), then
     ``iterations`` rounds of hashed neighbourhood refinement."""
+    neighbors = neighbour_lists(g)
     if g.node_labels is not None:
         labels = [str(lab) for lab in g.node_labels]
     else:
-        labels = [str(int(d)) for d in g.degrees()]
+        labels = [str(len(ns)) for ns in neighbors]
     rounds = [labels]
-    neighbors = neighbour_lists(g)
     for _ in range(iterations):
         refined = []
         for i, own in enumerate(labels):
@@ -491,9 +502,24 @@ def reference_heat_state(hk: SimpleNamespace, u0: float) -> SimpleNamespace:
     return SimpleNamespace(t=hk.t, heat=hk.matrix @ np.full(hk.matrix.shape[0], float(u0)))
 
 
-def _reference_drop_node(g: Graph, dist, rng: np.random.Generator):
+def reference_spectrum(lap: np.ndarray) -> SimpleNamespace:
+    """``n``, ``eigenvalues`` and ``eigenvectors`` of numpy's ``eigh`` as it comes: no clamp
+    of small negative eigenvalues and no residual check."""
+    w, v = np.linalg.eigh(lap)
+    return SimpleNamespace(n=len(w), eigenvalues=w, eigenvectors=v)
+
+
+def reference_boltzmann_weights(heat, a: float) -> list[float]:
+    """Each node's Boltzmann weight under energy a*x + b, divided by the largest:
+    ``exp(-a h - max(-a h))``, one Python float at a time. The bias cancels."""
+    logits = [-float(a) * float(h) for h in heat]
+    top = max(logits, default=0.0)
+    return [math.exp(x - top) for x in logits]
+
+
+def _reference_drop_node(g: Graph, weights: list[float], rng: np.random.Generator):
     draws = rng.random(g.node_count)
-    keep = draws < dist.normed
+    keep = np.array([u < w for u, w in zip(draws, weights)], dtype=bool)
     return reference_subgraph(g, keep), keep
 
 
@@ -510,19 +536,20 @@ def reference_generate_episode(
 ) -> TemporalEpisode:
     """Episode with one eigendecomposition per Laplacian, read or not."""
     times = np.asarray(times, dtype=float)
-    if cfg is None:
-        cfg = BoltzmannConfig()
+    a = (BoltzmannConfig() if cfg is None else cfg).a
 
     snapshots: list[Graph] = []
     masks: list[np.ndarray] = []
 
+    def weights(lap: np.ndarray, spec: SimpleNamespace, t: float) -> list[float]:
+        hk = reference_heat_kernel(lap, spec, t, method)
+        return reference_boltzmann_weights(reference_heat_state(hk, u0).heat, a)
+
     if not cumulative:
         lap = reference_normalized_laplacian(g)
-        spec = spectral_decompose(lap)
+        spec = reference_spectrum(lap)
         for k, t in enumerate(times):
-            hk = reference_heat_kernel(lap, spec, float(t), method)
-            dist = heat_distribution(reference_heat_state(hk, u0), cfg)
-            snap, keep = _reference_drop_node(g, dist, snapshot_rng(seed, graph_index, k))
+            snap, keep = _reference_drop_node(g, weights(lap, spec, float(t)), snapshot_rng(seed, graph_index, k))
             snapshots.append(snap)
             masks.append(keep)
     else:
@@ -535,10 +562,8 @@ def reference_generate_episode(
                 masks.append(np.zeros(g.node_count, dtype=bool))
                 continue
             lap = reference_normalized_laplacian(current)
-            spec = spectral_decompose(lap)
-            hk = reference_heat_kernel(lap, spec, dt, method)
-            dist = heat_distribution(reference_heat_state(hk, u0), cfg)
-            snap, keep_local = _reference_drop_node(current, dist, snapshot_rng(seed, graph_index, k))
+            step = weights(lap, reference_spectrum(lap), dt)
+            snap, keep_local = _reference_drop_node(current, step, snapshot_rng(seed, graph_index, k))
             src_ids = src_ids[keep_local]
             mask = np.zeros(g.node_count, dtype=bool)
             mask[src_ids] = True

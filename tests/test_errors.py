@@ -9,6 +9,7 @@ bad graph input does, and a dataset a run cannot read raises ``DatasetError``.
 from __future__ import annotations
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from evokernel.heat import (
     spectral_decompose,
 )
 from evokernel.kernel import clip_psd, distance_matrix, evolution_kernel
-from evokernel.svm import svm_predict, svm_train
+from evokernel.svm import SvmModel, svm_predict, svm_train
 from evokernel.tu_io import GraphDataset
 
 PATH = Graph(3, [(0, 1), (1, 2)])
@@ -357,6 +358,27 @@ CALLS = {
         lambda: _at("load", lambda: run_experiment(ExperimentConfig(), GraphDataset([], np.zeros(0, np.int64), "x"))),
     ),
     "folds-no-labels": (ConfigError, lambda: stratified_folds([], 2, 0)),
+    # A list argument is iterable.
+    "distances-no-list": (ContractError, lambda: distance_matrix(None)),
+    "sweep-csv-no-list": (ContractError, lambda: write_sweep_csv(5, os.devnull)),
+    # A function reads a caller-built object's fields by the rule of their kind: a heat state's
+    # heat is a 1-d vector, a distribution's normed probabilities are finite and one per node,
+    # and a model has a machine. A heat state is a HeatState, not any object with its fields.
+    "heat-0d-vector": (ContractError, lambda: heat_distribution(HeatState(0.0, 5.0), BoltzmannConfig())),
+    "heat-2d-vector": (ContractError, lambda: heat_distribution(HeatState(0.0, np.ones((3, 1))), BoltzmannConfig())),
+    "heat-namespace-state": (
+        ContractError,
+        lambda: heat_distribution(SimpleNamespace(t=0.0, heat=np.ones(3)), BoltzmannConfig()),
+    ),
+    "drop-scalar-normed": (
+        ContractError,
+        lambda: drop_node(PATH, HeatDistribution(0.0, np.ones(3), 1.0), np.random.default_rng(0)),
+    ),
+    "drop-nan-normed": (
+        ContractError,
+        lambda: drop_node(PATH, HeatDistribution(0.0, np.ones(3), np.full(3, NAN)), np.random.default_rng(0)),
+    ),
+    "predict-no-machines": (ContractError, lambda: svm_predict(SvmModel(np.array([0, 1]), [], 10.0, 3), np.ones(3))),
 }
 
 

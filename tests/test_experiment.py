@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import shutil
 import warnings
 import weakref
 from dataclasses import FrozenInstanceError, fields, replace
@@ -25,7 +27,7 @@ from evokernel.kernel import distance_matrix
 from evokernel.svm import svm_train
 from evokernel.tu_io import GraphDataset
 
-from .conftest import star, triangle
+from .conftest import DATA_DIR, star, triangle
 from .oracles import (
     reference_generate_episode,
     reference_ovr_predict,
@@ -162,6 +164,30 @@ def test_report_is_deterministic():
     assert first.canonical_json() == second.canonical_json()
     assert "timings" not in first.canonical_json()
     assert "timings" in first.to_json()
+
+
+def test_report_depends_on_the_data_not_its_path(mutag_dir, tmp_path, monkeypatch):
+    """One MUTAG run gives one canonical report read from an absolute path, a relative path
+    with a trailing slash and a copy in another directory. ``to_json`` keeps the path, and the
+    echo names the data by the digest that ``tests/data/fingerprints.json`` pins."""
+    copy = shutil.copytree(mutag_dir, tmp_path / "copy")
+    monkeypatch.chdir(mutag_dir.parent)
+    cfg = fast_config(dataset_name="MUTAG", time_length=0.2)
+    reports = [run_experiment(replace(cfg, dataset_dir=str(d))) for d in (mutag_dir, "MUTAG/", copy)]
+    assert len({r.canonical_json() for r in reports}) == 1
+    assert '"dataset_dir"' not in reports[0].canonical_json()
+    assert [json.loads(r.to_json())["config"]["dataset_dir"] for r in reports] == [str(mutag_dir), "MUTAG/", str(copy)]
+    pinned = json.loads((DATA_DIR / "fingerprints.json").read_text())["dataset"]
+    assert reports[0].config["dataset_sha256"] == pinned
+
+
+def test_one_more_edge_gives_another_dataset_digest():
+    dataset = synthetic_dataset()
+    graphs = list(dataset.graphs)
+    graphs[3] = Graph(4, [*graphs[3].edges, (1, 2)])
+    other = GraphDataset(graphs=graphs, labels=dataset.labels, name=dataset.name)
+    first, second = (run_experiment(fast_config(), dataset=d).config["dataset_sha256"] for d in (dataset, other))
+    assert first != second
 
 
 def test_report_statistics_are_consistent():

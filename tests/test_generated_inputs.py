@@ -15,7 +15,7 @@ values of the kind its valid value has, substituted one at a time:
 - an object of the package (a config, graph, episode, spectrum, heat kernel
   or state, distribution, dataset, model or report) or a numpy ``Generator``:
   text, ``None`` and a bare ``object()`` (``OBJECTS``), and in place of a list
-  of such objects a list holding one of them;
+  of such objects each of them, bare or in a list of one;
 - and, whatever the kind of a number or array, a value of another kind
   (``HOSTILE``): ints beyond int64 and float64 range, complex values, text and
   bytes (numeric or not), numpy scalars of every dtype kind, 0-d and object
@@ -226,7 +226,7 @@ def _kind(value):
     if _is_object(value):
         return st.sampled_from(OBJECTS).map(_either)
     if isinstance(value, list) and value and all(map(_is_object, value)):
-        return st.sampled_from(OBJECTS).map(lambda bad: _either([bad]))
+        return st.sampled_from([*OBJECTS, *([bad] for bad in OBJECTS)]).map(_either)
     if isinstance(value, (int, np.integer)):
         return st.one_of(_bad_integers(), _hostile(scalar=True))
     if isinstance(value, (float, np.floating)):

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from evokernel import augment as augment_module
 from evokernel import heat as heat_module
 
 from evokernel.errors import ConfigError, NumericalError
@@ -407,33 +409,51 @@ def test_heat_vectors_equal_the_kernel_heat(method, n, connected):
         assert np.array_equal(_heat_vectors(lap, None, small, method, 1.5), heat[:, : len(small)])
 
 
-ORACLE_HEAT_NAMES = {"spectral_decompose"} | {n for n in vars(heat_module) if n.startswith("METHOD_")}
+ORACLE_HEAT_NAMES = {n for n in vars(heat_module) if n.startswith("METHOD_")}
+ORACLE_AUGMENT_NAMES = {"BoltzmannConfig", "TemporalEpisode", "snapshot_rng"}
+ORACLE_SOURCE = Path(__file__).parent / "oracles.py"
 
 
-def _heat_names_imported(source: str) -> list[str]:
-    """Names of ``evokernel.heat`` that ``source`` imports, from it or re-exported by another
-    evokernel module, and the module itself."""
+def _names_imported(source: str, target) -> list[str]:
+    """Names of module ``target`` that ``source`` imports: any name from it, a name it defines
+    re-exported by another evokernel module, and the module itself."""
+    own_imports = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(inspect.getsource(target)))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            found += [alias.name for alias in node.names if alias.name.startswith("evokernel.heat")]
+            found += [alias.name for alias in node.names if alias.name.startswith(target.__name__)]
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("evokernel"):
             module = importlib.import_module(node.module)
             for alias in node.names:
                 value = getattr(module, alias.name, None)
-                from_heat = value is not None and value is getattr(heat_module, alias.name, None)
-                if module is heat_module or value is heat_module or from_heat:
+                defined = alias.name not in own_imports and value is getattr(target, alias.name, None) is not None
+                if module is target or value is target or defined:
                     found.append(alias.name)
     return found
 
 
 def test_oracles_import_no_heat_formula():
     """The oracles stay independent of the formulas they check: from ``evokernel.heat``
-    they take only the eigendecomposition and the method names."""
-    source = (Path(__file__).parent / "oracles.py").read_text()
-    assert set(_heat_names_imported(source)) <= ORACLE_HEAT_NAMES
-    assert _heat_names_imported("from evokernel.heat import compute_heat_kernel") == ["compute_heat_kernel"]
-    assert _heat_names_imported("from evokernel import compute_heat_kernel") == ["compute_heat_kernel"]
-    assert _heat_names_imported("from evokernel import heat") == ["heat"]
-    assert _heat_names_imported("import evokernel.heat as h") == ["evokernel.heat"]
-    assert _heat_names_imported("from evokernel.augment import BoltzmannConfig") == []
+    they take only the method names."""
+    assert set(_names_imported(ORACLE_SOURCE.read_text(), heat_module)) <= ORACLE_HEAT_NAMES
+    assert _names_imported("from evokernel.heat import spectral_decompose", heat_module) == ["spectral_decompose"]
+    assert _names_imported("from evokernel import compute_heat_kernel", heat_module) == ["compute_heat_kernel"]
+    assert _names_imported("from evokernel import heat", heat_module) == ["heat"]
+    assert _names_imported("import evokernel.heat as h", heat_module) == ["evokernel.heat"]
+    assert _names_imported("from evokernel.augment import BoltzmannConfig", heat_module) == []
+
+
+def test_oracles_import_no_boltzmann_formula():
+    """From ``evokernel.augment`` the oracles take only its data classes and ``snapshot_rng``,
+    which defines the draws: the Boltzmann weights are their own."""
+    assert set(_names_imported(ORACLE_SOURCE.read_text(), augment_module)) <= ORACLE_AUGMENT_NAMES
+    assert _names_imported("from evokernel import heat_distribution", augment_module) == ["heat_distribution"]
+    assert _names_imported("from evokernel.augment import _rescaled", augment_module) == ["_rescaled"]
+    assert _names_imported("from evokernel.augment import HeatState", augment_module) == ["HeatState"]
+    assert _names_imported("from evokernel.heat import METHOD_EXACT", augment_module) == []
+    assert _names_imported("from evokernel.graphs import Graph", augment_module) == []
